@@ -3,7 +3,7 @@ package core
 // Flat-combining commit batching (Options.CombinedCommits).
 //
 // Under contention the locked sub-heap paths serialize on mu and pay the
-// full undo discipline — seal (flush+fence twice), apply+flush+fence,
+// full undo discipline — seal (flushes+one fence), apply+flush+fence,
 // truncate (flush+fence) — once per operation. Flat combining turns that
 // queue into a group: a thread that fails to take mu publishes its op
 // descriptor into a DRAM combining array and spins on a per-op done flag,
@@ -13,8 +13,8 @@ package core
 // only costs, when threads actually collide. All ops stage into chained per-op batches (later
 // ops read earlier ops' staged state), then txn.CommitGroup lands the whole
 // group with ONE seal, cache-line-deduplicated flushes, ONE fence, every
-// micro-log hook, and ONE truncate — fences per contended op drop from ~4
-// toward ~4/k at combine width k.
+// micro-log hook, and ONE truncate — fences per contended op drop from ~3
+// toward ~3/k at combine width k.
 //
 // Group atomicity is safe because no combined op reports success before the
 // group's single truncate: a crash anywhere before it replays the undo log

@@ -18,7 +18,7 @@ const (
 
 func newLogWindow(t *testing.T) mpk.Window {
 	t.Helper()
-	d, err := nvm.NewDevice(nvm.Options{Capacity: 1 << 20, CrashTracking: true})
+	d, err := nvm.NewDevice(nvm.Options{Capacity: 1 << 20, CrashTracking: true, Stats: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package pstruct
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -115,94 +115,114 @@ func TestListPushCrashSweep(t *testing.T) {
 	}
 }
 
+// reopenQueue crashes the device under policy, recovers the heap and
+// reattaches the queue anchored at the root.
+func reopenQueue(t *testing.T, h *poseidon.Heap, policy nvm.CrashPolicy) (*poseidon.Heap, *poseidon.Thread, *Queue) {
+	t.Helper()
+	if _, err := h.Device().Crash(policy); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := core.Load(h.Device(), core.Options{CrashTracking: true})
+	if err != nil {
+		t.Fatalf("heap recovery: %v", err)
+	}
+	h2 := facade(t, ch)
+	th, err := h2.Thread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(th.Close)
+	root, err := h2.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := OpenQueue(th, root)
+	if err != nil {
+		t.Fatalf("queue recovery: %v", err)
+	}
+	return h2, th, q
+}
+
 func TestQueueEnqueueCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is slow")
 	}
 	for budget := int64(1); budget < 50; budget++ {
-		budget := budget
 		t.Run(fmt.Sprintf("failAfter=%d", budget), func(t *testing.T) {
-			h, th := newHeapThread(t)
-			q, err := NewQueue(th, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := h.SetRoot(q.Anchor()); err != nil {
-				t.Fatal(err)
-			}
-			// Fill the first segment completely so the probed enqueue
-			// exercises the grow protocol too.
-			for i := uint64(0); i < q.perSeg; i++ {
-				if err := q.Enqueue(th, elem(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			h.Device().FailAfter(budget)
-			enqErr := q.Enqueue(th, elem(7777))
-			h.Device().DisarmFailpoint()
-			th.Close()
-
-			if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictRandom, Prob: 0.5, Seed: budget * 37}); err != nil {
-				t.Fatal(err)
-			}
-			ch, err := core.Load(h.Device(), core.Options{CrashTracking: true})
-			if err != nil {
-				t.Fatalf("heap recovery: %v", err)
-			}
-			h2 := facade(t, ch)
-			th2, err := h2.Thread()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer th2.Close()
-			root, err := h2.Root()
-			if err != nil {
-				t.Fatal(err)
-			}
-			q2, err := OpenQueue(th2, root)
-			if err != nil {
-				t.Fatalf("queue recovery: %v", err)
-			}
-			// Drain: the prefix must be exactly 0..perSeg-1, optionally
-			// followed by 7777 iff the torn enqueue published.
-			var got []uint64
-			for {
-				out, ok, err := q2.Dequeue(th2)
-				if err != nil {
-					t.Fatalf("dequeue after crash: %v", err)
-				}
-				if !ok {
-					break
-				}
-				if len(out) != 16 {
-					t.Fatalf("short element")
-				}
-				got = append(got, uint64(out[0])|uint64(out[1])<<8|uint64(out[2])<<16|uint64(out[3])<<24)
-			}
-			want := int(q.perSeg)
-			if enqErr == nil {
-				want++
-			}
-			if len(got) != want && len(got) != want+1 && len(got) != int(q.perSeg) {
-				t.Fatalf("drained %d elements (budget %d, enqErr %v)", len(got), budget, enqErr)
-			}
-			for i := 0; i < int(q.perSeg) && i < len(got); i++ {
-				if got[i] != uint64(i) {
-					t.Fatalf("element %d = %d — FIFO order broken", i, got[i])
-				}
-			}
-			if len(got) > int(q.perSeg) {
-				if got[q.perSeg] != 7777 {
-					t.Fatalf("published element = %d", got[q.perSeg])
-				}
-				if !bytes.Equal(elem(7777)[:4], []byte{0x61, 0x1e, 0, 0}) {
-					t.Fatal("sanity")
-				}
-			}
-			// Queue still functional.
-			if err := q2.Enqueue(th2, elem(1)); err != nil {
-				t.Fatalf("enqueue after recovery: %v", err)
+			// The random seed plus the three deterministic extremes, so the
+			// coverage does not hinge on which store a budget stops at.
+			for name, policy := range map[string]nvm.CrashPolicy{
+				"random": {Mode: nvm.EvictRandom, Prob: 0.5, Seed: budget * 37},
+				"none":   {Mode: nvm.EvictNone},
+				"all":    {Mode: nvm.EvictAll},
+				"torn":   {Mode: nvm.EvictTorn, Prob: 0.5, Seed: budget * 37},
+			} {
+				t.Run(name, func(t *testing.T) { queueEnqueueCrashPoint(t, budget, policy) })
 			}
 		})
+	}
+}
+
+// queueEnqueueCrashPoint fills one segment, kills the device budget stores
+// into the growing enqueue, crashes under policy and checks the recovered
+// queue holds the prefix, optionally followed by the new element.
+func queueEnqueueCrashPoint(t *testing.T, budget int64, policy nvm.CrashPolicy) {
+	h, th := newHeapThread(t)
+	q, err := NewQueue(th, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetRoot(q.Anchor()); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the first segment completely so the probed enqueue exercises the
+	// grow protocol too.
+	for i := uint64(0); i < q.perSeg; i++ {
+		if err := q.Enqueue(th, elem(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Device().FailAfter(budget)
+	enqErr := q.Enqueue(th, elem(7777))
+	h.Device().DisarmFailpoint()
+	th.Close()
+
+	h2, th2, q2 := reopenQueue(t, h, policy)
+	// Drain: the prefix must be exactly 0..perSeg-1, optionally followed by
+	// 7777 iff the torn enqueue published.
+	var got []uint64
+	for {
+		out, ok, err := q2.Dequeue(th2)
+		if err != nil {
+			t.Fatalf("dequeue after crash: %v", err)
+		}
+		if !ok {
+			break
+		}
+		if len(out) != 16 {
+			t.Fatalf("short element")
+		}
+		got = append(got, binary.LittleEndian.Uint64(out))
+	}
+	// A failed enqueue may or may not have published; a completed one must
+	// have.
+	if n := len(got); n != int(q.perSeg)+1 && (n != int(q.perSeg) || enqErr == nil) {
+		t.Fatalf("drained %d elements (budget %d, enqErr %v)", n, budget, enqErr)
+	}
+	for i := 0; i < int(q.perSeg) && i < len(got); i++ {
+		if got[i] != uint64(i) {
+			t.Fatalf("element %d = %d — FIFO order broken", i, got[i])
+		}
+	}
+	if len(got) > int(q.perSeg) && got[q.perSeg] != 7777 {
+		t.Fatalf("published element = %d", got[q.perSeg])
+	}
+	// Queue still functional, and the heap agrees nothing leaked or
+	// dangles.
+	if err := q2.Enqueue(th2, elem(1)); err != nil {
+		t.Fatalf("enqueue after recovery: %v", err)
+	}
+	if rep, err := h2.Check(); err != nil || !rep.OK() {
+		t.Fatalf("heap check after recovery: %v %v", err, rep.Problems)
 	}
 }

@@ -137,7 +137,9 @@ func (q *Queue) newSegment(t *poseidon.Thread) (poseidon.NVMPtr, error) {
 }
 
 // recover resolves the pending segment: linked ⇒ complete the tail
-// advance; unlinked ⇒ free the orphan.
+// advance; unlinked ⇒ free the orphan. The advance's anchor stores share a
+// line, so a crash can persist tailSeg == pending before tailIdx and pending
+// land: that advance is done too (and tailSeg's next is the new segment's 0).
 func (q *Queue) recover(t *poseidon.Thread) error {
 	pending, err := t.ReadU64(q.anchor, qOffPending)
 	if err != nil || pending == 0 {
@@ -147,9 +149,11 @@ func (q *Queue) recover(t *poseidon.Thread) error {
 	if err != nil {
 		return err
 	}
-	next, err := t.ReadU64(q.ptr(tailSeg), 0)
-	if err != nil {
-		return err
+	next := pending
+	if tailSeg != pending {
+		if next, err = t.ReadU64(q.ptr(tailSeg), 0); err != nil {
+			return err
+		}
 	}
 	if next == pending {
 		// The link published: finish the advance.

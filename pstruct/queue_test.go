@@ -283,3 +283,73 @@ func TestQueueRecoverLinkedSegment(t *testing.T) {
 		t.Fatalf("head element wrong after recovery: %v %v %v", out, ok, err)
 	}
 }
+
+// Crash after the anchor line persisted tailSeg == pending but before
+// tailIdx and pending were reset: recovery must finish the advance, not
+// read the new segment's (zero) next link and free the live tail.
+func TestQueueRecoverAdvancedTailSegment(t *testing.T) {
+	h, th := newHeapThread(t)
+	q, err := NewQueue(th, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SetRoot(q.Anchor()); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < q.perSeg; i++ {
+		if err := q.Enqueue(th, elem(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hand-craft the torn grow: segment linked and tailSeg advanced, while
+	// tailIdx still says "full" and pending still names the new segment.
+	seg, err := q.newSegment(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailSeg, err := th.ReadU64(q.Anchor(), qOffTailSeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := th.WriteU64(q.ptr(tailSeg), 0, seg.Loc()+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Flush(q.ptr(tailSeg), 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	for off, v := range map[uint64]uint64{qOffPending: seg.Loc() + 1, qOffTailSeg: seg.Loc() + 1} {
+		if err := th.WriteU64(q.Anchor(), off, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := th.Flush(q.Anchor(), 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+
+	h2, th2, q2 := reopenQueue(t, h, nvm.CrashPolicy{Mode: nvm.EvictNone})
+	if _, err := th2.BlockSize(seg); err != nil {
+		t.Fatalf("recovery freed the live tail segment: %v", err)
+	}
+	for off, want := range map[uint64]uint64{qOffTailSeg: seg.Loc() + 1, qOffTailIdx: 0, qOffPending: 0} {
+		if got, err := th2.ReadU64(q2.Anchor(), off); err != nil || got != want {
+			t.Fatalf("anchor +%d = %#x (%v), want %#x", off, got, err, want)
+		}
+	}
+	if err := q2.Enqueue(th2, elem(999)); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i <= q.perSeg; i++ {
+		want := i
+		if i == q.perSeg {
+			want = 999
+		}
+		out, ok, err := q2.Dequeue(th2)
+		if err != nil || !ok || !bytes.Equal(out, elem(want)) {
+			t.Fatalf("dequeue %d: %v %v %v", i, out, ok, err)
+		}
+	}
+	if rep, err := h2.Check(); err != nil || !rep.OK() {
+		t.Fatalf("heap check: %v %v", err, rep.Problems)
+	}
+}
