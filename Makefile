@@ -19,14 +19,12 @@ race:
 	$(GO) test -race ./...
 
 # The per-figure testing.B benchmarks (bounded sweeps), plus the magazine
-# before/after baseline (locked path vs lock-free fast path), the
-# parallel-recovery baseline (serial vs fanned-out load) and the combined-
-# commit baseline (legacy vs flat-combined fence/flush traffic) as JSON.
+# before/after baseline (locked path vs lock-free fast path) and the
+# parallel-recovery baseline (serial vs fanned-out load) as JSON.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/poseidon-bench -fig mags -out BENCH_magazines.json
 	$(GO) run ./cmd/poseidon-bench -fig recovery -out BENCH_recovery.json
-	$(GO) run ./cmd/poseidon-bench -fig combine -out BENCH_combine.json
 
 # Full figure regeneration (tables of Mops/sec vs threads + extras).
 figures:

@@ -81,10 +81,9 @@ func run() error {
 		"flushes":    flushes,
 		"recovery":   recovery,
 		"mags":       mags,
-		"combine":    combine,
 	}
 	if cfg.fig == "all" {
-		for _, name := range []string{"6", "7", "8", "9", "ablation", "contention", "frag", "flushes", "recovery", "mags", "combine"} {
+		for _, name := range []string{"6", "7", "8", "9", "ablation", "contention", "frag", "flushes", "recovery", "mags"} {
 			if err := figs[name](cfg); err != nil {
 				return fmt.Errorf("figure %s: %w", name, err)
 			}
@@ -687,253 +686,6 @@ func ablation(cfg config) error {
 		fig2.Add(fmt.Sprintf("subheaps=%d", subheaps), threads, ops, d)
 	}
 	fig2.Print(os.Stdout)
-	return nil
-}
-
-// combineVariant is one contended-workload row of the combine baseline.
-type combineVariant struct {
-	MopsSec          float64 `json:"mops_sec"`
-	FlushesPerOp     float64 `json:"flushes_per_op"`
-	FencesPerOp      float64 `json:"fences_per_op"`
-	CombinedCommits  uint64  `json:"combined_commits,omitempty"`
-	CombinedOps      uint64  `json:"combined_ops,omitempty"`
-	CombineFallbacks uint64  `json:"combine_fallbacks,omitempty"`
-	AvgGroupWidth    float64 `json:"avg_group_width,omitempty"`
-}
-
-// combineWidthCell is one fixed-group-width row of the combine baseline.
-type combineWidthCell struct {
-	LegacyFlushesPerOp   float64 `json:"legacy_flushes_per_op"`
-	LegacyFencesPerOp    float64 `json:"legacy_fences_per_op"`
-	CombinedFlushesPerOp float64 `json:"combined_flushes_per_op"`
-	CombinedFencesPerOp  float64 `json:"combined_fences_per_op"`
-	FlushReduction       float64 `json:"flush_reduction"`
-	FenceReduction       float64 `json:"fence_reduction"`
-}
-
-// combineContended runs the contended 256 B microbenchmark — `threads`
-// workers on ONE sub-heap — on the legacy or combined commit path and
-// returns its row. GOMAXPROCS is raised to the worker count for the
-// duration so waiters and the combining leader can actually overlap.
-func combineContended(cfg config, threads int, combined bool) (combineVariant, error) {
-	opts := core.Options{
-		Subheaps:        1,
-		SubheapUserSize: 64 << 20,
-		MaxThreads:      threads + 4,
-		DeviceStats:     true,
-		CombinedCommits: combined,
-	}
-	a, err := alloc.NewPoseidon(opts)
-	if err != nil {
-		return combineVariant{}, err
-	}
-	defer a.Close()
-
-	old := runtime.GOMAXPROCS(max(threads, runtime.GOMAXPROCS(0)))
-	defer runtime.GOMAXPROCS(old)
-
-	// Warm up (pays lazy formatting), then measure a steady-state window.
-	if _, _, err := benchutil.RunParallel(a, threads, func(w int, h alloc.Handle) (uint64, error) {
-		return benchutil.MicroWorker(h, benchutil.MicroConfig{Size: 256, Rounds: 5, Seed: int64(w + 1)})
-	}); err != nil {
-		return combineVariant{}, err
-	}
-	devBefore := a.Heap().Device().StatsSnapshot()
-	heapBefore := a.Heap().Stats()
-	ops, d, err := benchutil.RunParallel(a, threads, func(w int, h alloc.Handle) (uint64, error) {
-		return benchutil.MicroWorker(h, benchutil.MicroConfig{Size: 256, Rounds: 50 * cfg.scale, Seed: int64(w + 100)})
-	})
-	if err != nil {
-		return combineVariant{}, err
-	}
-	devAfter := a.Heap().Device().StatsSnapshot()
-	heapAfter := a.Heap().Stats()
-
-	per := func(b, aft uint64) float64 { return float64(aft-b) / float64(ops) }
-	v := combineVariant{
-		MopsSec:          float64(ops) / d.Seconds() / 1e6,
-		FlushesPerOp:     per(devBefore.Flushes, devAfter.Flushes),
-		FencesPerOp:      per(devBefore.Fences, devAfter.Fences),
-		CombinedCommits:  heapAfter.CombinedCommits - heapBefore.CombinedCommits,
-		CombinedOps:      heapAfter.CombinedOps - heapBefore.CombinedOps,
-		CombineFallbacks: heapAfter.CombineFallbacks - heapBefore.CombineFallbacks,
-	}
-	if v.CombinedCommits > 0 {
-		v.AvgGroupWidth = float64(v.CombinedOps) / float64(v.CombinedCommits)
-	}
-	return v, nil
-}
-
-// combineAtWidth measures persistence traffic per op at a FIXED group width
-// k: the combined column drives k-op alloc and free groups through the
-// deterministic burst driver, the legacy column runs the identical
-// operation sequence through the per-op commit path. Group width — not
-// scheduler luck — is what fence/flush amortization depends on, so this is
-// the machine-independent form of the tentpole's claim (essential on small
-// CPU counts, where natural combining widths stay near 1).
-func combineAtWidth(cfg config, width int) (combineWidthCell, error) {
-	rounds := 50 * cfg.scale
-	var cell combineWidthCell
-	for _, combined := range []bool{false, true} {
-		opts := core.Options{
-			Subheaps:        1,
-			SubheapUserSize: 64 << 20,
-			MaxThreads:      4,
-			DeviceStats:     true,
-			CombinedCommits: combined,
-		}
-		a, err := alloc.NewPoseidon(opts)
-		if err != nil {
-			return cell, err
-		}
-		h := a.Heap()
-		th, err := h.ThreadOn(0)
-		if err != nil {
-			_ = a.Close()
-			return cell, err
-		}
-		sizes := make([]uint64, width)
-		for i := range sizes {
-			sizes[i] = 256
-		}
-		runRound := func() error {
-			if combined {
-				ptrs, errs, err := h.CombineAllocBurst(0, sizes)
-				if err != nil {
-					return err
-				}
-				for _, e := range errs {
-					if e != nil {
-						return e
-					}
-				}
-				ferrs, err := h.CombineFreeBurst(ptrs)
-				if err != nil {
-					return err
-				}
-				for _, e := range ferrs {
-					if e != nil {
-						return e
-					}
-				}
-				return nil
-			}
-			ptrs := make([]core.NVMPtr, width)
-			for i := range ptrs {
-				if ptrs[i], err = th.Alloc(256); err != nil {
-					return err
-				}
-			}
-			for _, p := range ptrs {
-				if err := th.Free(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Warm-up round, then the measured window.
-		if err := runRound(); err != nil {
-			_ = a.Close()
-			return cell, err
-		}
-		before := h.Device().StatsSnapshot()
-		for r := 0; r < rounds; r++ {
-			if err := runRound(); err != nil {
-				_ = a.Close()
-				return cell, err
-			}
-		}
-		after := h.Device().StatsSnapshot()
-		th.Close()
-		_ = a.Close()
-
-		ops := uint64(2 * width * rounds)
-		flushes := float64(after.Flushes-before.Flushes) / float64(ops)
-		fences := float64(after.Fences-before.Fences) / float64(ops)
-		if combined {
-			cell.CombinedFlushesPerOp, cell.CombinedFencesPerOp = flushes, fences
-		} else {
-			cell.LegacyFlushesPerOp, cell.LegacyFencesPerOp = flushes, fences
-		}
-	}
-	cell.FlushReduction = cell.LegacyFlushesPerOp / cell.CombinedFlushesPerOp
-	cell.FenceReduction = cell.LegacyFencesPerOp / cell.CombinedFencesPerOp
-	return cell, nil
-}
-
-// combine is the flat-combining before/after baseline: the contended
-// one-sub-heap microbenchmark on the legacy vs combined commit path, plus
-// the fixed-width fence/flush table at group widths 1, 4, 16. With -out it
-// writes the numbers as JSON (the BENCH_combine.json baseline `make bench`
-// emits).
-func combine(cfg config) error {
-	threads := 4
-	if cfg.maxThreads < threads {
-		threads = cfg.maxThreads
-	}
-	fmt.Printf("# Extra — flat-combining commits, 256 B micro, %d threads on 1 sub-heap (legacy vs combined)\n", threads)
-	fmt.Printf("%-10s %12s %14s %14s %12s %12s\n", "variant", "Mops/sec", "flushes/op", "fences/op", "groups", "avg width")
-	contended := map[string]combineVariant{}
-	for _, combined := range []bool{false, true} {
-		name := "legacy"
-		if combined {
-			name = "combined"
-		}
-		v, err := combineContended(cfg, threads, combined)
-		if err != nil {
-			return err
-		}
-		contended[name] = v
-		fmt.Printf("%-10s %12.3f %14.3f %14.3f %12d %12.2f\n", name,
-			v.MopsSec, v.FlushesPerOp, v.FencesPerOp, v.CombinedCommits, v.AvgGroupWidth)
-	}
-	speedup := contended["combined"].MopsSec / contended["legacy"].MopsSec
-	fmt.Printf("# contended speedup: %.2fx (GOMAXPROCS=%d; natural group width tracks runnable cores)\n",
-		speedup, runtime.GOMAXPROCS(0))
-
-	fmt.Printf("# fixed group width — persistence traffic per op (256 B alloc/free groups)\n")
-	fmt.Printf("%-8s %16s %16s %16s %16s %12s\n", "width",
-		"legacy fl/op", "legacy fe/op", "combined fl/op", "combined fe/op", "fence red.")
-	byWidth := map[string]combineWidthCell{}
-	for _, width := range []int{1, 4, 16} {
-		cell, err := combineAtWidth(cfg, width)
-		if err != nil {
-			return err
-		}
-		byWidth[fmt.Sprint(width)] = cell
-		fmt.Printf("%-8d %16.3f %16.3f %16.3f %16.3f %11.2fx\n", width,
-			cell.LegacyFlushesPerOp, cell.LegacyFencesPerOp,
-			cell.CombinedFlushesPerOp, cell.CombinedFencesPerOp, cell.FenceReduction)
-	}
-	fmt.Println()
-
-	if cfg.out != "" {
-		baseline := struct {
-			Workload     string                      `json:"workload"`
-			GoMaxProcs   int                         `json:"gomaxprocs"`
-			Threads      int                         `json:"threads"`
-			Contended    map[string]combineVariant   `json:"contended"`
-			Speedup      float64                     `json:"speedup"`
-			ByWidth      map[string]combineWidthCell `json:"by_width"`
-			ReductionAt4 float64                     `json:"reduction_at_4"`
-		}{
-			Workload:     "micro: 256 B objects on 1 sub-heap; contended multi-thread run + fixed-width burst groups",
-			GoMaxProcs:   runtime.GOMAXPROCS(0),
-			Threads:      threads,
-			Contended:    contended,
-			Speedup:      speedup,
-			ByWidth:      byWidth,
-			ReductionAt4: byWidth["4"].FenceReduction,
-		}
-		data, err := json.MarshalIndent(baseline, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("# baseline written to %s\n", cfg.out)
-	}
 	return nil
 }
 

@@ -112,6 +112,20 @@ func TestBlackboxRoundTrip(t *testing.T) {
 	if st := h2.Metrics().Blackbox; st == nil || !st.Enabled || st.Epoch != 2 {
 		t.Fatalf("blackbox stats after reload = %+v, want enabled at epoch 2", st)
 	}
+
+	// Span kinds are persisted obs.Op numbers, so retiring an op must not
+	// shift the ones after it: an older image's span of the retired kind 11
+	// still decodes as retired, never as lock_wait.
+	for kind, want := range map[uint8]string{10: "repair", 11: "retired", 12: "lock_wait", 13: "lock_hold"} {
+		buf := plog.EncodeBoxRecord(plog.BoxRecord{Type: plog.BoxSpan, Seq: 1, Kind: kind})
+		r, ok := plog.DecodeBoxRecord(buf[:])
+		if !ok {
+			t.Fatalf("span kind %d: record did not decode", kind)
+		}
+		if got := boxEntry(r).Kind; got != want {
+			t.Fatalf("persisted span kind %d decodes as %q, want %q", kind, got, want)
+		}
+	}
 }
 
 // TestBlackboxWrap: publishing more records than the ring holds keeps the

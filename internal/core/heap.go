@@ -1014,9 +1014,6 @@ func (h *Heap) Stats() HeapStats {
 		out.MagazineRefills += s.stats.magazineRefills.Load()
 		out.MagazineFlushes += s.stats.magazineFlushes.Load()
 		out.RecoveredCached += s.stats.recoveredCached.Load()
-		out.CombinedCommits += s.stats.combinedCommits.Load()
-		out.CombinedOps += s.stats.combinedOps.Load()
-		out.CombineFallbacks += s.stats.combineFallbacks.Load()
 		if s.isQuarantined() {
 			out.QuarantinedSubheaps++
 			out.QuarantinedBytes += h.lay.userSize

@@ -44,9 +44,6 @@ func (h *Heap) Metrics() *obs.Snapshot {
 		"magazine_refills":     st.MagazineRefills,
 		"magazine_flushes":     st.MagazineFlushes,
 		"recovered_cached":     st.RecoveredCached,
-		"combined_commits":     st.CombinedCommits,
-		"combined_ops":         st.CombinedOps,
-		"combine_fallbacks":    st.CombineFallbacks,
 		"permission_switches":  st.PermissionSwitches,
 		"quarantined_subheaps": st.QuarantinedSubheaps,
 		"quarantined_bytes":    st.QuarantinedBytes,

@@ -65,6 +65,9 @@ func TestMetricsIntegration(t *testing.T) {
 	if opCount["txalloc"] != 2 {
 		t.Fatalf("txalloc count = %d, want 2", opCount["txalloc"])
 	}
+	if _, ok := opCount["retired"]; ok {
+		t.Fatal("snapshot lists the reserved retired op kind")
+	}
 	for _, op := range snap.Ops {
 		if op.Count == 0 {
 			continue

@@ -97,17 +97,6 @@ type Options struct {
 	// fast paths for small size classes backed by crash-reclaimable
 	// refill batches. See MagazineOptions. Zero value: disabled.
 	Magazines MagazineOptions
-	// CombinedCommits enables flat-combining commit batching on the locked
-	// sub-heap paths: a thread that would block on the sub-heap mutex
-	// instead publishes its operation into a DRAM combining array, and the
-	// current lock holder executes every pending operation as one critical
-	// section — one undo-log seal, cache-line-deduplicated flushes with a
-	// single fence, and one truncate for the whole group. Per-operation
-	// durability is unchanged (no operation reports success before the
-	// group's commit point persists), so crash recovery replays the
-	// existing undo log unmodified. Wins only under lock contention; the
-	// uncontended path degenerates to a group of one. Default off.
-	CombinedCommits bool
 	// OnlineScrub enables the background scrubber: a goroutine that
 	// periodically audits every in-service sub-heap with the fsck engine
 	// (one sub-heap per lock slice, so foreground traffic is never blocked

@@ -173,6 +173,55 @@ func TestAllSubheapsQuarantined(t *testing.T) {
 	}
 }
 
+// TestThreadRoutesAroundQuarantine pins the satellite fix for the raw
+// round-robin shard pick: Thread() used to assign `counter % subheaps`
+// blindly, so a new thread could be pinned to a quarantined sub-heap and
+// fail every allocation. It must route through healthyShard instead.
+func TestThreadRoutesAroundQuarantine(t *testing.T) {
+	opts := Options{
+		Subheaps:        2,
+		SubheapUserSize: 512 << 10,
+		SubheapMetaSize: 256 << 10,
+		UndoLogSize:     64 << 10,
+		MaxThreads:      16,
+		HeapID:          0xC0B1,
+		CrashTracking:   true,
+	}
+	h, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	h.subheaps[0].quarantine("test: simulated media failure")
+
+	for i := 0; i < 8; i++ {
+		th, err := h.Thread()
+		if err != nil {
+			t.Fatalf("Thread %d: %v", i, err)
+		}
+		if th.shard == 0 {
+			t.Fatalf("Thread %d pinned to quarantined sub-heap 0", i)
+		}
+		if _, err := th.Alloc(64); err != nil {
+			t.Fatalf("Thread %d alloc on healthy shard: %v", i, err)
+		}
+		th.Close()
+	}
+
+	// With every sub-heap quarantined registration must still succeed (the
+	// thread is unusable for allocation, but Close/teardown paths need it).
+	h.subheaps[1].quarantine("test: simulated media failure")
+	th, err := h.Thread()
+	if err != nil {
+		t.Fatalf("Thread with all sub-heaps quarantined: %v", err)
+	}
+	if _, err := th.Alloc(64); !errors.Is(err, ErrSubheapQuarantined) {
+		t.Fatalf("alloc on fully quarantined heap = %v, want ErrSubheapQuarantined", err)
+	}
+	th.Close()
+}
+
 // TestLoadSurvivesTransientReadFaults exercises the bounded-retry path:
 // transient read errors scoped to the superblock heap-ID word are armed for
 // a couple of faults; Load must retry through them and count the retries.

@@ -21,10 +21,6 @@ type subheapStats struct {
 	magazineRefills atomic.Uint64
 	magazineFlushes atomic.Uint64
 	recoveredCached atomic.Uint64
-
-	combinedCommits  atomic.Uint64
-	combinedOps      atomic.Uint64
-	combineFallbacks atomic.Uint64
 }
 
 // HeapStats is an aggregated snapshot of allocator activity.
@@ -45,9 +41,7 @@ type HeapStats struct {
 	MagazineRefills     uint64 // batched magazine refill transactions
 	MagazineFlushes     uint64 // batched magazine flush-back transactions
 	RecoveredCached     uint64 // magazine-cached blocks returned to free lists at recovery
-	CombinedCommits     uint64 // flat-combined group commits (one seal+truncate each)
-	CombinedOps         uint64 // operations served inside combined group commits
-	CombineFallbacks    uint64 // combined ops re-run solo (full array or group abort)
+	CombinedOps         uint64 // always 0: the group-commit path it counted was removed; kept for existing readers
 	PermissionSwitches  uint64 // WRPKRU executions (2 per guarded operation)
 	QuarantinedSubheaps uint64 // sub-heaps recovery took out of service
 	QuarantinedBytes    uint64 // user capacity lost to quarantine

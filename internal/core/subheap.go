@@ -85,21 +85,9 @@ type subheap struct {
 	mirrorSeq uint64
 	mutations uint64
 
-	// comb is the DRAM flat-combining array (combine.go), non-nil only
-	// under Options.CombinedCommits: threads that fail to take mu publish
-	// an op descriptor here and the lock holder drains the array, executing
-	// every pending op inside one undo transaction with a single
-	// seal/flush-fence/truncate train. groupBatches are the pooled per-op
-	// staging batches the leader reuses across groups (guarded by mu).
-	comb         []atomic.Pointer[combineOp]
-	groupBatches []*txn.Batch
-	groupUndo    *plog.UndoLog // undo log groupBatches were built against
-	groupOps     []*combineOp  // leader's group scratch buffer, guarded by mu
-	// Leader-only staging scratch reused across groups (guarded by mu).
-	stagedScratch []stagedGroupOp
-	batchScratch  []*txn.Batch
-	hookScratch   []func() error
-	winReader     txn.Reader // s.win boxed once (avoids per-group allocation)
+	// winReader is s.win boxed once as a txn.Reader, so the free path's
+	// metadata lookups do not box the window (a heap allocation) per op.
+	winReader txn.Reader
 
 	stats subheapStats
 
@@ -225,15 +213,12 @@ func newSubheap(h *Heap, id int) (*subheap, error) {
 	}
 	s.win = mpk.NewWindow(h.dev, s.thread)
 	s.ring = memblock.NewRing(h.lay.ringBase(id))
-	if h.opts.CombinedCommits {
-		s.comb = make([]atomic.Pointer[combineOp], combineSlots)
-	}
 	if h.tel != nil {
 		s.rec = nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassOther)
 		s.win = s.win.WithRecorder(s.rec)
 		s.gauge = &subheapGauges{freeByClass: make([]atomic.Int64, g.NumClasses)}
 	}
-	s.winReader = s.win // boxed once: the combine hot path needs the interface
+	s.winReader = s.win
 	s.mgr = memblock.NewManager(s.win, g)
 	return s, nil
 }
@@ -492,30 +477,18 @@ func (s *subheap) alloc(size uint64, lane *plog.MicroLog) (devOff uint64, err er
 	if s.isQuarantined() {
 		return 0, fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
 	}
-	if s.comb != nil {
-		return s.allocCombined(size, lane)
-	}
 	op := obs.OpAlloc
 	if lane != nil {
 		op = obs.OpTxAlloc
 	}
 	s.lockOp(op)
 	defer s.unlockOp()
-	return s.allocBodyLocked(size, lane)
-}
-
-// allocBodyLocked is the legacy per-op allocation body. Caller holds mu with
-// metadata rights; both the plain path and the combined mode's uncontended
-// fast path land here.
-func (s *subheap) allocBodyLocked(size uint64, lane *plog.MicroLog) (devOff uint64, err error) {
 	if err := s.ensureReady(); err != nil {
 		return 0, err
 	}
 	// Tag after ensureReady so lazy formatting stays charged to ClassFormat.
-	op := obs.OpAlloc
 	if lane != nil {
 		s.setClass(nvm.ClassTxAlloc)
-		op = obs.OpTxAlloc
 	} else {
 		s.setClass(nvm.ClassAlloc)
 	}
@@ -531,14 +504,6 @@ func (s *subheap) allocBodyLocked(size uint64, lane *plog.MicroLog) (devOff uint
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadSize, err)
 	}
-	return s.allocLadderLocked(class, size, lane)
-}
-
-// allocLadderLocked is the locked allocation slow-path body: repeated
-// single-block attempts with the shared pressure ladder between them.
-// Caller holds mu with metadata rights on a ready sub-heap, attribution
-// class already set.
-func (s *subheap) allocLadderLocked(class int, size uint64, lane *plog.MicroLog) (uint64, error) {
 	var p pressure
 	for {
 		off, err := s.tryAlloc(class, lane)
@@ -563,7 +528,7 @@ func (s *subheap) allocLadderLocked(class int, size uint64, lane *plog.MicroLog)
 
 // pressure tracks which one-shot recovery rungs of the allocation pressure
 // ladder have fired. One instance spans all retries of one logical
-// operation (alloc, magazine refill, or a combined group's solo fallback).
+// operation (alloc or magazine refill).
 type pressure struct {
 	defraggedList, defraggedProbe, extended, drainedRing bool
 }
@@ -626,7 +591,7 @@ func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, erro
 	}
 }
 
-// carveOne stages the carve of one block of class `class` into b:
+// carveOne stages the carve of one block of class `class` into s.batch:
 // find the smallest non-empty class ≥ class via the free mask, unlink its
 // head, split halves down to the requested class (each upper half becomes
 // a new free buddy, §5.2) and mark the block allocated. Returns the
@@ -634,10 +599,10 @@ func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, erro
 // accounting). Nothing is committed; on error the caller must abort the
 // batch. The find phase stages no writes, so errNoFreeBlock leaves the
 // batch exactly as it was — refill relies on that to commit a partial
-// batch. b is s.batch on the legacy paths and a chained per-op batch in a
-// combined group (reads then see earlier group ops' staged state).
-func (s *subheap) carveOne(b *txn.Batch, class int) (blockOff uint64, found int, err error) {
+// batch.
+func (s *subheap) carveOne(class int) (blockOff uint64, found int, err error) {
 	g := s.mgr.Geometry()
+	b := s.batch
 	// One TrailingZeros64 over the DRAM nonempty bitmap replaces the
 	// per-class device head reads. A set bit is verified against the real
 	// head (through the batch, so staged pushes and removals in a multi-
@@ -707,7 +672,7 @@ func (s *subheap) tryAlloc(class int, lane *plog.MicroLog) (blockOff uint64, err
 		}
 	}()
 
-	blockOff, found, err := s.carveOne(b, class)
+	blockOff, found, err := s.carveOne(class)
 	if err != nil {
 		return 0, err
 	}
@@ -761,24 +726,12 @@ func (s *subheap) freeAs(blockOff uint64, cls nvm.OpClass) (err error) {
 	if s.isQuarantined() {
 		return fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
 	}
-	// Only plain frees combine; recovery rollback (ClassTxFree) keeps the
-	// legacy per-op path so its attribution and ordering stay untouched.
-	if s.comb != nil && cls == nvm.ClassFree {
-		return s.freeCombined(blockOff)
-	}
 	op := obs.OpFree
 	if cls == nvm.ClassTxFree {
 		op = obs.OpTxFree
 	}
 	s.lockOp(op)
 	defer s.unlockOp()
-	return s.freeBodyLocked(blockOff, cls)
-}
-
-// freeBodyLocked is the legacy per-op free body. Caller holds mu with
-// metadata rights; both the plain path and the combined mode's uncontended
-// fast path land here.
-func (s *subheap) freeBodyLocked(blockOff uint64, cls nvm.OpClass) (err error) {
 	if err := s.ensureReady(); err != nil {
 		return err
 	}
@@ -793,14 +746,14 @@ func (s *subheap) freeBodyLocked(blockOff uint64, cls nvm.OpClass) (err error) {
 	return s.freeLocked(blockOff)
 }
 
-// stageFree validates and stages the free of the block at blockOff into b,
-// reading metadata through r — the raw window on the legacy path, the
-// chained batch itself in a combined group (so the free sees earlier group
-// ops' staged state). Validation rejects bump the counters and leave b
-// untouched; a staging error requires the caller to abort b. The freeMask
-// bit is set at stage time — an over-approximation until the commit lands,
-// which is always safe (and the commit-failure paths reseed the mask).
-func (s *subheap) stageFree(b *txn.Batch, r txn.Reader, blockOff uint64) (class int, size uint64, err error) {
+// stageFree validates and stages the free of the block at blockOff into
+// s.batch, reading metadata straight from the window. Validation rejects
+// bump the counters and leave the batch untouched; a staging error requires
+// the caller to abort it. The freeMask bit is set at stage time — an
+// over-approximation until the commit lands, which is always safe (and the
+// commit-failure paths reseed the mask).
+func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error) {
+	r := s.winReader
 	slot, err := s.mgr.Lookup(r, blockOff)
 	if errors.Is(err, memblock.ErrNotFound) {
 		s.stats.invalidFrees.Add(1)
@@ -823,7 +776,7 @@ func (s *subheap) stageFree(b *txn.Batch, r txn.Reader, blockOff uint64) (class 
 		return 0, 0, fmt.Errorf("%w: record size %d", ErrCorruptHeap, rec.Size)
 	}
 	// Tail insertion delays reuse of the just-freed block (§5.5).
-	if err := s.mgr.PushFreeTail(b, class, slot); err != nil {
+	if err := s.mgr.PushFreeTail(s.batch, class, slot); err != nil {
 		return 0, 0, err
 	}
 	s.freeMask |= 1 << uint(class)
@@ -835,7 +788,7 @@ func (s *subheap) stageFree(b *txn.Batch, r txn.Reader, blockOff uint64) (class 
 // a ready sub-heap.
 func (s *subheap) freeLocked(blockOff uint64) error {
 	b := s.batch
-	class, size, err := s.stageFree(b, s.winReader, blockOff)
+	class, size, err := s.stageFree(blockOff)
 	if err != nil {
 		b.Abort()
 		return err
@@ -1178,7 +1131,7 @@ func (s *subheap) refillMagazine(class, want int, man plog.Manifest, slot0 uint6
 // a half-staged carve — aborts the whole batch and surfaces.
 func (s *subheap) stageCarves(class, want int) (blocks []uint64, founds []int, err error) {
 	for i := 0; i < want; i++ {
-		off, found, cerr := s.carveOne(s.batch, class)
+		off, found, cerr := s.carveOne(class)
 		if cerr != nil {
 			if errors.Is(cerr, errNoFreeBlock) && len(blocks) > 0 {
 				break

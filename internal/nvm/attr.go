@@ -33,7 +33,6 @@ const (
 	ClassRoot
 	ClassUser
 	ClassProfile  // profiler side-table snapshot writes
-	ClassCombined // flat-combined group commits serving ops of mixed classes
 	ClassBlackbox // black-box flight-recorder ring publishes
 	NumClasses
 )
@@ -41,7 +40,7 @@ const (
 var classNames = [NumClasses]string{
 	"other", "alloc", "free", "txalloc", "txfree", "defrag",
 	"format", "recovery", "scrub", "root", "user", "profile",
-	"combined", "blackbox",
+	"blackbox",
 }
 
 func (c OpClass) String() string {

@@ -13,7 +13,7 @@ var ErrDeviceFailed = errors.New("nvm: device failed (failpoint)")
 
 // FailAfter arms a failpoint: the next n mutating operations (writes,
 // zeroes, flushes) succeed, then every subsequent one fails with
-// ErrDeviceFailed until DisarmFailpoint. Combined with Crash this lets a
+// ErrDeviceFailed until DisarmFailpoint. Together with Crash this lets a
 // test stop an allocator at every interior persist point of an operation.
 func (d *Device) FailAfter(n int64) {
 	d.failBudget.Store(n)

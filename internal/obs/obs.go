@@ -33,7 +33,7 @@ const (
 	OpLoad     // whole Load call
 	OpScrub    // ScrubOnLoad audit / online scrubber slice
 	OpRepair   // quarantine repair of one sub-heap
-	OpCombine  // flat-combined group commit executed by the lock holder
+	opRetired  // no longer recorded; reserved so persisted span kinds keep their numbers
 	OpLockWait // time spent waiting for a sub-heap lock (watchdog contention layer)
 	OpLockHold // time a locked sub-heap operation held the lock
 	NumOps
@@ -41,7 +41,7 @@ const (
 
 var opNames = [NumOps]string{
 	"alloc", "free", "txalloc", "txfree", "defrag", "drain", "refill", "recovery", "load", "scrub",
-	"repair", "combine", "lock_wait", "lock_hold",
+	"repair", "retired", "lock_wait", "lock_hold",
 }
 
 func (o Op) String() string {
@@ -60,16 +60,12 @@ func (o Op) String() string {
 // follows the same rule on the alloc side: refill traffic is charged to
 // ClassAlloc, which OpAlloc already explains. OpRepair charges
 // ClassRecovery, which OpRecovery already explains, so it maps to no class.
-// OpCombine maps to ClassCombined: one group commit serves ops of several
-// logical classes, so its device traffic is charged to the dedicated
-// combined class (keeping sum-over-classes == device-total) and the
-// combine histogram explains exactly that class. OpLockWait/OpLockHold are
-// pure contention timings — they explain no device traffic at all — so they
-// map to no class.
+// OpLockWait/OpLockHold are pure contention timings — they explain no device
+// traffic at all — so they map to no class.
 var attrClassOf = [NumOps]nvm.OpClass{
 	nvm.ClassAlloc, nvm.ClassFree, nvm.ClassTxAlloc, nvm.ClassTxFree,
 	nvm.ClassDefrag, nvm.NumClasses, nvm.NumClasses, nvm.ClassRecovery, nvm.NumClasses, nvm.ClassScrub,
-	nvm.NumClasses, nvm.ClassCombined, nvm.NumClasses, nvm.NumClasses,
+	nvm.NumClasses, nvm.NumClasses, nvm.NumClasses, nvm.NumClasses,
 }
 
 // Options configures a Telemetry instance.

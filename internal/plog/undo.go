@@ -83,9 +83,7 @@ type UndoLog struct {
 	format bool   // the format word is durable: sum is the commit word
 
 	// Volatile accounting: how many Seal/Truncate commit points this log
-	// has issued since open. Combined commits exist to shrink these — one
-	// shared seal and truncate can cover a whole group of operations — so
-	// tests and benches read them to prove the amortization happened.
+	// has issued since open (each costs one fence).
 	seals     uint64
 	truncates uint64
 
@@ -157,7 +155,7 @@ func (l *UndoLog) IsEmpty() bool { return l.count == 0 }
 func (l *UndoLog) Count() uint64 { return l.count }
 
 // Seals returns how many non-empty Seal commit points the log has issued
-// since open (volatile; a seal covering a whole combined group counts once).
+// since open (volatile).
 func (l *UndoLog) Seals() uint64 { return l.seals }
 
 // Truncates returns how many Truncate commit points the log has issued

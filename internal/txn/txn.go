@@ -15,9 +15,10 @@
 // pre-operation metadata (paper §5.2).
 //
 // Metadata in this codebase is mutated exclusively through aligned 8-byte
-// words, which keeps staging exact and cheap: a batch is a small slice of
-// (offset, value) pairs (allocator operations touch a few dozen words, so
-// linear scans beat hashing).
+// words, which keeps staging exact and cheap: a batch is a slice of
+// (offset, value) pairs. Single allocator operations touch a few dozen
+// words, so lookups scan linearly; batches that outgrow that (magazine
+// refill and flush-back, repair's chunked commits) switch to a hash index.
 package txn
 
 import (
@@ -51,23 +52,14 @@ type Batch struct {
 
 	words []stagedWord
 
-	// parent, when set, is consulted for unstaged words before the device.
-	// Combined commits chain per-op batches through it so a later op in a
-	// group reads the staged (not yet applied) state of earlier ops.
-	parent Reader
-
 	// idx is an open-addressed offset→words-index table, active only once
-	// the batch outgrows findIndexMin words (combined groups stage hundreds
-	// of words; a linear find would make staging quadratic). Empty = linear.
+	// the batch outgrows findIndexMin words (magazine refills and repair
+	// chunks stage hundreds of words; a linear find would make staging
+	// quadratic). Empty = linear.
 	idx []int32
 
 	// Reused commit scratch.
 	spans []span
-
-	// Reused group-merge scratch (lives on whichever batch leads a
-	// CommitGroup — pooled batches keep the capacity across groups).
-	groupWords []stagedWord
-	groupSpans []span
 }
 
 type span struct{ start, end uint64 }
@@ -82,13 +74,9 @@ func NewBatch(w mpk.Window, log *plog.UndoLog) *Batch {
 	}
 }
 
-// SetParent chains another Reader between this batch and the device: reads
-// of unstaged words go to parent first. Pass nil to unchain.
-func (b *Batch) SetParent(r Reader) { b.parent = r }
-
 // findIndexMin is the staged-word count past which find switches from a
 // linear scan to the open-addressed index. Single allocator ops stage a few
-// dozen words (the scan wins there); combined groups go far beyond.
+// dozen words (the scan wins there); multi-block batches go far beyond.
 const findIndexMin = 32
 
 // find returns the staged index of off, or -1.
@@ -144,14 +132,11 @@ func (b *Batch) idxRebuild() {
 	}
 }
 
-// ReadU64 returns the staged value of the word at off, the parent's view if
-// chained, or the device value (read-your-writes).
+// ReadU64 returns the staged value of the word at off, or the device value
+// (read-your-writes).
 func (b *Batch) ReadU64(off uint64) (uint64, error) {
 	if i := b.find(off); i >= 0 {
 		return b.words[i].val, nil
-	}
-	if b.parent != nil {
-		return b.parent.ReadU64(off)
 	}
 	return b.w.ReadU64(off)
 }
@@ -201,157 +186,55 @@ func (b *Batch) CommitWith(preTruncate func() error) error {
 		}
 		return nil
 	}
-	b.idx = b.idx[:0] // sorting invalidates the staged-word index
-	sortWords(b.words)
-	b.spans = coalesce(b.spans[:0], b.words)
-	if err := commitCore(b.w, b.log, b.words, b.spans, preTruncate); err != nil {
-		return err
-	}
-	b.Abort()
-	return nil
-}
-
-// CommitGroup commits several batches staged against the same window and
-// undo log as one failure-atomic unit: one Seal, one deduplicated set of
-// span flushes, one fence, every hook, one Truncate. Batches are merged in
-// slice order with later stores winning — correct because combined groups
-// chain batch i+1's reads through batch i (SetParent), so a later batch that
-// restages a word already saw, and built on, the earlier staged value.
-//
-// On error nothing is truncated: the undo log still holds every snapshot,
-// and the caller must Replay it to back out the whole group (no op in the
-// group has been reported successful yet, so all-or-nothing is safe).
-// On success every batch is left aborted (empty).
-func CommitGroup(batches []*Batch, hooks []func() error) error {
-	total := 0
-	for _, b := range batches {
-		total += len(b.words)
-	}
-	runHooks := func() error {
-		for _, h := range hooks {
-			if h == nil {
-				continue
-			}
-			if err := h(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if total == 0 {
-		return runHooks()
-	}
-	// Single-writer fast path — a width-1 group, or one staging op among
-	// validation-only peers: commit that batch's words in place, no merge
-	// copy, no allocation. This keeps uncontended combined commits at
-	// legacy-commit cost.
-	var solo *Batch
-	for _, b := range batches {
-		if len(b.words) == 0 {
-			continue
-		}
-		if solo != nil {
-			solo = nil
-			break
-		}
-		solo = b
-	}
-	if solo != nil {
-		solo.idx = solo.idx[:0]
-		sortWords(solo.words)
-		solo.spans = coalesce(solo.spans[:0], solo.words)
-		if err := commitCore(solo.w, solo.log, solo.words, solo.spans, runHooks); err != nil {
-			return err
-		}
-		for _, b := range batches {
-			b.Abort()
-		}
-		return nil
-	}
-	lead := batches[0]
-	merged := lead.groupWords[:0]
-	for _, b := range batches {
-		merged = append(merged, b.words...)
-	}
-	lead.groupWords = merged[:0] // keep the grown capacity
-	sortWords(merged)            // stable: equal offsets keep batch order
-	// Collapse duplicate offsets keeping the last (winning) store. This is
-	// also what deduplicates cross-batch cachelines: one span, one snapshot,
-	// one flush per line region no matter how many ops in the group hit it.
-	out := merged[:1]
-	for _, w := range merged[1:] {
-		if w.off == out[len(out)-1].off {
-			out[len(out)-1].val = w.val
-		} else {
-			out = append(out, w)
-		}
-	}
-	spans := coalesce(lead.groupSpans[:0], out)
-	lead.groupSpans = spans[:0] // keep the grown capacity
-	if err := commitCore(lead.w, lead.log, out, spans, runHooks); err != nil {
-		return err
-	}
-	for _, b := range batches {
-		b.Abort()
-	}
-	return nil
-}
-
-// sortWords insertion-sorts by offset, stably: batches are small, staged
-// nearly in order, and group merges rely on equal offsets keeping their
-// append order (last store wins).
-func sortWords(words []stagedWord) {
-	for i := 1; i < len(words); i++ {
-		w := words[i]
+	// Insertion sort: batches are small and staged nearly in order. Sorting
+	// invalidates the staged-word index.
+	b.idx = b.idx[:0]
+	for i := 1; i < len(b.words); i++ {
+		w := b.words[i]
 		j := i - 1
-		for j >= 0 && words[j].off > w.off {
-			words[j+1] = words[j]
+		for j >= 0 && b.words[j].off > w.off {
+			b.words[j+1] = b.words[j]
 			j--
 		}
-		words[j+1] = w
+		b.words[j+1] = w
 	}
-}
 
-// coalesce folds sorted words into spans so the log holds few, larger
-// entries. Words within one cacheline-ish gap share an entry.
-func coalesce(spans []span, words []stagedWord) []span {
-	cur := span{start: words[0].off, end: words[0].off + 8}
-	for _, w := range words[1:] {
+	// Coalesce into spans so the log holds few, larger entries. Words
+	// within one cacheline-ish gap share an entry.
+	b.spans = b.spans[:0]
+	cur := span{start: b.words[0].off, end: b.words[0].off + 8}
+	for _, w := range b.words[1:] {
 		if w.off <= cur.end+56 { // bridge gaps inside the same cacheline region
 			cur.end = w.off + 8
 		} else {
-			spans = append(spans, cur)
+			b.spans = append(b.spans, cur)
 			cur = span{start: w.off, end: w.off + 8}
 		}
 	}
-	return append(spans, cur)
-}
+	b.spans = append(b.spans, cur)
 
-// commitCore is the shared WAL discipline behind CommitWith and CommitGroup:
-// snapshot + seal, apply + flush + fence, hook, truncate.
-func commitCore(w mpk.Window, log *plog.UndoLog, words []stagedWord, spans []span, preTruncate func() error) error {
 	// 1. WAL: snapshot the original bytes of every span, then seal.
-	for _, s := range spans {
-		if err := log.Snapshot(s.start, s.end-s.start); err != nil {
+	for _, s := range b.spans {
+		if err := b.log.Snapshot(s.start, s.end-s.start); err != nil {
 			return fmt.Errorf("txn: snapshot: %w", err)
 		}
 	}
-	if err := log.Seal(); err != nil {
+	if err := b.log.Seal(); err != nil {
 		return fmt.Errorf("txn: seal: %w", err)
 	}
 
 	// 2. Apply the staged stores and flush them.
-	for _, sw := range words {
-		if err := w.WriteU64(sw.off, sw.val); err != nil {
+	for _, sw := range b.words {
+		if err := b.w.WriteU64(sw.off, sw.val); err != nil {
 			return fmt.Errorf("txn: apply: %w", err)
 		}
 	}
-	for _, s := range spans {
-		if err := w.Flush(s.start, s.end-s.start); err != nil {
+	for _, s := range b.spans {
+		if err := b.w.Flush(s.start, s.end-s.start); err != nil {
 			return fmt.Errorf("txn: flush: %w", err)
 		}
 	}
-	w.Fence()
+	b.w.Fence()
 
 	// 3. Optional hook (micro-log append), then the atomic commit point.
 	if preTruncate != nil {
@@ -361,8 +244,9 @@ func commitCore(w mpk.Window, log *plog.UndoLog, words []stagedWord, spans []spa
 			return err
 		}
 	}
-	if err := log.Truncate(); err != nil {
+	if err := b.log.Truncate(); err != nil {
 		return fmt.Errorf("txn: truncate: %w", err)
 	}
+	b.Abort()
 	return nil
 }

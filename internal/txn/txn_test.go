@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -179,6 +180,87 @@ func TestBatchReusableAfterCommit(t *testing.T) {
 	v2, _ := w.ReadU64(metaBase + 8)
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("values = %d,%d", v1, v2)
+	}
+
+	// A batch past findIndexMin words looks staged words up through its
+	// hash index (multi-block refills and repair chunks get this large).
+	// Re-staging, read-your-writes, abort and reuse must all behave as on
+	// the linear path.
+	const n = 2 * findIndexMin
+	stageAll := func(base uint64) {
+		t.Helper()
+		for i := uint64(0); i < n; i++ {
+			if err := b.WriteU64(metaBase+i*8, base+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stageAll(100)
+	if err := b.WriteU64(metaBase+5*8, 7); err != nil { // re-stage, index active
+		t.Fatal(err)
+	}
+	if b.Len() != n {
+		t.Fatalf("len after re-stage = %d, want %d", b.Len(), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		want := 100 + i
+		if i == 5 {
+			want = 7
+		}
+		if v, _ := b.ReadU64(metaBase + i*8); v != want {
+			t.Fatalf("staged word %d = %d, want %d", i, v, want)
+		}
+	}
+	b.Abort()
+	if v, _ := b.ReadU64(metaBase + 5*8); v != 0 {
+		t.Fatalf("aborted word 5 read %d, want device 0", v)
+	}
+	stageAll(200)
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, _ := w.ReadU64(metaBase + i*8); v != 200+i {
+			t.Fatalf("reused batch word %d = %d, want %d", i, v, 200+i)
+		}
+	}
+}
+
+// BenchmarkBatchFind guards the staged-word lookup: WriteU64 re-staging and
+// ReadU64 both search the staged set, and the open-addressed index must
+// keep large batches (magazine refills, repair chunks) from going
+// quadratic.
+func BenchmarkBatchFind(b *testing.B) {
+	for _, n := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("words=%d", n), func(b *testing.B) {
+			d, err := nvm.NewDevice(nvm.Options{Capacity: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			u := mpk.NewUnit(d.Capacity())
+			w := mpk.NewWindow(d, u.NewThread(mpk.RightsRW))
+			log, err := plog.OpenUndoLog(w, logBase, logSize)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := NewBatch(w, log)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					if err := batch.WriteU64(metaBase+uint64(j)*8, uint64(j)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Hit every staged word once: the read path is the scan the
+				// index exists for.
+				for j := 0; j < n; j++ {
+					if _, err := batch.ReadU64(metaBase + uint64(j)*8); err != nil {
+						b.Fatal(err)
+					}
+				}
+				batch.Abort()
+			}
+		})
 	}
 }
 
