@@ -19,6 +19,7 @@ package core
 // publish simply leaves the records staged for the next commit point.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -169,32 +170,21 @@ func (h *Heap) publishLocked() error {
 	return nil
 }
 
-// writeBoxHeaderLocked writes the next header generation into the current
-// A/B slot (best-effort — a failed write leaves the previous generation
-// valid) and flips the slot. Caller holds bbMu.
+// writeBoxHeaderLocked writes the next header generation (best-effort — a
+// failed write leaves the previous generation valid). Caller holds bbMu.
 func (h *Heap) writeBoxHeaderLocked() {
-	arena := h.lay.boxArena()
-	buf := plog.EncodeBoxHeader(plog.BoxHeader{
-		Gen:     h.bbHdrGen,
-		Epoch:   h.bbEpoch,
-		NextSeq: h.bbSeq,
-	})
+	var p [16]byte
+	binary.LittleEndian.PutUint64(p[0:], h.bbEpoch)
+	binary.LittleEndian.PutUint64(p[8:], h.bbSeq)
 	h.grant(h.bbThread)
 	defer h.revoke(h.bbThread)
-	w := h.bbWin
-	if w.Write(arena.HeaderOff(h.bbSlot), buf[:]) != nil {
-		return
+	if h.lay.boxArena().Header().Write(h.bbWin, h.bbHdrGen, p[:], new([]byte)) == nil {
+		h.bbHdrGen++
 	}
-	if w.Flush(arena.HeaderOff(h.bbSlot), plog.BoxHeaderSize) != nil {
-		return
-	}
-	w.Fence()
-	h.bbHdrGen++
-	h.bbSlot = 1 - h.bbSlot
 }
 
 // initBlackboxFresh arms the recorder on a just-formatted image: boot epoch
-// 1, generation-1 header into slot A. Called single-threaded from Create.
+// 1, generation-1 header. Called single-threaded from Create.
 func (h *Heap) initBlackboxFresh() {
 	if !h.lay.boxArena().Valid() {
 		return
@@ -203,17 +193,16 @@ func (h *Heap) initBlackboxFresh() {
 	defer h.bbMu.Unlock()
 	h.bbEpoch = 1
 	h.bbHdrGen = 1
-	h.bbSlot = 0
 	h.bbOn = true
 	h.writeBoxHeaderLocked()
 }
 
 // loadBlackbox replays the persistent ring after recovery: the newest valid
-// header slot is adopted (bumping the boot epoch past it), every record slot
-// is validated independently, and the recorder resumes past the highest
-// surviving sequence. Never fails the load and never quarantines anything —
-// a torn header or ring degrades to exactly one EventBlackboxTorn journal
-// event.
+// header generation is adopted (bumping the boot epoch past it), every
+// record slot is validated independently, and the recorder resumes past the
+// highest surviving sequence. Never fails the load and never quarantines
+// anything — a torn header or ring degrades to exactly one EventBlackboxTorn
+// journal event.
 func (h *Heap) loadBlackbox() {
 	if !h.lay.boxArena().Valid() {
 		return
@@ -232,14 +221,7 @@ func (h *Heap) loadBlackboxLocked() string {
 	defer h.bbMu.Unlock()
 	arena := h.lay.boxArena()
 
-	var hdrs [plog.BoxSlots][]byte
-	for i := range hdrs {
-		buf := make([]byte, plog.BoxHeaderSize)
-		if h.bbRead(arena.HeaderOff(i), buf) == nil {
-			hdrs[i] = buf
-		}
-	}
-	hdr, slot, hdrTorn := plog.AdoptBoxHeader(hdrs[0], hdrs[1])
+	gen, hdr, hdrTorn := arena.Header().Read(h.bbRead)
 
 	region := make([]byte, arena.Capacity()*plog.BoxRecordSize)
 	if err := h.bbRead(arena.RecordsOff(), region); err != nil {
@@ -255,20 +237,13 @@ func (h *Heap) loadBlackboxLocked() string {
 	if len(recs) > 0 {
 		h.bbSeq = recs[len(recs)-1].Seq + 1
 	}
-	if slot >= 0 {
-		h.bbEpoch = hdr.Epoch + 1
-		h.bbHdrGen = hdr.Gen + 1
-		h.bbSlot = 1 - slot
-		if hdr.NextSeq > h.bbSeq {
-			h.bbSeq = hdr.NextSeq
-		}
-	} else {
-		// No valid header (fresh pre-recorder arena, or both slots torn):
-		// restart the generations but keep writing after the surviving
-		// records.
-		h.bbEpoch = 1
-		h.bbHdrGen = 1
-		h.bbSlot = 0
+	// Without a valid header (fresh pre-recorder arena, or both slots
+	// torn) the epoch restarts but writing resumes after the surviving
+	// records.
+	h.bbEpoch, h.bbHdrGen = 1, gen+1
+	if len(hdr) == 16 {
+		h.bbEpoch = binary.LittleEndian.Uint64(hdr) + 1
+		h.bbSeq = max(h.bbSeq, binary.LittleEndian.Uint64(hdr[8:]))
 	}
 	h.bbOn = true
 	h.writeBoxHeaderLocked()

@@ -197,11 +197,12 @@ func TestBlackboxTornTailDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, off := range []uint64{arena.HeaderOff(0), arena.HeaderOff(1)} {
-		if err := dev.Write(off, junk[:plog.BoxHeaderSize]); err != nil {
+	hdr := arena.Header()
+	for _, off := range []uint64{hdr.Off(0), hdr.Off(1)} {
+		if err := dev.Write(off, junk[:hdr.Size]); err != nil {
 			t.Fatal(err)
 		}
-		if err := dev.Flush(off, plog.BoxHeaderSize); err != nil {
+		if err := dev.Flush(off, hdr.Size); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,6 +238,55 @@ func TestBlackboxTornTailDegrades(t *testing.T) {
 	}
 	if st := h2.Metrics().Blackbox; st == nil || st.Torn == 0 {
 		t.Fatalf("blackbox stats did not count torn slots: %+v", st)
+	}
+}
+
+// TestBlackboxUnreadableHeaderIsTorn: header slots that cannot be read are
+// not blank ones. Load must journal exactly one EventBlackboxTorn, still
+// replay the ring and quarantine nothing.
+func TestBlackboxUnreadableHeaderIsTorn(t *testing.T) {
+	tel := obs.NewWithOptions(obs.Options{Shards: 1})
+	h, err := Create(boxTestOptions(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tel.Emit(obs.EventScrubFinding, -1, fmt.Sprintf("keep-%d", i))
+	}
+	if err := h.FlushBlackbox(); err != nil {
+		t.Fatal(err)
+	}
+	dev := h.Device()
+	if _, err := dev.Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := h.lay.boxArena().Header()
+	dev.ArmTransientFaults(nvm.TransientFaults{Off: hdr.Base, Len: 2 * hdr.Size, Reads: true})
+	tel2 := obs.NewWithOptions(obs.Options{Shards: 1})
+	h2, err := Load(dev, boxTestOptions(tel2))
+	dev.DisarmTransientFaults()
+	if err != nil {
+		t.Fatalf("unreadable black-box header failed the load: %v", err)
+	}
+	report, err := h2.Check()
+	if err != nil || !report.OK() || report.Quarantined != 0 {
+		t.Fatalf("unreadable black-box header affected the heap: err=%v report=%+v", err, report)
+	}
+	torn := 0
+	for _, e := range tel2.Events() {
+		if e.Kind == obs.EventBlackboxTorn {
+			torn++
+		}
+	}
+	if torn != 1 {
+		t.Fatalf("unreadable header journalled %d EventBlackboxTorn, want exactly 1", torn)
+	}
+	tl, err := h2.BlackboxTimeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := countBoxEvents(tl, "scrub_finding"); got != 4 {
+		t.Fatalf("recovered %d markers, want 4", got)
 	}
 }
 

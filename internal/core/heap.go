@@ -97,13 +97,12 @@ type Heap struct {
 
 	// Profile persistence state (profile.go): a dedicated window writes
 	// side-table snapshots under profMu; profEpoch is the current boot
-	// epoch; profSeq/profSlot name the next snapshot generation and A/B
-	// slot; profPace counts sampled allocs to pace background persists.
+	// epoch; profSeq is the next snapshot generation; profPace counts
+	// sampled allocs to pace background persists.
 	profMu     sync.Mutex
 	profThread *mpk.Thread
 	profWin    mpk.Window
 	profSeq    uint64
-	profSlot   int
 	profEpoch  uint64
 	profWrote  bool // a snapshot generation exists (written or recovered)
 	profPace   atomic.Uint64
@@ -111,9 +110,9 @@ type Heap struct {
 	// Black-box flight recorder state (blackbox.go): a dedicated window
 	// publishes staged event/span records into the persistent ring under
 	// bbMu; bbEpoch is the boot epoch (monotone across restarts), bbSeq the
-	// next record sequence, bbHdrGen/bbSlot the next header generation and
-	// A/B slot. bbRecovered holds the timeline replayed from the image at
-	// load for post-mortem rendering.
+	// next record sequence, bbHdrGen the next header generation.
+	// bbRecovered holds the timeline replayed from the image at load for
+	// post-mortem rendering.
 	bbMu        sync.Mutex
 	bbThread    *mpk.Thread
 	bbWin       mpk.Window
@@ -121,7 +120,6 @@ type Heap struct {
 	bbEpoch     uint64
 	bbSeq       uint64
 	bbHdrGen    uint64
-	bbSlot      int
 	bbStaged    []plog.BoxRecord
 	bbSpanSeq   uint64 // tracer sequence high-water already mirrored
 	bbRecovered []plog.BoxRecord

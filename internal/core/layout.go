@@ -87,8 +87,8 @@ const (
 	// page, so images written before rings existed read as an empty ring.
 	shRingOff = 128
 
-	// The metadata mirror lives in the header page after the ring: two
-	// alternating checksummed slots holding the sub-heap's critical
+	// The metadata mirror lives in the header page after the ring: a
+	// double-buffered record (plog.Slots) holding the sub-heap's critical
 	// metadata summary (level count + free-list anchors), so a corrupt
 	// primary header can be restored instead of benched. format() zeroes
 	// the page, so old images read "no valid mirror" and fall back to
@@ -190,10 +190,10 @@ func (l layout) laneManifestBase(i int) uint64 {
 	return l.manifestOff + uint64(i)*l.magSlots*8
 }
 
-// profArena returns the profile side-table arena geometry. Zero-capacity
-// (Valid() false) on images provisioned before the profiler existed.
-func (l layout) profArena() plog.SiteArena {
-	return plog.NewSiteArena(l.profOff, l.profSize)
+// profArena returns the profile side-table record. Zero-capacity on images
+// provisioned before the profiler existed.
+func (l layout) profArena() plog.Slots {
+	return plog.SiteTable(l.profOff, l.profSize)
 }
 
 // boxArena returns the black-box flight-recorder arena geometry.

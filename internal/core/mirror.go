@@ -1,31 +1,34 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"poseidon/internal/memblock"
+	"poseidon/internal/plog"
 )
 
-// Metadata mirror: each sub-heap keeps a checksummed shadow of its critical
-// header state — the active hash-table level count and every size class's
-// free-list anchors — in the spare space of its header page (layout.go,
-// shMirrorOff). The mirror is what lets repair restore a corrupt primary
-// header instead of benching the whole sub-heap: interior record fields are
-// re-derivable by walking the table, but the level count and list anchors
-// are authoritative only in the header, so they get a second copy.
+// Metadata mirror: each sub-heap keeps a shadow of its critical header
+// state — the active hash-table level count and every size class's
+// free-list anchors — as a double-buffered record (plog.Slots) in the spare
+// space of its header page (layout.go, shMirrorOff). The mirror is what
+// lets repair restore a corrupt primary header instead of benching the
+// whole sub-heap: interior record fields are re-derivable by walking the
+// table, but the level count and list anchors are authoritative only in
+// the header, so they get a second copy.
 //
-// Two slots alternate (A/B): an update always overwrites the slot NOT
-// holding the latest valid image, so a crash mid-update tears at most the
-// older copy. Each slot carries a monotonic sequence number and a checksum
-// over every word; loads take the valid slot with the highest sequence.
-// Updates are paced (every mirrorInterval committed mutations, plus every
-// structural commit point) and strictly best-effort: a failed or skipped
-// update just leaves an older — still self-consistent — image behind, and
-// repair audits the restored state before trusting it.
+// Payload (u64 words): level count, class count, then head and tail per
+// class. Updates are paced (every mirrorInterval committed mutations, plus
+// every structural commit point) and strictly best-effort: a failed or
+// skipped update just leaves an older — still self-consistent — image
+// behind, and repair audits the restored state before trusting it.
 
 const (
-	// mirrorMagic is "PSMIRROR" little endian.
-	mirrorMagic uint64 = 0x524f5252494d5350
+	// mirrorMagic is "PSMIRRO2" little endian; mirrorLegacyMagic
+	// ("PSMIRROR") marks the parent format's slots, which read as blank.
+	mirrorMagic       uint64 = 0x324f5252494d5350
+	mirrorLegacyMagic uint64 = 0x524f5252494d5350
 
 	// mirrorInterval paces steady-state mirror refreshes: one update per
 	// this many committed mutations (allocs/frees). Structural changes
@@ -33,41 +36,15 @@ const (
 	mirrorInterval = 128
 )
 
-// mirrorImage is a decoded mirror slot.
+// mirrorImage is a decoded mirror payload.
 type mirrorImage struct {
-	seq    uint64
 	levels int
 	lists  [][2]uint64 // per class: head, tail
 }
 
-// mirrorWords returns the slot's word count: magic, seq, levels, classes,
-// head/tail per class, checksum.
-func (s *subheap) mirrorWords() int {
-	return 5 + 2*s.mgr.Geometry().NumClasses
-}
-
-// mirrorEnabled reports whether the summary fits a mirror slot. With the
-// geometry bounds in layout.go this is always true today; the guard keeps a
-// future geometry change from silently writing past the slot.
-func (s *subheap) mirrorEnabled() bool {
-	return uint64(s.mirrorWords())*8 <= shMirrorSlotSize
-}
-
-// mirrorSlotBase returns the device offset of mirror slot i.
-func (s *subheap) mirrorSlotBase(i int) uint64 {
-	return s.base + shMirrorOff + uint64(i)*shMirrorSlotSize
-}
-
-// mirrorChecksum folds the slot's body words into the check word
-// (splitmix64-style avalanche per word, same family as the ring's check).
-func mirrorChecksum(words []uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xFF51AFD7ED558CCD
-		h ^= h >> 33
-	}
-	return h
+// mirror returns the sub-heap's mirror record.
+func (s *subheap) mirror() plog.Slots {
+	return plog.Slots{Base: s.base + shMirrorOff, Size: shMirrorSlotSize, Magic: mirrorMagic, Legacy: mirrorLegacyMagic}
 }
 
 // mirrorAnchorValid reports whether a free-list anchor read from the live
@@ -81,26 +58,21 @@ func (s *subheap) mirrorAnchorValid(a uint64) bool {
 	return a >= g.LevelOff[0] && a < g.End && a%memblock.RecordSize == 0
 }
 
-// updateMirrorLocked captures the live header state into the stale mirror
-// slot. Caller holds s.mu with the metadata window granted and no staged
-// batch words (the reads go straight to the window). The capture is
+// updateMirrorLocked writes the live header state as the next mirror
+// generation. Caller holds s.mu with the metadata window granted and no
+// staged batch words (the reads go straight to the window). The capture is
 // validated before anything is written: if the live header is already
 // corrupt, the update is skipped so the last good image survives for
 // repair. Errors are reported but callers treat the update as best-effort.
 func (s *subheap) updateMirrorLocked() error {
-	if !s.mirrorEnabled() {
-		return nil
-	}
 	g := s.mgr.Geometry()
 	levels, err := s.mgr.ActiveLevels(s.win)
 	if err != nil {
 		return err // corrupt or unreadable level count: keep the old image
 	}
-	words := make([]uint64, s.mirrorWords())
-	words[0] = mirrorMagic
-	words[1] = s.mirrorSeq + 1
-	words[2] = uint64(levels)
-	words[3] = uint64(g.NumClasses)
+	p := slices.Grow(s.mirrorPay[:0], 16+16*g.NumClasses)
+	p = binary.LittleEndian.AppendUint64(p, uint64(levels))
+	p = binary.LittleEndian.AppendUint64(p, uint64(g.NumClasses))
 	for c := 0; c < g.NumClasses; c++ {
 		head, err := s.mgr.FreeHead(s.win, c)
 		if err != nil {
@@ -113,96 +85,44 @@ func (s *subheap) updateMirrorLocked() error {
 		if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) {
 			return fmt.Errorf("%w: free-list anchor of class %d out of bounds", ErrCorruptHeap, c)
 		}
-		words[4+2*c] = head
-		words[4+2*c+1] = tail
+		p = binary.LittleEndian.AppendUint64(p, head)
+		p = binary.LittleEndian.AppendUint64(p, tail)
 	}
-	words[len(words)-1] = mirrorChecksum(words[:len(words)-1])
-
-	slot := s.mirrorSlotBase(int((s.mirrorSeq + 1) % shMirrorSlots))
-	for i, w := range words {
-		if err := s.win.WriteU64(slot+uint64(i)*8, w); err != nil {
-			return err
-		}
-	}
-	if err := s.win.Flush(slot, uint64(len(words))*8); err != nil {
+	s.mirrorPay = p
+	if err := s.mirror().Write(s.win, s.mirrorSeq+1, p, &s.mirrorBuf); err != nil {
 		return err
 	}
-	s.win.Fence()
 	s.mirrorSeq++
 	return nil
 }
 
-// loadMirrorLocked reads both mirror slots and returns the valid image with
-// the highest sequence number, or nil if neither slot validates (fresh
-// image, torn first update, or corrupted header page). Caller holds s.mu
-// with the window granted.
-func (s *subheap) loadMirrorLocked() (*mirrorImage, error) {
-	if !s.mirrorEnabled() {
-		return nil, nil
-	}
+// loadMirrorLocked returns the newest valid mirror generation (0 if none:
+// fresh image, torn first update, or corrupted header page) and its image,
+// nil unless it describes a plausible header for this geometry. Caller
+// holds s.mu with the window granted.
+func (s *subheap) loadMirrorLocked() (uint64, *mirrorImage) {
 	g := s.mgr.Geometry()
-	n := s.mirrorWords()
-	var best *mirrorImage
-	for i := 0; i < shMirrorSlots; i++ {
-		base := s.mirrorSlotBase(i)
-		words := make([]uint64, n)
-		readErr := false
-		for j := range words {
-			w, err := s.win.ReadU64(base + uint64(j)*8)
-			if err != nil {
-				if quarantinable(err) {
-					readErr = true // unreadable slot: treat as invalid
-					break
-				}
-				return nil, err
-			}
-			words[j] = w
-		}
-		if readErr {
-			continue
-		}
-		if words[0] != mirrorMagic ||
-			words[n-1] != mirrorChecksum(words[:n-1]) ||
-			words[3] != uint64(g.NumClasses) ||
-			words[2] < 1 || words[2] > uint64(len(g.LevelCap)) {
-			continue
-		}
-		img := &mirrorImage{
-			seq:    words[1],
-			levels: int(words[2]),
-			lists:  make([][2]uint64, g.NumClasses),
-		}
-		ok := true
-		for c := 0; c < g.NumClasses; c++ {
-			head, tail := words[4+2*c], words[4+2*c+1]
-			if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) ||
-				(head == 0) != (tail == 0) {
-				ok = false
-				break
-			}
-			img.lists[c] = [2]uint64{head, tail}
-		}
-		if !ok {
-			continue
-		}
-		if best == nil || img.seq > best.seq {
-			best = img
-		}
+	gen, p, _ := s.mirror().Read(s.win.Read)
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(p[8*i:]) }
+	if len(p) != 16+16*g.NumClasses || word(1) != uint64(g.NumClasses) ||
+		word(0) < 1 || word(0) > uint64(len(g.LevelCap)) {
+		return gen, nil
 	}
-	return best, nil
+	img := &mirrorImage{levels: int(word(0)), lists: make([][2]uint64, g.NumClasses)}
+	for c := range img.lists {
+		head, tail := word(2+2*c), word(3+2*c)
+		if !s.mirrorAnchorValid(head) || !s.mirrorAnchorValid(tail) || (head == 0) != (tail == 0) {
+			return gen, nil
+		}
+		img.lists[c] = [2]uint64{head, tail}
+	}
+	return gen, img
 }
 
-// seedMirrorSeq aligns the in-DRAM sequence counter with the newest valid
-// on-device image so the next update targets the stale slot. Caller holds
+// seedMirrorSeq aligns the in-DRAM generation counter with the newest valid
+// on-device image so the next update targets the other slot. Caller holds
 // s.mu with the window granted.
-func (s *subheap) seedMirrorSeq() {
-	img, err := s.loadMirrorLocked()
-	if err != nil || img == nil {
-		s.mirrorSeq = 0
-		return
-	}
-	s.mirrorSeq = img.seq
-}
+func (s *subheap) seedMirrorSeq() { s.mirrorSeq, _ = s.loadMirrorLocked() }
 
 // restoreMirrorLocked stages the mirrored level count and free-list anchors
 // over the primary header and commits. Caller holds s.mu with the window

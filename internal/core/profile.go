@@ -5,15 +5,12 @@ package core
 // arena, recovery of the previous table at Load, and the trace-span
 // helpers the operation paths call.
 //
-// Crash-consistency of the side-table (see internal/plog/sites.go for the
-// format): snapshots alternate between two slots, payload-then-header with
-// a fence between, so the newest VALID slot is always a complete snapshot
-// from some earlier moment — a crash can lose at most the generation being
-// written. A table where neither slot validates on a non-blank arena is
-// torn; that is detected at Load, journalled (EventProfileReset), and the
-// profile simply starts fresh. The side-table carries no allocator
-// metadata, so a torn table can never quarantine a sub-heap or affect
-// allocation correctness.
+// The side-table is a double-buffered record (plog.Slots; payload format in
+// internal/plog/sites.go): a crash can lose at most the generation being
+// written. A torn table is detected at Load, journalled
+// (EventProfileReset), and the profile simply starts fresh. The side-table
+// carries no allocator metadata, so a torn table can never quarantine a
+// sub-heap or affect allocation correctness.
 
 import (
 	"fmt"
@@ -45,87 +42,43 @@ func profCharge(size uint64) uint64 {
 func (h *Heap) ProfileEpoch() uint64 { return h.profEpoch }
 
 // loadProfile restores the persisted site table after recovery: the newest
-// valid snapshot slot seeds the profiler with its recovered sites and
-// advances the boot epoch past the one that wrote it. Never fails the
-// load — a torn or unreadable table resets the profile and journals why.
+// valid snapshot seeds the profiler with its recovered sites and advances
+// the boot epoch past the one that wrote it. Never fails the load — a torn
+// or unreadable table resets the profile and journals why.
 func (h *Heap) loadProfile() {
 	if h.prof == nil {
 		return
 	}
 	h.profEpoch = 1
 	h.profSeq = 1
-	arena := h.lay.profArena()
-	if !arena.Valid() {
-		// Pre-profiler image: no arena. Profiles aggregate in DRAM only.
-		h.prof.SetEpoch(1)
+	h.prof.SetEpoch(1)
+	table := h.lay.profArena()
+	if table.Cap() == 0 {
+		return // pre-profiler image: profiles aggregate in DRAM only
+	}
+	gen, blob, torn := table.Read(func(off uint64, b []byte) error {
+		return h.retry(func() error { return h.profWin.Read(off, b) })
+	})
+	if torn {
+		// No valid snapshot in a written table. Reset the (empty) profile
+		// and journal it; allocation correctness is untouched.
+		h.prof.Reset()
+		h.tel.Emit(obs.EventProfileReset, -1,
+			"profile side-table torn: no valid snapshot slot; profile reset")
+	}
+	if gen == 0 {
 		return
 	}
-
-	type slotState struct {
-		hdr   plog.SiteHeader
-		blob  []byte
-		valid bool
-		blank bool
-	}
-	var slots [plog.SiteSlots]slotState
-	for i := range slots {
-		var hdrBuf [plog.SiteHeaderSize]byte
-		if err := h.retry(func() error { return h.profWin.Read(arena.HeaderOff(i), hdrBuf[:]) }); err != nil {
-			continue // unreadable counts as neither blank nor valid
-		}
-		blank := true
-		for _, b := range hdrBuf {
-			if b != 0 {
-				blank = false
-				break
-			}
-		}
-		slots[i].blank = blank
-		hdr, ok := plog.DecodeSiteHeader(hdrBuf[:])
-		if !ok || hdr.PayloadLen > arena.PayloadCap() {
-			continue
-		}
-		blob := make([]byte, hdr.PayloadLen)
-		if err := h.retry(func() error { return h.profWin.Read(arena.PayloadOff(i), blob) }); err != nil {
-			continue
-		}
-		if plog.SiteChecksum(hdr.Seq, blob) != hdr.Checksum {
-			continue
-		}
-		slots[i] = slotState{hdr: hdr, blob: blob, valid: true, blank: false}
-	}
-
-	best := -1
-	for i, s := range slots {
-		if s.valid && (best < 0 || s.hdr.Seq > slots[best].hdr.Seq) {
-			best = i
-		}
-	}
-	if best < 0 {
-		if !slots[0].blank || !slots[1].blank {
-			// Non-blank arena, no valid snapshot: the table is torn. Reset
-			// the (empty) profile and journal it; allocation correctness is
-			// untouched — the side-table holds no allocator metadata.
-			h.prof.Reset()
-			h.tel.Emit(obs.EventProfileReset, -1,
-				"profile side-table torn: no valid snapshot slot; profile reset")
-		}
-		h.prof.SetEpoch(1)
-		return
-	}
-
-	recs, err := plog.DecodeSites(slots[best].blob)
+	h.profSeq = gen + 1 // the next snapshot supersedes this one, decodable or not
+	epoch, recs, err := plog.DecodeSites(blob)
 	if err != nil {
 		h.prof.Reset()
 		h.tel.Emit(obs.EventProfileReset, -1,
 			fmt.Sprintf("profile side-table decode failed: %v; profile reset", err))
-		h.prof.SetEpoch(1)
 		return
 	}
 	h.prof.AdoptRecovered(siteRecordsToStats(recs))
-	h.profEpoch = slots[best].hdr.Epoch + 1
-	h.profSeq = slots[best].hdr.Seq + 1
-	h.profSlot = 1 - best
+	h.profEpoch = epoch + 1
 	h.profWrote = true
 	h.prof.SetEpoch(h.profEpoch)
 }
@@ -176,12 +129,12 @@ func siteStatsToRecords(sites []obs.SiteStat) []plog.SiteRecord {
 }
 
 // PersistProfile writes the profiler's current site table into the image's
-// side-table arena (one snapshot generation: payload, fence, header,
-// fence). Safe to call at any time; a failed or interrupted write leaves
-// the previous generation intact. No-op on heaps without telemetry, without
-// an arena (pre-profiler image), or in read-only health.
+// side-table arena as one snapshot generation. Safe to call at any time; a
+// failed or interrupted write leaves the previous generation intact. No-op
+// on heaps without telemetry, without an arena (pre-profiler image), or in
+// read-only health.
 func (h *Heap) PersistProfile() error {
-	if h.prof == nil || !h.lay.profArena().Valid() {
+	if h.prof == nil || h.lay.profArena().Cap() == 0 {
 		return nil
 	}
 	if h.writable() != nil {
@@ -199,7 +152,7 @@ func (h *Heap) maybePersistProfile() {
 	if h.profPace.Add(1)%profPersistInterval != 0 {
 		return
 	}
-	if !h.lay.profArena().Valid() || h.writable() != nil {
+	if h.lay.profArena().Cap() == 0 || h.writable() != nil {
 		return
 	}
 	if !h.profMu.TryLock() {
@@ -215,40 +168,14 @@ func (h *Heap) persistProfileLocked() error {
 	if len(sites) == 0 && !h.profWrote {
 		return nil // nothing sampled, nothing recovered: leave the arena blank
 	}
-	arena := h.lay.profArena()
-	blob, _ := plog.EncodeSites(siteStatsToRecords(sites), arena.PayloadCap())
-	hdr := plog.EncodeSiteHeader(plog.SiteHeader{
-		Seq:        h.profSeq,
-		PayloadLen: uint64(len(blob)),
-		Checksum:   plog.SiteChecksum(h.profSeq, blob),
-		Epoch:      h.profEpoch,
-	})
-	slot := h.profSlot
-
+	table := h.lay.profArena()
+	blob, _ := plog.EncodeSites(h.profEpoch, siteStatsToRecords(sites), uint64(table.Cap()))
 	h.grant(h.profThread)
 	defer h.revoke(h.profThread)
-	w := h.profWin
-	// Payload first, durably, THEN the header that makes it meaningful: a
-	// crash between the fences leaves the slot header stale (still naming
-	// the previous generation or nothing), so no reader ever sees a header
-	// that points at half-written bytes.
-	if err := w.Write(arena.PayloadOff(slot), blob); err != nil {
+	if err := table.Write(h.profWin, h.profSeq, blob, new([]byte)); err != nil {
 		return err
 	}
-	if err := w.Flush(arena.PayloadOff(slot), uint64(len(blob))); err != nil {
-		return err
-	}
-	w.Fence()
-	if err := w.Write(arena.HeaderOff(slot), hdr[:]); err != nil {
-		return err
-	}
-	if err := w.Flush(arena.HeaderOff(slot), plog.SiteHeaderSize); err != nil {
-		return err
-	}
-	w.Fence()
-
 	h.profSeq++
-	h.profSlot = 1 - slot
 	h.profWrote = true
 	h.prof.NotePersisted()
 	return nil

@@ -250,13 +250,13 @@ func TestProfileTornTableResetsOnly(t *testing.T) {
 	if err := h.PersistProfile(); err != nil {
 		t.Fatal(err)
 	}
-	arena := h.lay.profArena()
-	garbage := make([]byte, plog.SiteHeaderSize)
+	table := h.lay.profArena()
+	garbage := make([]byte, 64)
 	for i := range garbage {
 		garbage[i] = 0xAB
 	}
-	for i := 0; i < plog.SiteSlots; i++ {
-		if err := h.Device().Write(arena.HeaderOff(i), garbage); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := h.Device().Write(table.Off(i), garbage); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,6 +302,49 @@ func TestProfileTornTableResetsOnly(t *testing.T) {
 	if got := liveProfileBytes(h3); got != 128 {
 		t.Fatalf("live bytes after reset+persist = %d, want 128", got)
 	}
+}
+
+// TestProfileEpochBitFlipNeverAdopted flips one bit of the newest
+// snapshot's boot epoch on the media. The epoch sits inside the checksummed
+// payload, so Load must fall back to the previous generation (or reset the
+// profile with exactly one journalled reset) and never adopt a wrong epoch.
+func TestProfileEpochBitFlipNeverAdopted(t *testing.T) {
+	h := newProfHeap(t, 1, 0)
+	th := newThread(t, h)
+	if _, err := th.Alloc(100); err != nil {
+		t.Fatal(err)
+	}
+	th.Close()
+	for boot := 1; boot <= 2; boot++ { // generation 1 at epoch 1, 2 at epoch 2
+		if err := h.PersistProfile(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+			t.Fatal(err)
+		}
+		if boot == 2 {
+			break
+		}
+		h2, err := Load(h.Device(), profOptions(1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = h2
+	}
+	newest := h.profSeq - 1
+	epochOff := h.lay.profArena().Off(int(newest&1)) + plog.SlotHeader // payload word 0
+	if err := h.Device().InjectBitFlip(epochOff, 5); err != nil {
+		t.Fatal(err)
+	}
+	h3, err := Load(h.Device(), profOptions(1, 0))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	resets := h3.Telemetry().Snapshot().Events.ByKind["profile_reset"]
+	if got := h3.ProfileEpoch(); !(resets == 0 && got == 2 || resets == 1 && got == 1) {
+		t.Fatalf("epoch %d after %d profile resets; want 2 from the previous generation, or 1 after one reset", got, resets)
+	}
+	requireServiceable(t, h3)
 }
 
 // TestProfileRateZeroOffPath pins the rate=0 contract: threads carry a nil

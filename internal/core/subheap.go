@@ -79,11 +79,14 @@ type subheap struct {
 	quarantined atomic.Bool
 	qreason     atomic.Value
 
-	// mirrorSeq is the sequence number of the newest valid on-device
-	// metadata mirror image (mirror.go); mutations counts committed
-	// mutations to pace refreshes. DRAM-only, guarded by mu.
+	// mirrorSeq is the generation of the newest valid on-device metadata
+	// mirror image (mirror.go); mutations counts committed mutations to
+	// pace refreshes; mirrorPay and mirrorBuf are the refresh's reused
+	// payload and slot-image buffers. DRAM-only, guarded by mu.
 	mirrorSeq uint64
 	mutations uint64
+	mirrorPay []byte
+	mirrorBuf []byte
 
 	// winReader is s.win boxed once as a txn.Reader, so the free path's
 	// metadata lookups do not box the window (a heap allocation) per op.

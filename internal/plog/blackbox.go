@@ -10,29 +10,28 @@ import (
 //
 // Arena layout:
 //
-//	+0      header slot A (one cacheline)
-//	+64     header slot B (one cacheline)
+//	+0      header: a double-buffered record (slots.go) of two 64-byte
+//	        slots; payload u64 boot epoch, u64 record-sequence high-water
 //	+128    record ring: capacity() slots of BoxRecordSize bytes each
 //
-// The header follows the profile side-table's A/B discipline, but its role
-// differs: it is NOT the publish commit point. Each ring record is
+// The header is NOT the publish commit point. Each ring record is
 // individually self-checksummed and sequence-congruent (record seq s lives
 // at slot s % capacity, always), so a batch of records becomes durable with
 // one flush pass over the written range and a single fence — no header
 // write per publish. Replay validates every slot independently; a record
 // whose store was torn by a crash simply fails its checksum and drops out.
-// The header only carries boot metadata (epoch, a sequence high-water mark)
-// and is rewritten at open (adopting the newest valid slot and bumping the
-// epoch) and at clean close.
+// The header only carries boot metadata and is rewritten at open (bumping
+// the epoch) and at clean close.
 const (
-	// BoxMagic marks a black-box header slot ("POSBLBOX" little endian).
-	BoxMagic uint64 = 0x584f424c42534f50
+	// boxMagic marks a header slot ("POSBLBX2" little endian);
+	// boxLegacyMagic ("POSBLBOX") marks the parent format's header, which
+	// reads as blank.
+	boxMagic       = 0x3258424c42534f50
+	boxLegacyMagic = 0x584f424c42534f50
+	// boxHeaderSize is one header slot (a cacheline).
+	boxHeaderSize = 64
 	// BoxRecMagic marks a record slot.
 	BoxRecMagic uint32 = 0xb1ac_b0c5
-	// BoxHeaderSize is one header slot (a cacheline).
-	BoxHeaderSize = 64
-	// BoxSlots is the header slot count (A/B).
-	BoxSlots = 2
 	// BoxRecordSize is the fixed encoded record size: 64 bytes of fields +
 	// BoxDetailCap bytes of detail text, two cachelines total.
 	BoxRecordSize = 128
@@ -48,13 +47,6 @@ const (
 	// BoxSpan carries a sampled op span; Kind is the obs.Op.
 	BoxSpan uint8 = 2
 )
-
-// BoxHeader is the decoded A/B header slot.
-type BoxHeader struct {
-	Gen     uint64 // header generation; newest valid slot wins
-	Epoch   uint64 // boot epoch the writer was on
-	NextSeq uint64 // record-sequence high-water at header write
-}
 
 // BoxRecord is one decoded flight-recorder entry.
 type BoxRecord struct {
@@ -85,75 +77,38 @@ func (a BoxArena) Valid() bool { return a.Capacity() >= 8 }
 
 // Capacity returns the record-slot count.
 func (a BoxArena) Capacity() uint64 {
-	if a.size < BoxSlots*BoxHeaderSize+BoxRecordSize {
+	if a.size < 2*boxHeaderSize+BoxRecordSize {
 		return 0
 	}
-	return (a.size - BoxSlots*BoxHeaderSize) / BoxRecordSize
+	return (a.size - 2*boxHeaderSize) / BoxRecordSize
 }
 
-// HeaderOff returns the device offset of header slot i.
-func (a BoxArena) HeaderOff(i int) uint64 { return a.base + uint64(i)*BoxHeaderSize }
+// Header returns the double-buffered boot header record.
+func (a BoxArena) Header() Slots {
+	return Slots{Base: a.base, Size: boxHeaderSize, Magic: boxMagic, Legacy: boxLegacyMagic}
+}
 
 // RecordsOff returns the device offset of record slot 0.
-func (a BoxArena) RecordsOff() uint64 { return a.base + BoxSlots*BoxHeaderSize }
+func (a BoxArena) RecordsOff() uint64 { return a.base + 2*boxHeaderSize }
 
 // SlotOff returns the device offset of the slot record seq occupies.
 func (a BoxArena) SlotOff(seq uint64) uint64 {
 	return a.RecordsOff() + (seq%a.Capacity())*BoxRecordSize
 }
 
-// EncodeBoxHeader serializes a header slot. The checksum is seeded with the
-// generation, so a stale slot can never validate against a newer payload.
-func EncodeBoxHeader(h BoxHeader) [BoxHeaderSize]byte {
-	var buf [BoxHeaderSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], BoxMagic)
-	binary.LittleEndian.PutUint64(buf[8:], h.Gen)
-	binary.LittleEndian.PutUint64(buf[16:], h.Epoch)
-	binary.LittleEndian.PutUint64(buf[24:], h.NextSeq)
-	binary.LittleEndian.PutUint64(buf[32:], SiteChecksum(h.Gen, buf[16:32]))
-	return buf
-}
-
-// DecodeBoxHeader validates and decodes a header slot. ok is false when the
-// magic or checksum does not match — a blank slot, a torn write, or foreign
-// bytes all decode identically as "not a header".
-func DecodeBoxHeader(buf []byte) (BoxHeader, bool) {
-	if len(buf) < BoxHeaderSize {
-		return BoxHeader{}, false
+// boxChecksum mixes a record's sequence number and bytes into its check
+// value (FNV-1a seeded with seq, finalized with splitmix64 so every input
+// bit avalanches; a torn or bit-flipped record fails the check).
+func boxChecksum(seq uint64, b []byte) uint64 {
+	h := uint64(0xCBF29CE484222325) ^ seq*0x9E3779B97F4A7C15
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 0x100000001B3
 	}
-	if binary.LittleEndian.Uint64(buf[0:]) != BoxMagic {
-		return BoxHeader{}, false
-	}
-	h := BoxHeader{
-		Gen:     binary.LittleEndian.Uint64(buf[8:]),
-		Epoch:   binary.LittleEndian.Uint64(buf[16:]),
-		NextSeq: binary.LittleEndian.Uint64(buf[24:]),
-	}
-	if binary.LittleEndian.Uint64(buf[32:]) != SiteChecksum(h.Gen, buf[16:32]) {
-		return BoxHeader{}, false
-	}
-	return h, true
-}
-
-// AdoptBoxHeader picks the boot header from the two slots: the valid slot
-// with the highest generation. torn reports that at least one slot held
-// non-blank bytes that failed validation AND no valid slot existed — a
-// fresh (all-blank) arena is not torn.
-func AdoptBoxHeader(slots ...[]byte) (best BoxHeader, slot int, torn bool) {
-	slot = -1
-	dirty := false
-	for i, buf := range slots {
-		if h, ok := DecodeBoxHeader(buf); ok {
-			if slot < 0 || h.Gen > best.Gen {
-				best, slot = h, i
-			}
-			continue
-		}
-		if !allZero(buf) {
-			dirty = true
-		}
-	}
-	return best, slot, slot < 0 && dirty
+	h += 0x9E3779B97F4A7C15
+	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
+	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
+	return h ^ (h >> 31)
 }
 
 // EncodeBoxRecord serializes one record. The checksum is seeded with the
@@ -179,7 +134,7 @@ func EncodeBoxRecord(r BoxRecord) [BoxRecordSize]byte {
 	binary.LittleEndian.PutUint64(buf[48:], r.Aux0)
 	binary.LittleEndian.PutUint64(buf[56:], r.Aux1)
 	copy(buf[64:], detail)
-	sum := SiteChecksum(r.Seq, buf[:])
+	sum := boxChecksum(r.Seq, buf[:])
 	binary.LittleEndian.PutUint64(buf[16:], sum)
 	return buf
 }
@@ -213,7 +168,7 @@ func DecodeBoxRecord(buf []byte) (BoxRecord, bool) {
 	for i := 16; i < 24; i++ {
 		scratch[i] = 0
 	}
-	if sum != SiteChecksum(r.Seq, scratch[:]) {
+	if sum != boxChecksum(r.Seq, scratch[:]) {
 		return BoxRecord{}, false
 	}
 	r.Detail = string(buf[64 : 64+detailLen])

@@ -48,31 +48,19 @@ func TestBoxRecordRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestBoxHeaderRoundTripAndAdopt(t *testing.T) {
-	a := EncodeBoxHeader(BoxHeader{Gen: 3, Epoch: 2, NextSeq: 100})
-	b := EncodeBoxHeader(BoxHeader{Gen: 4, Epoch: 3, NextSeq: 140})
-	h, slot, torn := AdoptBoxHeader(a[:], b[:])
-	if torn || slot != 1 || h.Gen != 4 || h.Epoch != 3 || h.NextSeq != 140 {
-		t.Fatalf("adopt = %+v slot %d torn %v", h, slot, torn)
+func TestBoxChecksumDependsOnSeqAndPayload(t *testing.T) {
+	payload := []byte("some black-box record bytes")
+	base := boxChecksum(5, payload)
+	if boxChecksum(6, payload) == base {
+		t.Fatal("checksum ignores the sequence number")
 	}
-
-	// A torn newer slot falls back to the older valid one.
-	b[20] ^= 0xff
-	h, slot, torn = AdoptBoxHeader(a[:], b[:])
-	if torn || slot != 0 || h.Gen != 3 {
-		t.Fatalf("fallback adopt = %+v slot %d torn %v", h, slot, torn)
+	flipped := append([]byte(nil), payload...)
+	flipped[3] ^= 0x01
+	if boxChecksum(5, flipped) == base {
+		t.Fatal("checksum ignores a payload bit flip")
 	}
-
-	// Both slots damaged: torn, no adoption.
-	a[20] ^= 0xff
-	if _, slot, torn = AdoptBoxHeader(a[:], b[:]); slot != -1 || !torn {
-		t.Fatalf("double-torn adopt slot %d torn %v", slot, torn)
-	}
-
-	// Fresh arena (all blank): invalid but not torn.
-	var blank [BoxHeaderSize]byte
-	if _, slot, torn = AdoptBoxHeader(blank[:], blank[:]); slot != -1 || torn {
-		t.Fatalf("blank adopt slot %d torn %v", slot, torn)
+	if boxChecksum(5, payload) != base {
+		t.Fatal("checksum not deterministic")
 	}
 }
 
@@ -81,12 +69,12 @@ func TestBoxArenaGeometry(t *testing.T) {
 	if !a.Valid() {
 		t.Fatal("64 KiB arena should be valid")
 	}
-	wantCap := uint64((64<<10 - BoxSlots*BoxHeaderSize) / BoxRecordSize)
+	wantCap := uint64((64<<10 - 2*boxHeaderSize) / BoxRecordSize)
 	if a.Capacity() != wantCap {
 		t.Fatalf("capacity = %d, want %d", a.Capacity(), wantCap)
 	}
-	if a.HeaderOff(1) != 4096+BoxHeaderSize {
-		t.Fatalf("header slot 1 at %d", a.HeaderOff(1))
+	if a.Header().Off(1) != 4096+boxHeaderSize || a.RecordsOff() != 4096+2*boxHeaderSize {
+		t.Fatalf("header slot 1 at %d, records at %d", a.Header().Off(1), a.RecordsOff())
 	}
 	if a.SlotOff(wantCap+3) != a.RecordsOff()+3*BoxRecordSize {
 		t.Fatalf("slot wrap: seq %d at %d", wantCap+3, a.SlotOff(wantCap+3))

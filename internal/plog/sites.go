@@ -1,40 +1,14 @@
 package plog
 
-// Persistent allocation-site side-table: a compact, checksummed serialization
-// of the heap profiler's site table, stored inside the heap image so a leak
-// profile survives crashes and restarts.
-//
-// The arena holds TWO slots, written alternately (A/B double buffering like
-// the sub-heap metadata mirror): a snapshot write goes to the slot NOT named
-// by the newest valid header, payload first, fence, then its one-cacheline
-// header, fence. A crash at any point leaves the previous slot's header and
-// payload untouched, so the newest *valid* slot is always a complete,
-// self-consistent snapshot — possibly one generation stale, never torn.
-// Validity is structural: magic + length bound + checksum over (seq,
-// payload). A slot that fails these checks is simply not a snapshot; the
-// reader falls back to the other slot or, when both fail on a non-blank
-// arena, reports a torn table. Torn tables only ever reset the profile —
-// they carry no allocator metadata, so they can never quarantine a sub-heap
-// or affect allocation correctness.
-//
-// Arena layout (base-relative):
-//
-//	+0    slot 0 header (64 bytes, one cacheline)
-//	+64   slot 1 header (64 bytes)
-//	+128  slot 0 payload (payloadCap bytes)
-//	+128+payloadCap  slot 1 payload
-//
-// Header cacheline (little-endian u64 words):
-//
-//	word 0  magic   "POSSITES"
-//	word 1  seq     snapshot generation (monotonic across both slots)
-//	word 2  len     payload byte length
-//	word 3  sum     checksum over seq ++ payload
-//	word 4  epoch   boot epoch that wrote the snapshot
-//	words 5..7 reserved (zero)
+// Persistent allocation-site side-table: a compact serialization of the heap
+// profiler's site table, kept as a double-buffered record (slots.go) in the
+// heap image so a leak profile survives crashes and restarts. The table
+// carries no allocator metadata: a torn table only ever resets the profile,
+// it can never quarantine a sub-heap or affect allocation correctness.
 //
 // Payload blob:
 //
+//	u64 epoch           boot epoch that wrote the snapshot
 //	u64 count
 //	repeat count times:
 //	  u64 hash          symbolized-frame identity hash (restart-stable key)
@@ -58,20 +32,15 @@ package plog
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
 const (
-	// SiteMagic is the side-table header magic ("POSSITES", little-endian).
-	SiteMagic = 0x5345544953534F50
-
-	// SiteHeaderSize is one header slot: a single cacheline, so the header
-	// store is covered by one flush and cannot tear across lines.
-	SiteHeaderSize = 64
-
-	// SiteSlots is the number of A/B snapshot slots.
-	SiteSlots = 2
+	// siteMagic marks a side-table slot ("POSSITE2" little endian);
+	// siteLegacyMagic ("POSSITES") marks the parent format's header, which
+	// reads as blank.
+	siteMagic       = 0x3245544953534F50
+	siteLegacyMagic = 0x5345544953534F50
 
 	// siteMaxFrames bounds the frames persisted per site; deeper stacks
 	// are truncated (the leading application frames are what identify a
@@ -82,10 +51,12 @@ const (
 	siteMaxStr = 512
 )
 
-// ErrSiteTableTorn reports an arena whose slots are non-blank yet none
-// validates — a snapshot write was interrupted in a way that also lost the
-// previous generation (e.g. media corruption across both headers).
-var ErrSiteTableTorn = errors.New("plog: site side-table torn")
+// SiteTable returns the side-table record filling the arena [base,
+// base+size): two line-aligned halves. An arena too small for a snapshot
+// yields a record with zero capacity.
+func SiteTable(base, size uint64) Slots {
+	return Slots{Base: base, Size: size / 2 &^ 63, Magic: siteMagic, Legacy: siteLegacyMagic}
+}
 
 // SiteFrame is one symbolized frame of a persisted allocation site.
 type SiteFrame struct {
@@ -107,86 +78,6 @@ type SiteRecord struct {
 	Frames       []SiteFrame
 }
 
-// SiteHeader is the decoded form of one slot header.
-type SiteHeader struct {
-	Seq        uint64
-	PayloadLen uint64
-	Checksum   uint64
-	Epoch      uint64
-}
-
-// SiteChecksum mixes a snapshot generation and payload into the header
-// check value (FNV-1a seeded with seq, finalized with splitmix64 so every
-// input bit avalanches; a torn or bit-flipped payload fails the check).
-func SiteChecksum(seq uint64, payload []byte) uint64 {
-	h := uint64(0xCBF29CE484222325) ^ seq*0x9E3779B97F4A7C15
-	for _, b := range payload {
-		h ^= uint64(b)
-		h *= 0x100000001B3
-	}
-	h += 0x9E3779B97F4A7C15
-	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-	return h ^ (h >> 31)
-}
-
-// EncodeSiteHeader serializes a header into its 64-byte cacheline.
-func EncodeSiteHeader(h SiteHeader) [SiteHeaderSize]byte {
-	var buf [SiteHeaderSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], SiteMagic)
-	binary.LittleEndian.PutUint64(buf[8:], h.Seq)
-	binary.LittleEndian.PutUint64(buf[16:], h.PayloadLen)
-	binary.LittleEndian.PutUint64(buf[24:], h.Checksum)
-	binary.LittleEndian.PutUint64(buf[32:], h.Epoch)
-	return buf
-}
-
-// DecodeSiteHeader parses a header cacheline. ok is false when the magic is
-// absent (blank or foreign bytes) — checksum validation against the payload
-// is the caller's job via SiteChecksum.
-func DecodeSiteHeader(buf []byte) (SiteHeader, bool) {
-	if len(buf) < SiteHeaderSize || binary.LittleEndian.Uint64(buf[0:]) != SiteMagic {
-		return SiteHeader{}, false
-	}
-	return SiteHeader{
-		Seq:        binary.LittleEndian.Uint64(buf[8:]),
-		PayloadLen: binary.LittleEndian.Uint64(buf[16:]),
-		Checksum:   binary.LittleEndian.Uint64(buf[24:]),
-		Epoch:      binary.LittleEndian.Uint64(buf[32:]),
-	}, true
-}
-
-// SiteArena describes the side-table arena geometry at device offset base
-// spanning size bytes. Like Manifest it carries no I/O handle; core reads
-// and writes through its protection windows.
-type SiteArena struct {
-	base uint64
-	size uint64
-}
-
-// NewSiteArena describes an arena. size below the minimum usable footprint
-// yields a zero-capacity arena (Valid() false).
-func NewSiteArena(base, size uint64) SiteArena { return SiteArena{base: base, size: size} }
-
-// Valid reports whether the arena can hold at least a trivial snapshot.
-func (a SiteArena) Valid() bool { return a.PayloadCap() >= 16 }
-
-// PayloadCap is the byte capacity of one payload slot.
-func (a SiteArena) PayloadCap() uint64 {
-	if a.size <= SiteSlots*SiteHeaderSize {
-		return 0
-	}
-	return (a.size - SiteSlots*SiteHeaderSize) / SiteSlots &^ 7
-}
-
-// HeaderOff returns the device offset of slot i's header cacheline.
-func (a SiteArena) HeaderOff(i int) uint64 { return a.base + uint64(i)*SiteHeaderSize }
-
-// PayloadOff returns the device offset of slot i's payload region.
-func (a SiteArena) PayloadOff(i int) uint64 {
-	return a.base + SiteSlots*SiteHeaderSize + uint64(i)*a.PayloadCap()
-}
-
 // siteSize returns the encoded byte size of one record.
 func siteSize(s *SiteRecord) uint64 {
 	n := uint64(8*8 + 2)
@@ -202,15 +93,17 @@ func siteSize(s *SiteRecord) uint64 {
 	return n
 }
 
-// EncodeSites serializes sites into a payload blob of at most maxBytes.
-// Callers pass sites ordered most-important-first (by live bytes); records
-// that do not fit are dropped from the tail and counted in dropped — a
-// bounded arena degrades to a top-K profile, never to a torn one.
-func EncodeSites(sites []SiteRecord, maxBytes uint64) (blob []byte, dropped int) {
-	if maxBytes < 8 {
+// EncodeSites serializes a boot epoch and sites into a payload blob of at
+// most maxBytes. Callers pass sites ordered most-important-first (by live
+// bytes); records that do not fit are dropped from the tail and counted in
+// dropped — a bounded arena degrades to a top-K profile, never to a torn
+// one.
+func EncodeSites(epoch uint64, sites []SiteRecord, maxBytes uint64) (blob []byte, dropped int) {
+	if maxBytes < 16 {
 		return nil, len(sites)
 	}
-	buf := make([]byte, 8, min(maxBytes, 1<<20))
+	buf := make([]byte, 16, min(maxBytes, 1<<20))
+	binary.LittleEndian.PutUint64(buf[0:], epoch)
 	count := uint64(0)
 	for i := range sites {
 		s := &sites[i]
@@ -252,22 +145,23 @@ func EncodeSites(sites []SiteRecord, maxBytes uint64) (blob []byte, dropped int)
 		}
 		count++
 	}
-	binary.LittleEndian.PutUint64(buf[0:], count)
+	binary.LittleEndian.PutUint64(buf[8:], count)
 	return buf, dropped
 }
 
-// DecodeSites parses a payload blob. The blob is checksum-validated before
-// it reaches here, so a decode error indicates a codec bug or a checksum
-// collision — it is still reported, never panicked on.
-func DecodeSites(blob []byte) ([]SiteRecord, error) {
-	if len(blob) < 8 {
-		return nil, fmt.Errorf("plog: site blob too short (%d bytes)", len(blob))
+// DecodeSites parses a payload blob into its boot epoch and sites. The blob
+// is checksum-validated before it reaches here, so a decode error indicates
+// a codec bug or a checksum collision — it is still reported, never
+// panicked on.
+func DecodeSites(blob []byte) (epoch uint64, sites []SiteRecord, err error) {
+	if len(blob) < 16 {
+		return 0, nil, fmt.Errorf("plog: site blob too short (%d bytes)", len(blob))
 	}
-	count := binary.LittleEndian.Uint64(blob)
+	count := binary.LittleEndian.Uint64(blob[8:])
 	if count > uint64(len(blob))/8 {
-		return nil, fmt.Errorf("plog: site blob count %d exceeds blob", count)
+		return 0, nil, fmt.Errorf("plog: site blob count %d exceeds blob", count)
 	}
-	pos := 8
+	pos := 16
 	need := func(n int) bool { return pos+n <= len(blob) }
 	u64 := func() uint64 {
 		v := binary.LittleEndian.Uint64(blob[pos:])
@@ -277,7 +171,7 @@ func DecodeSites(blob []byte) ([]SiteRecord, error) {
 	out := make([]SiteRecord, 0, count)
 	for i := uint64(0); i < count; i++ {
 		if !need(8*8 + 2) {
-			return nil, fmt.Errorf("plog: site blob truncated at record %d", i)
+			return 0, nil, fmt.Errorf("plog: site blob truncated at record %d", i)
 		}
 		var s SiteRecord
 		s.Hash = u64()
@@ -291,18 +185,18 @@ func DecodeSites(blob []byte) ([]SiteRecord, error) {
 		nf := int(binary.LittleEndian.Uint16(blob[pos:]))
 		pos += 2
 		if nf > siteMaxFrames {
-			return nil, fmt.Errorf("plog: site record %d frame count %d exceeds max", i, nf)
+			return 0, nil, fmt.Errorf("plog: site record %d frame count %d exceeds max", i, nf)
 		}
 		for j := 0; j < nf; j++ {
 			var fr SiteFrame
 			for k := 0; k < 2; k++ {
 				if !need(2) {
-					return nil, fmt.Errorf("plog: site blob truncated in record %d frames", i)
+					return 0, nil, fmt.Errorf("plog: site blob truncated in record %d frames", i)
 				}
 				l := int(binary.LittleEndian.Uint16(blob[pos:]))
 				pos += 2
 				if l > siteMaxStr || !need(l) {
-					return nil, fmt.Errorf("plog: site record %d frame string overruns blob", i)
+					return 0, nil, fmt.Errorf("plog: site record %d frame string overruns blob", i)
 				}
 				str := string(blob[pos : pos+l])
 				pos += l
@@ -313,7 +207,7 @@ func DecodeSites(blob []byte) ([]SiteRecord, error) {
 				}
 			}
 			if !need(4) {
-				return nil, fmt.Errorf("plog: site blob truncated in record %d frames", i)
+				return 0, nil, fmt.Errorf("plog: site blob truncated in record %d frames", i)
 			}
 			fr.Line = binary.LittleEndian.Uint32(blob[pos:])
 			pos += 4
@@ -321,5 +215,5 @@ func DecodeSites(blob []byte) ([]SiteRecord, error) {
 		}
 		out = append(out, s)
 	}
-	return out, nil
+	return binary.LittleEndian.Uint64(blob), out, nil
 }

@@ -28,57 +28,19 @@ func sampleSiteRecords() []SiteRecord {
 
 func TestSiteCodecRoundTrip(t *testing.T) {
 	want := sampleSiteRecords()
-	blob, dropped := EncodeSites(want, 64<<10)
+	blob, dropped := EncodeSites(7, want, 64<<10)
 	if dropped != 0 {
 		t.Fatalf("dropped %d records with ample space", dropped)
 	}
-	got, err := DecodeSites(blob)
+	epoch, got, err := DecodeSites(blob)
 	if err != nil {
 		t.Fatalf("DecodeSites: %v", err)
 	}
+	if epoch != 7 {
+		t.Fatalf("epoch = %d, want 7", epoch)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got:  %+v\n want: %+v", got, want)
-	}
-}
-
-func TestSiteHeaderRoundTrip(t *testing.T) {
-	want := SiteHeader{Seq: 9, PayloadLen: 1234, Checksum: 0xABCD, Epoch: 3}
-	buf := EncodeSiteHeader(want)
-	got, ok := DecodeSiteHeader(buf[:])
-	if !ok {
-		t.Fatal("valid header rejected")
-	}
-	if got != want {
-		t.Fatalf("header round trip: got %+v, want %+v", got, want)
-	}
-	// Blank and garbage cachelines are not headers.
-	var blank [SiteHeaderSize]byte
-	if _, ok := DecodeSiteHeader(blank[:]); ok {
-		t.Fatal("blank cacheline decoded as header")
-	}
-	garbage := buf
-	garbage[0] ^= 0xFF // break the magic
-	if _, ok := DecodeSiteHeader(garbage[:]); ok {
-		t.Fatal("bad-magic cacheline decoded as header")
-	}
-	if _, ok := DecodeSiteHeader(buf[:SiteHeaderSize-1]); ok {
-		t.Fatal("short buffer decoded as header")
-	}
-}
-
-func TestSiteChecksumDependsOnSeqAndPayload(t *testing.T) {
-	payload := []byte("some site table payload bytes")
-	base := SiteChecksum(5, payload)
-	if SiteChecksum(6, payload) == base {
-		t.Fatal("checksum ignores the sequence number")
-	}
-	flipped := append([]byte(nil), payload...)
-	flipped[3] ^= 0x01
-	if SiteChecksum(5, flipped) == base {
-		t.Fatal("checksum ignores a payload bit flip")
-	}
-	if SiteChecksum(5, payload) != base {
-		t.Fatal("checksum not deterministic")
 	}
 }
 
@@ -94,19 +56,19 @@ func TestEncodeSitesDropsFromTail(t *testing.T) {
 		}
 	}
 	one := siteSize(&recs[0])
-	blob, dropped := EncodeSites(recs, 8+one)
+	blob, dropped := EncodeSites(1, recs, 16+one)
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
-	got, err := DecodeSites(blob)
+	_, got, err := DecodeSites(blob)
 	if err != nil {
 		t.Fatalf("DecodeSites: %v", err)
 	}
 	if len(got) != 1 || got[0].Hash != 1 {
 		t.Fatalf("kept records = %+v, want just hash 1", got)
 	}
-	// A budget below the count word drops everything.
-	if blob, dropped := EncodeSites(recs, 4); blob != nil || dropped != len(recs) {
+	// A budget below the epoch and count words drops everything.
+	if blob, dropped := EncodeSites(1, recs, 12); blob != nil || dropped != len(recs) {
 		t.Fatalf("tiny budget: blob=%v dropped=%d", blob, dropped)
 	}
 }
@@ -119,11 +81,11 @@ func TestEncodeSitesTruncatesStringsAndFrames(t *testing.T) {
 			File: "x.go", Line: uint32(i),
 		})
 	}
-	blob, dropped := EncodeSites([]SiteRecord{rec}, 64<<10)
+	blob, dropped := EncodeSites(1, []SiteRecord{rec}, 64<<10)
 	if dropped != 0 {
 		t.Fatalf("dropped = %d", dropped)
 	}
-	got, err := DecodeSites(blob)
+	_, got, err := DecodeSites(blob)
 	if err != nil {
 		t.Fatalf("DecodeSites: %v", err)
 	}
@@ -136,40 +98,16 @@ func TestEncodeSitesTruncatesStringsAndFrames(t *testing.T) {
 }
 
 func TestDecodeSitesRejectsCorruption(t *testing.T) {
-	blob, _ := EncodeSites(sampleSiteRecords(), 64<<10)
+	blob, _ := EncodeSites(1, sampleSiteRecords(), 64<<10)
 	cases := map[string][]byte{
 		"empty":      nil,
-		"short":      blob[:4],
+		"short":      blob[:12],
 		"truncated":  blob[:len(blob)-3],
-		"huge count": append([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, blob[8:]...),
+		"huge count": append(append(blob[:8:8], 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), blob[16:]...),
 	}
 	for name, b := range cases {
-		if _, err := DecodeSites(b); err == nil {
+		if _, _, err := DecodeSites(b); err == nil {
 			t.Errorf("%s blob decoded without error", name)
 		}
-	}
-}
-
-func TestSiteArenaGeometry(t *testing.T) {
-	a := NewSiteArena(1000, SiteSlots*SiteHeaderSize+160)
-	if !a.Valid() {
-		t.Fatal("arena with payload space reports invalid")
-	}
-	if got := a.PayloadCap(); got != 80 {
-		t.Fatalf("PayloadCap = %d, want 80", got)
-	}
-	if a.HeaderOff(0) != 1000 || a.HeaderOff(1) != 1000+SiteHeaderSize {
-		t.Fatalf("header offsets = %d, %d", a.HeaderOff(0), a.HeaderOff(1))
-	}
-	if a.PayloadOff(0) != 1000+SiteSlots*SiteHeaderSize {
-		t.Fatalf("payload 0 offset = %d", a.PayloadOff(0))
-	}
-	if a.PayloadOff(1) != a.PayloadOff(0)+a.PayloadCap() {
-		t.Fatalf("payload 1 offset = %d", a.PayloadOff(1))
-	}
-	// Too small for even a trivial snapshot: zero-capacity, invalid.
-	small := NewSiteArena(0, SiteSlots*SiteHeaderSize)
-	if small.Valid() || small.PayloadCap() != 0 {
-		t.Fatalf("tiny arena: valid=%v cap=%d", small.Valid(), small.PayloadCap())
 	}
 }

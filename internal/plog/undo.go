@@ -1,7 +1,10 @@
-// Package plog implements Poseidon's two persistent logging schemes over an
+// Package plog implements Poseidon's persistent logs and records over an
 // NVMM window: the undo log that makes every metadata mutation
-// failure-atomic, and the micro log that records the allocations of an open
-// transactional allocation (paper §4.5, §5.2, §5.3, §5.8).
+// failure-atomic, the micro log that records the allocations of an open
+// transactional allocation (paper §4.5, §5.2, §5.3, §5.8), and the
+// double-buffered record (Slots) that keeps best-effort state: the
+// sub-heap metadata mirror, the profile site table and the black-box
+// header.
 //
 // Both logs live inside the MPK-protected metadata region of a sub-heap (or
 // the superblock), so they are guarded by the same protection discipline as
