@@ -19,12 +19,10 @@ race:
 	$(GO) test -race ./...
 
 # The per-figure testing.B benchmarks (bounded sweeps), plus the magazine
-# before/after baseline (locked path vs lock-free fast path) and the
-# parallel-recovery baseline (serial vs fanned-out load) as JSON.
+# before/after baseline (locked path vs lock-free fast path) as JSON.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/poseidon-bench -fig mags -out BENCH_magazines.json
-	$(GO) run ./cmd/poseidon-bench -fig recovery -out BENCH_recovery.json
 
 # Full figure regeneration (tables of Mops/sec vs threads + extras).
 figures:

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"poseidon/internal/alloc"
@@ -53,7 +52,7 @@ func run() error {
 	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 6, 7, 8, 9, ablation, all")
 	flag.IntVar(&cfg.maxThreads, "maxthreads", defaultThreads(), "largest thread count in the sweep")
 	flag.IntVar(&cfg.scale, "scale", 1, "work multiplier (larger = longer, steadier numbers)")
-	flag.StringVar(&cfg.out, "out", "", "also write the figure's machine-readable baseline JSON here (mags and recovery figures)")
+	flag.StringVar(&cfg.out, "out", "", "also write the figure's machine-readable baseline JSON here (mags figure)")
 	metrics := flag.String("metrics", "", "serve /metrics, /vars and /debug/pprof on this address (empty = off)")
 	flag.Parse()
 
@@ -331,10 +330,7 @@ func contention(cfg config) error {
 
 // recovery compares restart cost as the live-object count grows:
 // Poseidon's log replay is constant-size; Makalu's conservative
-// mark-and-sweep walks the heap (§5.1 vs §2.2). A second section sweeps
-// sub-heap count x RecoveryParallelism: the per-sub-heap fan-out's
-// speedup over the legacy serial load (bounded by GOMAXPROCS — on a
-// single core the columns collapse).
+// mark-and-sweep walks the heap (§5.1 vs §2.2).
 func recovery(cfg config) error {
 	fmt.Println("# Extra — recovery time vs live objects (one restart)")
 	fmt.Printf("%-14s %16s %16s\n", "live objects", "poseidon load", "makalu recover")
@@ -403,111 +399,6 @@ func recovery(cfg config) error {
 			makaluTime.Round(10*time.Microsecond))
 	}
 	fmt.Println()
-	return recoveryParallel(cfg)
-}
-
-// recVariant is one cell of the parallel-recovery sweep baseline.
-type recVariant struct {
-	Subheaps     int     `json:"subheaps"`
-	Parallelism  int     `json:"parallelism"`
-	MedianLoadMs float64 `json:"median_load_ms"`
-}
-
-// recoveryParallel times a scrubbed Load of the same crashed image under
-// the legacy serial path and the 8-way fan-out, per sub-heap count. The
-// timed work (log scan + full ScrubOnLoad audit) is identical every
-// iteration, so the median of a few repeats is stable.
-func recoveryParallel(cfg config) error {
-	const (
-		objectsPerSubheap = 2000
-		repeats           = 5
-	)
-	fmt.Printf("# Extra — parallel recovery: scrubbed load time, %d objects/sub-heap (GOMAXPROCS=%d)\n",
-		objectsPerSubheap, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-12s %14s %14s %10s\n", "sub-heaps", "serial load", "par=8 load", "speedup")
-	var variants []recVariant
-	speedups := map[int]float64{}
-	for _, subheaps := range []int{2, 8, 32} {
-		opts := core.Options{
-			Subheaps:        subheaps,
-			SubheapUserSize: 4 << 20,
-			SubheapMetaSize: 1 << 20,
-			MaxThreads:      64,
-			CrashTracking:   true,
-			ScrubOnLoad:     true,
-		}
-		h, err := core.Create(opts)
-		if err != nil {
-			return err
-		}
-		for w := 0; w < subheaps; w++ {
-			th, err := h.ThreadOn(w)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < objectsPerSubheap; i++ {
-				if _, err := th.Alloc(256); err != nil {
-					return err
-				}
-			}
-			th.Close()
-		}
-		dev := h.Device()
-		if _, err := dev.Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
-			return err
-		}
-		medians := map[int]time.Duration{}
-		for _, par := range []int{1, 8} {
-			opts.RecoveryParallelism = par
-			// One warm-up load pays the one-time replay and shadow-chunk
-			// materialization; the timed repeats measure the steady path.
-			if _, err := core.Load(dev, opts); err != nil {
-				return err
-			}
-			times := make([]time.Duration, 0, repeats)
-			for r := 0; r < repeats; r++ {
-				start := time.Now()
-				if _, err := core.Load(dev, opts); err != nil {
-					return err
-				}
-				times = append(times, time.Since(start))
-			}
-			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-			medians[par] = times[repeats/2]
-			variants = append(variants, recVariant{
-				Subheaps:     subheaps,
-				Parallelism:  par,
-				MedianLoadMs: float64(medians[par].Microseconds()) / 1e3,
-			})
-		}
-		speedups[subheaps] = float64(medians[1]) / float64(medians[8])
-		fmt.Printf("%-12d %14v %14v %9.2fx\n", subheaps,
-			medians[1].Round(10*time.Microsecond), medians[8].Round(10*time.Microsecond),
-			speedups[subheaps])
-	}
-	fmt.Println()
-
-	if cfg.out != "" {
-		baseline := struct {
-			Workload   string          `json:"workload"`
-			GoMaxProcs int             `json:"gomaxprocs"`
-			Variants   []recVariant    `json:"variants"`
-			Speedups   map[int]float64 `json:"speedup_by_subheaps"`
-		}{
-			Workload:   "scrubbed load: 2000x256 B objects per sub-heap, EvictNone crash, median of 5 restarts",
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Variants:   variants,
-			Speedups:   speedups,
-		}
-		data, err := json.MarshalIndent(baseline, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("# baseline written to %s\n", cfg.out)
-	}
 	return nil
 }
 

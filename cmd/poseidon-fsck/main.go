@@ -14,9 +14,9 @@
 // walk), the heap is re-audited, and the repaired image is saved back to
 // the same path.
 //
-// -j N fans recovery, the -scrub audit and the -repair walk out over N
-// workers (0, the default, uses every core; 1 forces the serial path) —
-// the fan-out recovers a byte-identical image at any width.
+// Recovery, the -scrub audit and the -repair walk fan out over GOMAXPROCS
+// workers (GOMAXPROCS=N poseidon-fsck bounds the width); the recovered
+// image is the same at any width.
 //
 // Exit status: 0 clean, 1 problems found, 2 usage/load error, 3 degraded
 // (in-service sub-heaps are consistent but capacity is quarantined).
@@ -51,10 +51,9 @@ func main() {
 	scrub := flag.Bool("scrub", false, "run the full metadata audit during recovery, quarantining failed sub-heaps")
 	repair := flag.Bool("repair", false, "repair quarantined sub-heaps and save the image back (implies -scrub)")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	jobs := flag.Int("j", 0, "recovery/scrub/repair worker count (0 = all cores, 1 = serial)")
 	timeline := flag.Bool("timeline", false, "reconstruct the black-box flight-recorder timeline from the image")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: poseidon-fsck [-raw] [-scrub] [-repair] [-timeline] [-json] [-j N] <heap-image>")
+		fmt.Fprintln(os.Stderr, "usage: poseidon-fsck [-raw] [-scrub] [-repair] [-timeline] [-json] <heap-image>")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,11 +65,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "poseidon-fsck: -raw and -repair are mutually exclusive")
 		os.Exit(2)
 	}
-	if *jobs < 0 {
-		fmt.Fprintln(os.Stderr, "poseidon-fsck: -j must not be negative")
-		os.Exit(2)
-	}
-	rep, err := run(flag.Arg(0), *raw, *scrub, *repair, *timeline, *jobs)
+	rep, err := run(flag.Arg(0), *raw, *scrub, *repair, *timeline)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "poseidon-fsck:", err)
 		os.Exit(2)
@@ -154,7 +149,7 @@ func printTimeline(tl []core.BlackboxEntry) {
 	}
 }
 
-func run(path string, raw, scrub, repair, timeline bool, jobs int) (report, error) {
+func run(path string, raw, scrub, repair, timeline bool) (report, error) {
 	dev, err := nvm.LoadFile(path, nvm.Options{})
 	if err != nil {
 		return report{}, err
@@ -163,10 +158,7 @@ func run(path string, raw, scrub, repair, timeline bool, jobs int) (report, erro
 	if raw {
 		h, err = core.Attach(dev, core.Options{})
 	} else {
-		h, err = core.Load(dev, core.Options{
-			ScrubOnLoad:         scrub || repair,
-			RecoveryParallelism: jobs,
-		})
+		h, err = core.Load(dev, core.Options{ScrubOnLoad: scrub || repair})
 	}
 	if err != nil {
 		return report{}, err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"poseidon/internal/core"
@@ -61,7 +62,7 @@ func corruptImage(t *testing.T) string {
 func TestFsckRepairRoundTrip(t *testing.T) {
 	path := corruptImage(t)
 
-	rep, err := run(path, false, true, false, false, 1)
+	rep, err := run(path, false, true, false, false)
 	if err != nil {
 		t.Fatalf("scrub run: %v", err)
 	}
@@ -72,9 +73,10 @@ func TestFsckRepairRoundTrip(t *testing.T) {
 		t.Fatalf("Quarantined = %d, want 1 (degraded, exit 3)", rep.Report.Quarantined)
 	}
 
-	// Repair through the parallel walk (-j 4): the healed image must be
-	// indistinguishable from a serial repair's.
-	rep, err = run(path, false, false, true, false, 4)
+	// Repair through a 4-way recovery, scrub and repair walk (the pool is
+	// GOMAXPROCS wide); the healed image must come up clean all the same.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rep, err = run(path, false, false, true, false)
 	if err != nil {
 		t.Fatalf("repair run: %v", err)
 	}
@@ -87,7 +89,7 @@ func TestFsckRepairRoundTrip(t *testing.T) {
 	}
 
 	// The healed image was written back: a fresh audit is clean.
-	rep, err = run(path, false, true, false, false, 4)
+	rep, err = run(path, false, true, false, false)
 	if err != nil {
 		t.Fatalf("re-audit run: %v", err)
 	}

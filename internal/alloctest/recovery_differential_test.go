@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,28 +16,37 @@ import (
 	"poseidon/internal/nvm"
 )
 
-// The differential recovery suite is the tentpole's oracle: the SAME
-// crashed image, recovered once with the legacy serial path
-// (RecoveryParallelism 1) and once with an 8-way fan-out, must be
-// indistinguishable — identical audit reports, identical recovery
-// counters, an identical surviving-pointer fingerprint, and (the strongest
-// form) bit-identical persistent images. The schedules are randomized and
-// concurrent so -race patrols the worker pool while the assertions patrol
-// its semantics.
+// The recovery suite checks Load on randomized, concurrent, crashed
+// schedules in two ways. TestRecoverySpec is the oracle: while the
+// schedule runs it records every block address's last acknowledged op, and
+// every recovery of the crashed image must agree with that model — an
+// acknowledged allocation survives at its class size, an acknowledged free
+// stays free, payloads survive, every allocated block is one the model
+// accounts for, and the rollback and ring-replay counters match the work
+// the schedule left behind. TestDifferentialParallelRecovery recovers the
+// same image at GOMAXPROCS 1, 2 and 8 (Load sizes its worker pool by
+// GOMAXPROCS) and requires the recoveries to be indistinguishable: audit
+// reports, recovery counters, surviving-pointer fingerprints and the
+// persistent image bytes. -race patrols the worker pool while the
+// assertions patrol its semantics.
 
-func recoveryDiffOptions(par int) core.Options {
+// recoveryMagClasses is the magazine class count the suite runs with:
+// allocations of at most 64<<(recoveryMagClasses-1) bytes take the
+// magazine fast path.
+const recoveryMagClasses = 4
+
+func recoveryDiffOptions() core.Options {
 	return core.Options{
-		Subheaps:            8,
-		SubheapUserSize:     1 << 20,
-		SubheapMetaSize:     256 << 10,
-		UndoLogSize:         64 << 10,
-		MaxThreads:          16,
-		HeapID:              0xD1F2,
-		CrashTracking:       true,
-		ScrubOnLoad:         true,
-		RemoteFreeRings:     true,
-		Magazines:           core.MagazineOptions{Capacity: 16, Classes: 4},
-		RecoveryParallelism: par,
+		Subheaps:        8,
+		SubheapUserSize: 1 << 20,
+		SubheapMetaSize: 256 << 10,
+		UndoLogSize:     64 << 10,
+		MaxThreads:      16,
+		HeapID:          0xD1F2,
+		CrashTracking:   true,
+		ScrubOnLoad:     true,
+		RemoteFreeRings: true,
+		Magazines:       core.MagazineOptions{Capacity: 16, Classes: recoveryMagClasses},
 	}
 }
 
@@ -46,95 +56,151 @@ type recProbe struct {
 	pat []byte
 }
 
+// specOp is the last acknowledged op on one block address.
+type specOp struct {
+	live bool   // an allocation (else a free)
+	size uint64 // the allocating request's class size
+	// relaxed marks magazine fast-path ops: an Alloc of a magazined class
+	// or a Free of such a block is durable only at the thread's next sync
+	// point, so after a crash the block may be found either way.
+	relaxed bool
+	pat     []byte // the payload persisted into the allocated block, if any
+}
+
+// freed is the entry an acknowledged free of op's block leaves behind.
+func (op specOp) freed() specOp { return specOp{size: op.size, relaxed: op.relaxed} }
+
+// classSize is the block size a request of n bytes is carved at: the next
+// power of two, at least 64 bytes.
+func classSize(n uint64) uint64 {
+	c := uint64(64)
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
+// recSpec is the model of one crashed schedule.
+type recSpec struct {
+	ops       map[core.NVMPtr]specOp
+	openTx    int // uncommitted TxAllocs: recovery must roll back each
+	ringFrees int // cross-shard frees left in rings: recovery must drain each
+}
+
+// workerRun is what one worker's schedule leaves behind.
+type workerRun struct {
+	probes []recProbe
+	ops    map[core.NVMPtr]specOp
+	held   []core.NVMPtr // blocks still allocated when the schedule ends
+}
+
 // recoverySchedule drives one worker's seeded mess on its pinned shard:
-// plain allocs with persisted payloads, local and cross-shard frees
-// (exercising the remote-free rings), magazine-class churn, committed
-// transactions — and it deliberately leaves its thread open with an
-// uncommitted transaction in flight, so every micro-log lane has rollback
-// work when the crash lands.
-func recoverySchedule(h *core.Heap, w, seed, ops int) ([]recProbe, error) {
+// plain allocs with persisted payloads, local frees, magazine-class churn,
+// committed transactions — and it deliberately leaves its thread open with
+// an uncommitted transaction in flight, so every micro-log lane has
+// rollback work when the crash lands. Every acknowledged op is recorded.
+func recoverySchedule(h *core.Heap, w, seed, ops int) (workerRun, error) {
+	run := workerRun{ops: map[core.NVMPtr]specOp{}}
 	th, err := h.ThreadOn(w)
 	if err != nil {
-		return nil, err
+		return run, err
 	}
 	// No Close: the crash must catch magazines populated and the lane open.
 	rng := rand.New(rand.NewSource(int64(seed*1000 + w)))
-	var probes []recProbe
-	var live []core.NVMPtr
+	alloc := func(size uint64) (core.NVMPtr, error) {
+		p, err := th.Alloc(size)
+		if err == nil {
+			run.ops[p] = specOp{live: true, size: classSize(size),
+				relaxed: size <= 64<<(recoveryMagClasses-1)}
+			run.held = append(run.held, p)
+		}
+		return p, err
+	}
+	free := func(k int) error {
+		p := run.held[k]
+		if err := th.Free(p); err != nil {
+			return err
+		}
+		run.ops[p] = run.ops[p].freed()
+		run.held = append(run.held[:k], run.held[k+1:]...)
+		return nil
+	}
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(5) {
-		case 0: // magazine-class churn (64..512 bytes, classes 0..3)
-			p, err := th.Alloc(uint64(64 << rng.Intn(3)))
-			if err != nil {
-				return nil, fmt.Errorf("worker %d op %d: mag alloc: %w", w, i, err)
+		case 0: // magazine-class churn (64..256 bytes, classes 0..2)
+			if _, err := alloc(uint64(64 << rng.Intn(3))); err != nil {
+				return run, fmt.Errorf("worker %d op %d: mag alloc: %w", w, i, err)
 			}
-			live = append(live, p)
 		case 1: // larger block with a persisted payload we can probe later
-			size := uint64(rng.Intn(1024) + 600)
-			p, err := th.Alloc(size)
+			p, err := alloc(uint64(rng.Intn(1024) + 600))
 			if err != nil {
-				return nil, fmt.Errorf("worker %d op %d: alloc: %w", w, i, err)
+				return run, fmt.Errorf("worker %d op %d: alloc: %w", w, i, err)
 			}
 			pat := make([]byte, 32)
 			for j := range pat {
 				pat[j] = byte(w*151 + i*13 + j)
 			}
 			if err := th.Persist(p, 0, pat); err != nil {
-				return nil, fmt.Errorf("worker %d op %d: persist: %w", w, i, err)
+				return run, fmt.Errorf("worker %d op %d: persist: %w", w, i, err)
 			}
-			probes = append(probes, recProbe{p: p, pat: pat})
-			live = append(live, p)
-		case 2: // free something local or remote (the ring path)
-			if len(live) == 0 {
+			op := run.ops[p]
+			op.pat = pat
+			run.ops[p] = op
+			run.probes = append(run.probes, recProbe{p: p, pat: pat})
+		case 2: // free a random block this worker holds (a local free)
+			if len(run.held) == 0 {
 				continue
 			}
-			k := rng.Intn(len(live))
-			if err := th.Free(live[k]); err != nil {
-				return nil, fmt.Errorf("worker %d op %d: free: %w", w, i, err)
+			if err := free(rng.Intn(len(run.held))); err != nil {
+				return run, fmt.Errorf("worker %d op %d: free: %w", w, i, err)
 			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
 		case 3: // committed transaction: durable, survives recovery
-			if _, err := th.TxAlloc(uint64(rng.Intn(512)+64), true); err != nil {
-				return nil, fmt.Errorf("worker %d op %d: tx commit: %w", w, i, err)
+			size := uint64(rng.Intn(512) + 64)
+			p, err := th.TxAlloc(size, true)
+			if err != nil {
+				return run, fmt.Errorf("worker %d op %d: tx commit: %w", w, i, err)
 			}
-		case 4: // cross-shard free of another worker's class: ring traffic
-			if len(live) < 2 {
+			run.ops[p] = specOp{live: true, size: classSize(size)}
+		case 4: // free this worker's oldest held block (also local)
+			if len(run.held) < 2 {
 				continue
 			}
-			if err := th.Free(live[0]); err != nil {
-				return nil, fmt.Errorf("worker %d op %d: remote free: %w", w, i, err)
+			if err := free(0); err != nil {
+				return run, fmt.Errorf("worker %d op %d: free oldest: %w", w, i, err)
 			}
-			live = live[1:]
 		}
 	}
 	// Leave an uncommitted transaction open: recovery must roll it back.
 	for k := 0; k < 3; k++ {
-		if _, err := th.TxAlloc(uint64(128<<k), false); err != nil {
-			return nil, fmt.Errorf("worker %d: open tx alloc %d: %w", w, k, err)
+		size := uint64(128 << k)
+		p, err := th.TxAlloc(size, false)
+		if err != nil {
+			return run, fmt.Errorf("worker %d: open tx alloc %d: %w", w, k, err)
 		}
+		run.ops[p] = specOp{size: classSize(size)} // rolled back: expected free
 	}
-	return probes, nil
+	return run, nil
 }
 
 // buildCrashedImage runs the concurrent schedules, crashes with a seeded
-// random eviction and saves the torn image for repeated recovery.
-func buildCrashedImage(t *testing.T, seed int) (string, []recProbe) {
+// random eviction and saves the torn image for repeated recovery. It
+// returns the model of the acknowledged ops alongside.
+func buildCrashedImage(t *testing.T, seed int) (string, []recProbe, recSpec) {
 	t.Helper()
-	h, err := core.Create(recoveryDiffOptions(1))
+	h, err := core.Create(recoveryDiffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
 	workers := h.Subheaps()
-	probesBy := make([][]recProbe, workers)
+	runs := make([]workerRun, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			probesBy[w], errs[w] = recoverySchedule(h, w, seed, 120)
+			runs[w], errs[w] = recoverySchedule(h, w, seed, 120)
 		}(w)
 	}
 	wg.Wait()
@@ -143,19 +209,33 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	// Undrained ring traffic: shard 0 frees one block owned by each other
-	// shard. The owners never run again before the crash, so the entries
-	// sit persisted in the rings for recovery to replay.
+	// Each worker pinned its own shard, so the models cover disjoint
+	// addresses.
+	spec := recSpec{ops: map[core.NVMPtr]specOp{}, openTx: 3 * workers}
+	for _, run := range runs {
+		for p, op := range run.ops {
+			spec.ops[p] = op
+		}
+	}
+	// Undrained ring traffic: shard 0 frees one locked-path block each
+	// other worker still holds. The owners never run again before the
+	// crash, so the entries sit persisted in the rings for recovery to
+	// replay.
 	th0, err := h.ThreadOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w < workers; w++ {
-		if len(probesBy[w]) == 0 {
-			continue
-		}
-		if err := th0.Free(probesBy[w][0].p); err != nil {
-			t.Fatalf("cross-shard free into shard %d's ring: %v", w, err)
+		for _, p := range runs[w].held {
+			if spec.ops[p].relaxed {
+				continue
+			}
+			if err := th0.Free(p); err != nil {
+				t.Fatalf("cross-shard free into shard %d's ring: %v", w, err)
+			}
+			spec.ops[p] = spec.ops[p].freed()
+			spec.ringFrees++
+			break
 		}
 	}
 	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictRandom, Prob: 0.5, Seed: int64(seed)}); err != nil {
@@ -166,16 +246,106 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe) {
 		t.Fatal(err)
 	}
 	var probes []recProbe
-	for _, ps := range probesBy {
-		probes = append(probes, ps...)
+	for _, run := range runs {
+		probes = append(probes, run.probes...)
 	}
-	return path, probes
+	return path, probes, spec
+}
+
+// loadAtWidth recovers the saved image with GOMAXPROCS set to width, which
+// sizes Load's worker pool, and restores the previous setting afterwards.
+func loadAtWidth(t *testing.T, path string, width int) *core.Heap {
+	t.Helper()
+	dev, err := nvm.LoadFile(path, nvm.Options{CrashTracking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	h, err := core.Load(dev, recoveryDiffOptions())
+	if err != nil {
+		t.Fatalf("Load (width %d): %v", width, err)
+	}
+	return h
+}
+
+// checkSpec compares one recovery against the model of the acknowledged
+// ops.
+func checkSpec(t *testing.T, h *core.Heap, spec recSpec) {
+	t.Helper()
+	th, err := h.ThreadOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Close()
+	var exactLive, relaxedLive uint64
+	for p, op := range spec.ops {
+		size, err := th.BlockSize(p)
+		allocated := err == nil
+		switch {
+		case op.live && !allocated && !op.relaxed:
+			t.Errorf("%v: acknowledged %d B allocation lost: %v", p, op.size, err)
+		case !op.live && allocated && !op.relaxed:
+			t.Errorf("%v: acknowledged free undone: allocated at %d B", p, size)
+		case allocated && size != op.size:
+			t.Errorf("%v: allocated at %d B, its request's class is %d B", p, size, op.size)
+		case allocated && op.pat != nil:
+			got := make([]byte, len(op.pat))
+			if err := th.Read(p, 0, got); err != nil || !bytes.Equal(got, op.pat) {
+				t.Errorf("%v: persisted payload lost (read error %v)", p, err)
+			}
+		}
+		switch {
+		case op.relaxed && allocated:
+			relaxedLive++
+		case !op.relaxed && op.live:
+			exactLive++
+		}
+	}
+	rep, err := h.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Errorf("recovery audit found problems: %v", rep.Problems)
+	}
+	if rep.AllocatedBlocks != exactLive+relaxedLive {
+		t.Errorf("census: %d allocated blocks, the model accounts for %d exact + %d relaxed",
+			rep.AllocatedBlocks, exactLive, relaxedLive)
+	}
+	t.Logf("census: %d allocated blocks = %d exact + %d relaxed", rep.AllocatedBlocks, exactLive, relaxedLive)
+	st := h.Stats()
+	if st.RecoveredBlocks != uint64(spec.openTx) {
+		t.Errorf("RecoveredBlocks = %d, want %d open TxAllocs rolled back", st.RecoveredBlocks, spec.openTx)
+	}
+	if st.RemoteDrains != uint64(spec.ringFrees) {
+		t.Errorf("RemoteDrains = %d, want the %d cross-shard frees drained", st.RemoteDrains, spec.ringFrees)
+	}
+}
+
+// TestRecoverySpec recovers randomized crashed images at widths 1, 2 and 8
+// and checks every recovery against the model of the acknowledged ops.
+func TestRecoverySpec(t *testing.T) {
+	for seed := 1; seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			path, _, spec := buildCrashedImage(t, seed)
+			if spec.ringFrees == 0 {
+				t.Fatal("no worker held a locked-path block to free across shards: the schedule is not exercising ring replay")
+			}
+			for _, width := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+					h := loadAtWidth(t, path, width)
+					defer h.Close()
+					checkSpec(t, h, spec)
+				})
+			}
+		})
+	}
 }
 
 // recoveryFingerprint is everything one recovery of the image exposes: the
-// audit report, the parallelism-independent counters, the recovered image
-// bytes, and a read-only probe trace over every pre-crash allocation
-// (block size lookup + payload checksum — the surviving-pointer set).
+// audit report, the width-independent counters, the recovered image bytes,
+// and a read-only probe trace over every pre-crash allocation (block size
+// lookup + payload checksum — the surviving-pointer set).
 type recoveryFingerprint struct {
 	report core.CheckReport
 	stats  map[string]uint64
@@ -183,19 +353,13 @@ type recoveryFingerprint struct {
 	probes []string
 }
 
-func fingerprintRecovery(t *testing.T, path string, par int, probes []recProbe) recoveryFingerprint {
+func fingerprintRecovery(t *testing.T, path string, width int, probes []recProbe) recoveryFingerprint {
 	t.Helper()
-	dev, err := nvm.LoadFile(path, nvm.Options{CrashTracking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := core.Load(dev, recoveryDiffOptions(par))
-	if err != nil {
-		t.Fatalf("Load (parallelism %d): %v", par, err)
-	}
+	h := loadAtWidth(t, path, width)
 	defer h.Close()
 
 	var fp recoveryFingerprint
+	var err error
 	// Snapshot the image FIRST: the probe pass below is read-only, but the
 	// byte comparison must cover exactly what recovery produced.
 	snap := filepath.Join(t.TempDir(), "snap.img")
@@ -247,51 +411,51 @@ func fingerprintRecovery(t *testing.T, path string, par int, probes []recProbe) 
 }
 
 // TestDifferentialParallelRecovery recovers the same randomized crashed
-// images serially and with an 8-way fan-out and requires the two
-// recoveries to be indistinguishable, down to the persistent image bytes.
+// images at widths 1, 2 and 8 and requires the recoveries to be
+// indistinguishable, down to the persistent image bytes.
 func TestDifferentialParallelRecovery(t *testing.T) {
 	var sawTx, sawCached, sawDrains bool
 	for seed := 1; seed <= 3; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			path, probes := buildCrashedImage(t, seed)
-			serial := fingerprintRecovery(t, path, 1, probes)
-			fanout := fingerprintRecovery(t, path, 8, probes)
-
-			if !reflect.DeepEqual(serial.report, fanout.report) {
-				t.Errorf("audit reports diverge:\nserial:  %+v\nfanout: %+v", serial.report, fanout.report)
-			}
-			if !reflect.DeepEqual(serial.stats, fanout.stats) {
-				t.Errorf("recovery counters diverge:\nserial:  %v\nfanout: %v", serial.stats, fanout.stats)
-			}
-			if !reflect.DeepEqual(serial.probes, fanout.probes) {
-				for i := range serial.probes {
-					if serial.probes[i] != fanout.probes[i] {
-						t.Errorf("probe %d diverges: serial %q, fanout %q", i, serial.probes[i], fanout.probes[i])
-						break
-					}
+			path, probes, _ := buildCrashedImage(t, seed)
+			base := fingerprintRecovery(t, path, 1, probes)
+			for _, width := range []int{2, 8} {
+				fp := fingerprintRecovery(t, path, width, probes)
+				if !reflect.DeepEqual(base.report, fp.report) {
+					t.Errorf("audit reports diverge:\nwidth 1: %+v\nwidth %d: %+v", base.report, width, fp.report)
 				}
-				t.Error("surviving-pointer fingerprints diverge")
-			}
-			if !bytes.Equal(serial.image, fanout.image) {
-				n := 0
-				for i := range serial.image {
-					if serial.image[i] != fanout.image[i] {
-						n++
-					}
+				if !reflect.DeepEqual(base.stats, fp.stats) {
+					t.Errorf("recovery counters diverge:\nwidth 1: %v\nwidth %d: %v", base.stats, width, fp.stats)
 				}
-				t.Errorf("recovered images differ in %d bytes — the fan-out is not byte-identical", n)
+				if !reflect.DeepEqual(base.probes, fp.probes) {
+					for i := range base.probes {
+						if base.probes[i] != fp.probes[i] {
+							t.Errorf("probe %d diverges: width 1 %q, width %d %q", i, base.probes[i], width, fp.probes[i])
+							break
+						}
+					}
+					t.Error("surviving-pointer fingerprints diverge")
+				}
+				if !bytes.Equal(base.image, fp.image) {
+					n := 0
+					for i := range base.image {
+						if base.image[i] != fp.image[i] {
+							n++
+						}
+					}
+					t.Errorf("recovered images at widths 1 and %d differ in %d bytes", width, n)
+				}
 			}
-			if !serial.report.OK() {
-				t.Errorf("recovery audit found problems: %v", serial.report.Problems)
+			if !base.report.OK() {
+				t.Errorf("recovery audit found problems: %v", base.report.Problems)
 			}
-			if serial.stats["recoveredBlocks"] > 0 {
+			if base.stats["recoveredBlocks"] > 0 {
 				sawTx = true
 			}
-			if serial.stats["recoveredCached"] > 0 {
+			if base.stats["recoveredCached"] > 0 {
 				sawCached = true
 			}
-			if serial.stats["remoteDrains"] > 0 {
+			if base.stats["remoteDrains"] > 0 {
 				sawDrains = true
 			}
 		})

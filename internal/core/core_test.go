@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"poseidon/internal/mpk"
 	"poseidon/internal/nvm"
@@ -851,6 +852,53 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("options %d accepted: %+v", i, opts)
 		}
 	}
+}
+
+// TestLoadAndAttachValidateOptions: reopening an image rejects every
+// option Create rejects. A Load that accepted Magazines{Capacity: 1} let
+// overflow move cap/2 = 0 blocks, so a class stack grew past its manifest
+// window into the next lane's.
+func TestLoadAndAttachValidateOptions(t *testing.T) {
+	h := newTestHeap(t)
+	dev := h.Device()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]Options{
+		"magazine capacity 1":        {Magazines: MagazineOptions{Capacity: 1, Classes: 1}},
+		"magazine capacity 8192":     {Magazines: MagazineOptions{Capacity: 8192}},
+		"magazine classes 65":        {Magazines: MagazineOptions{Capacity: 8, Classes: 65}},
+		"negative profile rate":      {Profile: ProfileOptions{Rate: -5}},
+		"profile without telemetry":  {Profile: ProfileOptions{Rate: 1}},
+		"trace without telemetry":    {Trace: TraceOptions{Rate: 3}},
+		"negative trace buffer":      {Trace: TraceOptions{Buffer: -1}},
+		"watchdog without telemetry": {Watchdog: WatchdogOptions{StallThreshold: time.Second}},
+		"negative scrub interval":    {OnlineScrub: OnlineScrubOptions{Interval: -time.Second}},
+	}
+	for name, opts := range bad {
+		create := testOptions()
+		create.Magazines, create.Profile, create.Trace = opts.Magazines, opts.Profile, opts.Trace
+		create.Watchdog, create.OnlineScrub = opts.Watchdog, opts.OnlineScrub
+		if _, err := Create(create); err == nil {
+			t.Errorf("%s: Create accepted it", name)
+		}
+		if h, err := Load(dev, opts); err == nil {
+			_ = h.Close()
+			t.Errorf("%s: Load accepted it", name)
+		}
+		if h, err := Attach(dev, opts); err == nil {
+			_ = h.Close()
+			t.Errorf("%s: Attach accepted it", name)
+		}
+	}
+
+	// The image's geometry overrides the Options fields: a user size too
+	// wide for the cache manifest's 33-bit offset is not the image's.
+	h, err := Load(dev, Options{SubheapUserSize: 1 << 40, Magazines: MagazineOptions{Capacity: 8}})
+	if err != nil {
+		t.Fatalf("Load judged the options' geometry instead of the image's: %v", err)
+	}
+	_ = h.Close()
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,6 +187,9 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := opts.validateRuntime(lay.userSize); err != nil {
+		return nil, err
+	}
 	h, err := assemble(dev, lay, opts)
 	if err != nil {
 		return nil, err
@@ -226,6 +230,9 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 	opts = opts.withDefaults()
 	lay, err := readLayout(dev)
 	if err != nil {
+		return nil, err
+	}
+	if err := opts.validateRuntime(lay.userSize); err != nil {
 		return nil, err
 	}
 	h, err := assemble(dev, lay, opts)
@@ -523,9 +530,8 @@ func readLayout(dev *nvm.Device) (layout, error) {
 // corruption or device-level failure aborts the load.
 //
 // Everything after the superblock replay is per-sub-heap independent, so
-// with Options.RecoveryParallelism > 1 it fans out over a bounded worker
-// pool (recovery.go) instead of running the serial loops below; the two
-// paths produce byte-identical images.
+// it fans out over runtime.GOMAXPROCS(0) workers (recovery.go); the
+// recovered image is the same at every width.
 func (h *Heap) recover() error {
 	var phaseStart time.Time
 	if h.tel != nil {
@@ -566,12 +572,8 @@ func (h *Heap) recover() error {
 	}
 	h.sbBatch = txn.NewBatch(h.sbWin, h.sbUndo)
 
-	par := h.recoveryParallelism()
-	if par > 1 {
-		if err := h.recoverFanout(par); err != nil {
-			return err
-		}
-	} else if err := h.recoverSerial(); err != nil {
+	par := runtime.GOMAXPROCS(0)
+	if err := h.recoverFanout(par); err != nil {
 		return err
 	}
 	if h.tel != nil {
@@ -594,54 +596,10 @@ func (h *Heap) recover() error {
 		// Without ScrubOnLoad the mirrors stay stale-but-trustworthy until
 		// the mutation-paced refresh catches up: a stale mirror only costs
 		// repair its cheap path, a corrupt one would poison it. The mirror
-		// refresh itself stays serial in every mode: it runs after the full
-		// fan-out has joined, so ordering (superblock, then replay, then
-		// audit, then mirrors) is identical for all parallelism levels.
+		// refresh runs on this goroutine after the full fan-out has joined,
+		// so ordering (superblock, then replay, then audit, then mirrors)
+		// is identical at every width.
 		h.syncMirrors()
-	}
-	return nil
-}
-
-// recoverSerial is the legacy single-threaded load tail (RecoveryParallelism
-// <= 1): sub-heap log recovery, micro-lane rollback and cache-manifest
-// replay, strictly in order, stopping at the first fatal error.
-func (h *Heap) recoverSerial() error {
-	for _, s := range h.subheaps {
-		err := h.retry(s.recoverLogs)
-		if err == nil {
-			continue
-		}
-		if !quarantinable(err) {
-			return fmt.Errorf("sub-heap %d: %w", s.id, err)
-		}
-		s.quarantine(fmt.Sprintf("log recovery failed: %v", err))
-	}
-
-	// Roll back uncommitted transactions. Undo replay may already have
-	// reverted a logged allocation, in which case the free is rejected by
-	// the hash-table check — exactly the idempotency §5.8 relies on.
-	for i := 0; i < h.lay.laneCount; i++ {
-		if err := h.retry(func() error { return h.recoverLane(i) }); err != nil {
-			if !quarantinable(err) {
-				return fmt.Errorf("micro lane %d: %w", i, err)
-			}
-			return fmt.Errorf("%w: micro lane %d: %v", ErrCorruptHeap, i, err)
-		}
-	}
-
-	// Return every block still recorded in a cache manifest to its free
-	// list: a crash with populated magazines must never leak the cached
-	// blocks. Replay is idempotent — an entry whose block is already free
-	// (the push that cached it never became durable) is a no-op.
-	if h.lay.magSlots > 0 {
-		for i := 0; i < h.lay.laneCount; i++ {
-			if err := h.retry(func() error { return h.recoverManifest(i) }); err != nil {
-				if !quarantinable(err) {
-					return fmt.Errorf("cache manifest %d: %w", i, err)
-				}
-				return fmt.Errorf("%w: cache manifest %d: %v", ErrCorruptHeap, i, err)
-			}
-		}
 	}
 	return nil
 }
@@ -649,9 +607,9 @@ func (h *Heap) recoverSerial() error {
 // scrub audits every in-service sub-heap with the fsck engine and
 // quarantines those whose metadata fails — the load-time detector for
 // corruption that log replay cannot see (media bit flips, stray writes).
-// With par > 1 the audits run concurrently; each sub-heap's check is
-// self-contained under its own lock, and quarantine/health transitions are
-// serialized (qmu, healthMu), so concurrent findings bench their sub-heaps
+// The audits run on par workers; each sub-heap's check is self-contained
+// under its own lock, and quarantine/health transitions are serialized
+// (qmu, healthMu), so concurrent findings bench their sub-heaps
 // independently.
 func (h *Heap) scrub(par int) error {
 	return h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
@@ -686,46 +644,11 @@ func (h *Heap) scrubOne(s *subheap) error {
 	return nil
 }
 
-// recoverLane frees every allocation logged in lane i and truncates it.
-func (h *Heap) recoverLane(i int) error {
-	h.grant(h.sbThread)
-	lane, err := plog.OpenMicroLog(h.sbWin, h.lay.laneBase(i), h.lay.laneSize)
-	if err != nil {
-		h.revoke(h.sbThread)
-		return err
-	}
-	if lane.IsEmpty() {
-		h.revoke(h.sbThread)
-		return nil
-	}
-	entries, err := lane.Entries()
-	h.revoke(h.sbThread)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		sub := uint16(e.Offset >> subheapShift)
-		off := e.Offset & offsetMask
-		dev, err := h.lay.locToDevice(sub, off)
-		if err != nil {
-			continue // stale entry pointing nowhere valid; skip
-		}
-		if err := h.replayTxEntry(h.subheaps[sub], i, dev); err != nil {
-			return err
-		}
-	}
-	h.grant(h.sbThread)
-	err = lane.Truncate()
-	h.revoke(h.sbThread)
-	return err
-}
-
 // replayTxEntry rolls back one micro-log allocation against its sub-heap —
-// the per-entry body shared by the serial lane walk (recoverLane) and the
-// parallel per-sub-heap replay (recovery.go). lane is the entry's micro
-// lane, used only for latency attribution. Returns only fatal errors;
-// no-op outcomes (quarantined target, already-reverted allocation) are
-// absorbed into the recovery counters.
+// the per-entry body of the per-sub-heap replay (recovery.go). lane is the
+// entry's micro lane, used only for latency attribution. Returns only
+// fatal errors; no-op outcomes (quarantined target, already-reverted
+// allocation) are absorbed into the recovery counters.
 func (h *Heap) replayTxEntry(s *subheap, lane int, dev uint64) error {
 	if s.isQuarantined() {
 		// The block lives in a region already out of service; rolling
@@ -754,60 +677,10 @@ func (h *Heap) replayTxEntry(s *subheap, lane int, dev uint64) error {
 	return nil
 }
 
-// recoverManifest frees every block still recorded in lane i's cache
-// manifest and clears the processed words. Entries that fail to decode or
-// point outside the heap are left in place for the audit (media
-// corruption must stay visible); entries naming a quarantined sub-heap
-// are left untouched — that capacity is out of service anyway.
-func (h *Heap) recoverManifest(i int) error {
-	man := plog.NewManifest(h.lay.laneManifestBase(i), h.lay.magSlots)
-	cleared := 0
-	for k := uint64(0); k < man.Slots(); k++ {
-		off := man.WordOff(k)
-		word, err := h.sbWin.ReadU64(off)
-		if err != nil {
-			return err
-		}
-		if word == 0 {
-			continue
-		}
-		rel, shard, ok := plog.DecodeCacheEntry(word)
-		if !ok || int(shard) >= h.lay.subheaps || rel >= h.lay.userSize {
-			h.tel.Emit(obs.EventScrubFinding, -1, fmt.Sprintf(
-				"cache manifest %d slot %d: invalid entry %#x", i, k, word))
-			continue
-		}
-		clear, err := h.replayManifestEntry(h.subheaps[shard], rel)
-		if err != nil {
-			return err
-		}
-		if !clear {
-			continue
-		}
-		h.grant(h.sbThread)
-		werr := h.sbWin.WriteU64(off, 0)
-		var ferr error
-		if werr == nil {
-			ferr = h.sbWin.Flush(off, 8)
-		}
-		h.revoke(h.sbThread)
-		if werr != nil {
-			return werr
-		}
-		if ferr != nil {
-			return ferr
-		}
-		cleared++
-	}
-	if cleared > 0 {
-		h.sbWin.Fence()
-	}
-	return nil
-}
-
 // replayManifestEntry returns one cached block to its sub-heap's free list
-// — the per-entry body shared by the serial manifest walk (recoverManifest)
-// and the parallel per-sub-heap replay (recovery.go). It reports whether
+// — the per-entry body of the per-sub-heap replay (recovery.go). Entries
+// that fail to decode or point outside the heap never reach it: the scan
+// leaves them in place for the audit. It reports whether
 // the manifest word may be cleared: processed entries (freed, or no-op
 // because the cache push never became durable) clear; entries naming a
 // quarantined sub-heap stay in place — that capacity is out of service

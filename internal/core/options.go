@@ -71,16 +71,6 @@ type Options struct {
 	// writes that beat MPK). Costs a full metadata scan per sub-heap at
 	// load; default off.
 	ScrubOnLoad bool
-	// RecoveryParallelism bounds the worker pool Load fans recovery out
-	// over: per-sub-heap log replay, micro-lane rollback, cache-manifest
-	// replay, the ScrubOnLoad audit and RepairAll all split across this
-	// many workers once the superblock log has replayed serially. The
-	// fan-out is proven byte-identical to serial recovery (replay is
-	// grouped per sub-heap, preserving each sub-heap's projection of the
-	// serial replay order), so any value yields the same recovered image.
-	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 forces the legacy
-	// single-threaded load path. Negative values are rejected.
-	RecoveryParallelism int
 	// RemoteFreeRings enables the persistent per-sub-heap remote-free
 	// ring (mimalloc-style message-passing frees): a thread freeing a
 	// block owned by another sub-heap CAS-reserves a ring slot, persists
@@ -301,6 +291,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate checks the options Create formats a new image with: the
+// geometry, then everything validateRuntime checks.
 func (o Options) validate() error {
 	if o.Subheaps < 1 || o.Subheaps > 1<<16 {
 		return fmt.Errorf("poseidon: sub-heap count %d out of range [1, 65536]", o.Subheaps)
@@ -323,12 +315,17 @@ func (o Options) validate() error {
 	if o.MaxThreads < 1 || o.MaxThreads > 1<<20 {
 		return fmt.Errorf("poseidon: max threads %d out of range", o.MaxThreads)
 	}
-	if o.RemoteFreeRings && o.SubheapUserSize-1 > memblock.MaxRingRel {
+	return o.validateRuntime(o.SubheapUserSize)
+}
+
+// validateRuntime checks the options that do not shape the image against
+// its sub-heap user size: Create passes the requested one, Load and Attach
+// the image's. So Load and Attach reject every option Create rejects,
+// except the geometry fields, which the image's superblock supplies.
+func (o Options) validateRuntime(userSize uint64) error {
+	if o.RemoteFreeRings && userSize-1 > memblock.MaxRingRel {
 		return fmt.Errorf("poseidon: sub-heap user size %d exceeds the remote-free ring's %d-bit offset",
-			o.SubheapUserSize, 44)
-	}
-	if o.RecoveryParallelism < 0 {
-		return fmt.Errorf("poseidon: recovery parallelism %d must not be negative", o.RecoveryParallelism)
+			userSize, 44)
 	}
 	if o.OnlineScrub.Interval < 0 || o.OnlineScrub.Throttle < 0 {
 		return fmt.Errorf("poseidon: online scrub interval/throttle must not be negative")
@@ -355,9 +352,9 @@ func (o Options) validate() error {
 		if o.Magazines.Classes < 1 || o.Magazines.Classes > 64 {
 			return fmt.Errorf("poseidon: magazine class count %d out of range [1, 64]", o.Magazines.Classes)
 		}
-		if o.SubheapUserSize-1 > plog.MaxCacheRel {
+		if userSize-1 > plog.MaxCacheRel {
 			return fmt.Errorf("poseidon: sub-heap user size %d exceeds the cache manifest's 33-bit offset",
-				o.SubheapUserSize)
+				userSize)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -14,19 +15,18 @@ import (
 
 // parallelRecoveryOptions is an 8-sub-heap heap with every recovery surface
 // armed: micro-log lanes, remote-free rings, magazines and the load audit.
-func parallelRecoveryOptions(par int) Options {
+func parallelRecoveryOptions() Options {
 	return Options{
-		Subheaps:            8,
-		SubheapUserSize:     1 << 20,
-		SubheapMetaSize:     256 << 10,
-		UndoLogSize:         64 << 10,
-		MaxThreads:          16,
-		HeapID:              0xFA40,
-		CrashTracking:       true,
-		ScrubOnLoad:         true,
-		RemoteFreeRings:     true,
-		Magazines:           MagazineOptions{Capacity: 16, Classes: 4},
-		RecoveryParallelism: par,
+		Subheaps:        8,
+		SubheapUserSize: 1 << 20,
+		SubheapMetaSize: 256 << 10,
+		UndoLogSize:     64 << 10,
+		MaxThreads:      16,
+		HeapID:          0xFA40,
+		CrashTracking:   true,
+		ScrubOnLoad:     true,
+		RemoteFreeRings: true,
+		Magazines:       MagazineOptions{Capacity: 16, Classes: 4},
 	}
 }
 
@@ -36,8 +36,7 @@ func parallelRecoveryOptions(par int) Options {
 // so multiple Loads can recover identical copies.
 func messyCrashedImage(t *testing.T) string {
 	t.Helper()
-	opts := parallelRecoveryOptions(1)
-	h, err := Create(opts)
+	h, err := Create(parallelRecoveryOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,22 +84,29 @@ func messyCrashedImage(t *testing.T) string {
 	return path
 }
 
-// loadImage recovers the saved image with the given parallelism.
-func loadImage(t *testing.T, path string, par int) *Heap {
+// loadAtWidth runs Load with GOMAXPROCS set to width, which sizes the
+// recovery worker pool, and restores the previous setting afterwards.
+func loadAtWidth(t *testing.T, dev *nvm.Device, opts Options, width int) *Heap {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	h, err := Load(dev, opts)
+	if err != nil {
+		t.Fatalf("Load (width %d): %v", width, err)
+	}
+	return h
+}
+
+// loadImage recovers the saved image on a width-wide worker pool.
+func loadImage(t *testing.T, path string, width int) *Heap {
 	t.Helper()
 	dev, err := nvm.LoadFile(path, nvm.Options{CrashTracking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := parallelRecoveryOptions(par)
-	h, err := Load(dev, opts)
-	if err != nil {
-		t.Fatalf("Load (parallelism %d): %v", par, err)
-	}
-	return h
+	return loadAtWidth(t, dev, parallelRecoveryOptions(), width)
 }
 
-// recoveryStats is the parallelism-independent subset of HeapStats two
+// recoveryStats is the width-independent subset of HeapStats two
 // recoveries of the same image must agree on. PermissionSwitches is
 // excluded by construction: worker threads issue their own grant/revoke
 // pairs, which changes the switch count but nothing persistent.
@@ -131,54 +137,54 @@ func saveBytes(t *testing.T, h *Heap) []byte {
 	return b
 }
 
-// TestParallelRecoveryMatchesSerialImage is the core-level byte-identity
-// check: recovering the same crashed image serially and with an 8-way
-// fan-out must produce identical persistent images, audits and recovery
-// counters. (The randomized, schedule-driven version lives in
-// internal/alloctest; this one pins the invariant close to the machinery.)
-func TestParallelRecoveryMatchesSerialImage(t *testing.T) {
+// TestRecoveryImageIndependentOfWidth is the core-level byte-identity
+// check: recovering the same crashed image on one worker and on eight must
+// produce identical persistent images, audits and recovery counters. (The
+// randomized, schedule-driven version lives in internal/alloctest; this one
+// pins the invariant close to the machinery.)
+func TestRecoveryImageIndependentOfWidth(t *testing.T) {
 	path := messyCrashedImage(t)
 
-	hSerial := loadImage(t, path, 1)
-	defer hSerial.Close()
-	hPar := loadImage(t, path, 8)
-	defer hPar.Close()
+	h1 := loadImage(t, path, 1)
+	defer h1.Close()
+	h8 := loadImage(t, path, 8)
+	defer h8.Close()
 
-	repS, err := hSerial.Check()
+	rep1, err := h1.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
-	repP, err := hPar.Check()
+	rep8, err := h8.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repS.OK() {
-		t.Fatalf("serial recovery audit: %v", repS.Problems)
+	if !rep1.OK() {
+		t.Fatalf("width-1 recovery audit: %v", rep1.Problems)
 	}
-	if !repP.OK() {
-		t.Fatalf("parallel recovery audit: %v", repP.Problems)
+	if !rep8.OK() {
+		t.Fatalf("width-8 recovery audit: %v", rep8.Problems)
 	}
-	if repS.AllocatedBlocks != repP.AllocatedBlocks || repS.FreeBlocks != repP.FreeBlocks {
-		t.Fatalf("census diverges: serial %d/%d, parallel %d/%d allocated/free",
-			repS.AllocatedBlocks, repS.FreeBlocks, repP.AllocatedBlocks, repP.FreeBlocks)
+	if rep1.AllocatedBlocks != rep8.AllocatedBlocks || rep1.FreeBlocks != rep8.FreeBlocks {
+		t.Fatalf("census diverges: width 1 %d/%d, width 8 %d/%d allocated/free",
+			rep1.AllocatedBlocks, rep1.FreeBlocks, rep8.AllocatedBlocks, rep8.FreeBlocks)
 	}
-	if repS.PendingTx != 0 || repP.PendingTx != 0 {
-		t.Fatalf("pending tx after recovery: serial %d, parallel %d", repS.PendingTx, repP.PendingTx)
+	if rep1.PendingTx != 0 || rep8.PendingTx != 0 {
+		t.Fatalf("pending tx after recovery: width 1 %d, width 8 %d", rep1.PendingTx, rep8.PendingTx)
 	}
-	sS, sP := recoveryStats(hSerial.Stats()), recoveryStats(hPar.Stats())
-	for k, v := range sS {
-		if sP[k] != v {
-			t.Errorf("stat %s diverges: serial %d, parallel %d", k, v, sP[k])
+	s1, s8 := recoveryStats(h1.Stats()), recoveryStats(h8.Stats())
+	for k, v := range s1 {
+		if s8[k] != v {
+			t.Errorf("stat %s diverges: width 1 %d, width 8 %d", k, v, s8[k])
 		}
 	}
-	if hSerial.Stats().RecoveredBlocks == 0 {
+	if h1.Stats().RecoveredBlocks == 0 {
 		t.Fatal("scenario recovered no tx blocks — the sweep is not exercising lane replay")
 	}
 
-	bS, bP := saveBytes(t, hSerial), saveBytes(t, hPar)
-	if !bytes.Equal(bS, bP) {
-		t.Fatalf("recovered images differ (serial %d bytes, parallel %d bytes): the fan-out is not byte-identical",
-			len(bS), len(bP))
+	b1, b8 := saveBytes(t, h1), saveBytes(t, h8)
+	if !bytes.Equal(b1, b8) {
+		t.Fatalf("recovered images differ (width 1 %d bytes, width 8 %d bytes): recovery depends on the pool width",
+			len(b1), len(b8))
 	}
 }
 
@@ -237,7 +243,7 @@ func TestConcurrentQuarantineSameSubheap(t *testing.T) {
 // race recomputeHealth used to have would let a stale Degraded overwrite
 // ReadOnly; with healthMu the final state must always be ReadOnly.
 func TestConcurrentQuarantineHealthConvergence(t *testing.T) {
-	opts := parallelRecoveryOptions(1)
+	opts := parallelRecoveryOptions()
 	opts.HeapID = 0xC0DE
 	h, err := Create(opts)
 	if err != nil {
@@ -270,7 +276,7 @@ func TestConcurrentQuarantineHealthConvergence(t *testing.T) {
 // leave the rest serving — quarantine-under-parallelism end to end.
 func TestParallelScrubQuarantinesBoth(t *testing.T) {
 	tel := obs.New()
-	opts := parallelRecoveryOptions(8)
+	opts := parallelRecoveryOptions()
 	opts.HeapID = 0xBADC
 	opts.Telemetry = tel
 	h, err := Create(opts)
@@ -303,10 +309,7 @@ func TestParallelScrubQuarantinesBoth(t *testing.T) {
 	}
 	_ = h.Close()
 
-	h2, err := Load(h.Device(), opts)
-	if err != nil {
-		t.Fatalf("Load must degrade, not die: %v", err)
-	}
+	h2 := loadAtWidth(t, h.Device(), opts, 8) // Load must degrade, not die
 	defer h2.Close()
 
 	if got := h2.Stats().QuarantinedSubheaps; got != uint64(len(victims)) {
@@ -340,23 +343,4 @@ func TestParallelScrubQuarantinesBoth(t *testing.T) {
 		t.Fatalf("healthy sub-heap Alloc after parallel quarantine: %v", err)
 	}
 	th.Close()
-}
-
-// TestRecoveryParallelismValidation pins the option contract: negatives are
-// rejected, zero resolves to at least one worker.
-func TestRecoveryParallelismValidation(t *testing.T) {
-	opts := testOptions()
-	opts.RecoveryParallelism = -1
-	if _, err := Create(opts); err == nil {
-		t.Fatal("Create accepted a negative RecoveryParallelism")
-	}
-	opts.RecoveryParallelism = 0
-	h, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if got := h.recoveryParallelism(); got < 1 {
-		t.Fatalf("recoveryParallelism() = %d, want >= 1", got)
-	}
 }

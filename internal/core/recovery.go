@@ -1,13 +1,14 @@
-// Parallel crash recovery (paper §5.8): everything Load does after the
-// superblock log has replayed is per-sub-heap independent — each sub-heap's
-// undo log, the micro-log rollbacks and cache-manifest frees targeting it,
-// and its fsck audit touch only that sub-heap's metadata region — so the
-// load tail fans out over a bounded worker pool sized by
-// Options.RecoveryParallelism.
+// Crash recovery (paper §5.8): everything Load does after the superblock
+// log has replayed is per-sub-heap independent — each sub-heap's undo log,
+// the micro-log rollbacks and cache-manifest frees targeting it, and its
+// fsck audit touch only that sub-heap's metadata region — so the load tail
+// fans out over a worker pool as wide as runtime.GOMAXPROCS(0). It is the
+// only load path: a single-core process runs the same phases on one worker.
 //
-// The fan-out is proven byte-identical to the serial path (the differential
-// suite in internal/alloctest asserts it image-for-image) because of how
-// the work is split:
+// The recovered image does not depend on the width (the differential suite
+// in internal/alloctest checks it image-for-image at widths 1, 2 and 8, and
+// checks every width against a model of the acknowledged ops) because of
+// how the work is split:
 //
 //   - Phase 1 recovers every sub-heap's own logs concurrently; the work was
 //     already self-contained under the sub-heap lock.
@@ -16,13 +17,12 @@
 //     by lane: a sub-heap's mutations depend only on its own projection of
 //     the global (lane, position) replay order, and replaying its entries
 //     in exactly that order — lanes ascending, positions ascending — from a
-//     single worker reproduces the serial image bit for bit. Replaying
-//     lanes concurrently instead would interleave frees from different
-//     lanes into the same free list nondeterministically.
+//     single worker yields the same image at every width. Replaying lanes
+//     concurrently instead would interleave frees from different lanes into
+//     the same free list nondeterministically.
 //   - Phase 4 truncates replayed lanes and clears processed manifest words,
-//     one worker per lane, after every free from phase 3 is durable — the
-//     same clear-after-free ordering the serial path establishes per entry,
-//     so a crash at any interior point re-recovers idempotently (surviving
+//     one worker per lane, after every free from phase 3 is durable, so a
+//     crash at any interior point re-recovers idempotently (surviving
 //     entries replay as no-ops against already-free blocks).
 //
 // Barriers between phases keep the crash-safety argument one-directional:
@@ -33,7 +33,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -43,39 +42,16 @@ import (
 	"poseidon/internal/plog"
 )
 
-// recoveryParallelism resolves Options.RecoveryParallelism: 0 means
-// GOMAXPROCS, anything below 1 is clamped to the serial path.
-func (h *Heap) recoveryParallelism() int {
-	p := h.opts.RecoveryParallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
 // forEachRecovery runs fn(worker, task) for every task in [0, n) on up to
-// par workers. With par <= 1 it degenerates to the plain serial loop,
-// stopping at the first error — the legacy behavior. In parallel mode every
-// task runs to completion and the error of the LOWEST-numbered failing task
-// is returned: aggregation is deterministic no matter how the pool
-// interleaved, so a corrupt image yields the same fatal error at every
-// parallelism level. Workers pull tasks from a shared counter (work
+// par workers. Every task runs to completion and the error of the
+// LOWEST-numbered failing task is returned: aggregation is deterministic no
+// matter how the pool interleaved, so a corrupt image yields the same fatal
+// error at every width. Workers pull tasks from a shared counter (work
 // stealing), bounding the pool while keeping long tasks from serializing
 // behind short ones.
 func (h *Heap) forEachRecovery(n, par int, fn func(worker, task int) error) error {
 	if par > n {
 		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -129,9 +105,9 @@ func (h *Heap) newRecWorkers(par int) []recWorker {
 	return ws
 }
 
-// wrapLaneErr applies the serial path's fatal-error dressing: corruption-
-// class failures get the ErrCorruptHeap prefix, device-class failures pass
-// through with position context only.
+// wrapLaneErr dresses a lane's fatal error: corruption-class failures get
+// the ErrCorruptHeap prefix, device-class failures pass through with
+// position context only.
 func wrapLaneErr(prefix string, lane int, err error) error {
 	if err == nil {
 		return nil
@@ -165,9 +141,8 @@ type laneScan struct {
 	man        []manItem
 }
 
-// recoverFanout is the parallel load tail: the phase structure documented
-// at the top of this file, replacing recoverSerial's three loops when
-// RecoveryParallelism > 1.
+// recoverFanout is the load tail on par workers: the phase structure
+// documented at the top of this file.
 func (h *Heap) recoverFanout(par int) error {
 	// Phase 1: per-sub-heap undo-log recovery, ring replay and reseeding.
 	err := h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
@@ -198,11 +173,11 @@ func (h *Heap) recoverFanout(par int) error {
 	}
 
 	// Bucket the harvest by target sub-heap, preserving each sub-heap's
-	// projection of the serial replay order — lanes ascending, positions
+	// projection of the global replay order — lanes ascending, positions
 	// ascending, micro-log rollbacks before manifest frees. This grouping
-	// is the byte-identity argument: sub-heap s's metadata mutations are a
-	// pure function of the sequence of frees applied to s, and that
-	// sequence is exactly what the serial loops would apply.
+	// is the width-independence argument: sub-heap s's metadata mutations
+	// are a pure function of the sequence of frees applied to s, and that
+	// sequence does not depend on how many workers ran the scan.
 	txBy := make([][]txItem, len(h.subheaps))
 	manBy := make([][]manItem, len(h.subheaps))
 	clears := make([][]bool, h.lay.laneCount)
@@ -242,8 +217,8 @@ func (h *Heap) recoverFanout(par int) error {
 
 // scanLane reads lane's micro log and cache manifest without mutating
 // anything, collecting the replay work into out. Invalid manifest entries
-// are journaled and left in place for the audit, exactly as the serial walk
-// does. Safe to re-run (the retry wrapper may): out is rebuilt from scratch
+// are journaled and left in place for the audit (media corruption must
+// stay visible). Safe to re-run (the retry wrapper may): out is rebuilt from scratch
 // on every attempt.
 func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	err := h.retry(func() error {
@@ -306,10 +281,10 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	return wrapLaneErr("cache manifest", lane, err)
 }
 
-// replaySubheap applies one sub-heap's bucketed replay work in serial
-// order: micro-log rollbacks first, manifest frees second, marking the
-// manifest words phase 4 may clear. The per-entry semantics live in
-// replayTxEntry/replayManifestEntry, shared with the serial path.
+// replaySubheap applies one sub-heap's bucketed replay work in order:
+// micro-log rollbacks first, manifest frees second, marking the manifest
+// words phase 4 may clear. The per-entry semantics live in
+// replayTxEntry/replayManifestEntry.
 func (h *Heap) replaySubheap(s *subheap, tx []txItem, man []manItem, clears [][]bool) error {
 	for _, it := range tx {
 		if err := h.replayTxEntry(s, it.lane, it.dev); err != nil {
@@ -320,7 +295,7 @@ func (h *Heap) replaySubheap(s *subheap, tx []txItem, man []manItem, clears [][]
 		clear, err := h.replayManifestEntry(s, it.rel)
 		if err != nil {
 			// Only non-quarantinable errors escape replayManifestEntry
-			// (corruption quarantines in place), matching the serial wrap.
+			// (corruption quarantines in place).
 			return fmt.Errorf("cache manifest %d: %w", it.lane, err)
 		}
 		if clear {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -85,15 +86,15 @@ func (h *Heap) Repair(subheap int) error {
 // RepairAll repairs every quarantined sub-heap, continuing past individual
 // failures. Returns how many were returned to service and the first (by
 // sub-heap index) error. Each repair is self-contained under its sub-heap's
-// lock, so with Options.RecoveryParallelism > 1 the repairs run on the
-// recovery worker pool — the parallel walk poseidon-fsck -repair -j uses.
+// lock, so the repairs run on the recovery worker pool, runtime.GOMAXPROCS(0)
+// wide like Load's.
 func (h *Heap) RepairAll() (int, error) {
 	if h.isClosed() {
 		return 0, ErrClosed
 	}
 	var repaired atomic.Int64
 	errs := make([]error, len(h.subheaps))
-	_ = h.forEachRecovery(len(h.subheaps), h.recoveryParallelism(), func(_, i int) error {
+	_ = h.forEachRecovery(len(h.subheaps), runtime.GOMAXPROCS(0), func(_, i int) error {
 		s := h.subheaps[i]
 		if !s.isQuarantined() {
 			return nil

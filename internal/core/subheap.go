@@ -280,20 +280,32 @@ func (s *subheap) recoverLogs() error {
 	s.h.grant(s.thread)
 	defer s.h.revoke(s.thread)
 	s.setClass(nvm.ClassRecovery)
-	if err := s.open(true); err != nil {
+	// No mirror refresh here: the header has not been audited yet, and
+	// copying a corrupt header over the last good mirror would defeat the
+	// restore path. recover() refreshes mirrors after the scrub passes.
+	return s.attach(true)
+}
+
+// attach opens a formatted sub-heap and rebuilds its DRAM state: the mirror
+// sequence, the free-list mask and the gauges. With replay it also rolls
+// back the undo log and replays the remote-free ring (the load path);
+// without, the image stays untouched and the ring disarmed, so no producer
+// writes it (raw Attach: fsck -raw audits the post-crash image as it is).
+// Caller holds the lock with metadata write rights.
+func (s *subheap) attach(replay bool) error {
+	if err := s.open(replay); err != nil {
 		return err
 	}
 	s.seedMirrorSeq()
-	if err := s.replayRingLocked(); err != nil {
-		return err
+	if replay {
+		if err := s.replayRingLocked(); err != nil {
+			return err
+		}
 	}
 	if err := s.reseedFreeMask(); err != nil {
 		return err
 	}
 	s.seedGauges()
-	// No mirror refresh here: the header has not been audited yet, and
-	// copying a corrupt header over the last good mirror would defeat the
-	// restore path. recover() refreshes mirrors after the scrub passes.
 	return nil
 }
 
@@ -334,8 +346,10 @@ func (s *subheap) open(replay bool) error {
 	return nil
 }
 
-// ensureReady formats the sub-heap on first use. Caller holds the lock with
-// metadata write rights.
+// ensureReady formats the sub-heap on first use, or attaches a formatted
+// one recovery did not (a quarantined sub-heap reached through Check or
+// Inspect, or any sub-heap of a raw-attached heap). Caller holds the lock
+// with metadata write rights.
 func (s *subheap) ensureReady() error {
 	if s.ready {
 		return nil
@@ -345,23 +359,7 @@ func (s *subheap) ensureReady() error {
 		return err
 	}
 	if init {
-		// Raw-attached heaps (fsck -raw) must see the image untouched:
-		// open without replaying the undo log (or the remote-free ring;
-		// the ring also stays disarmed, so no producer writes it).
-		if err := s.open(!s.h.rawAttach); err != nil {
-			return err
-		}
-		s.seedMirrorSeq()
-		if !s.h.rawAttach {
-			if err := s.replayRingLocked(); err != nil {
-				return err
-			}
-		}
-		if err := s.reseedFreeMask(); err != nil {
-			return err
-		}
-		s.seedGauges()
-		return nil
+		return s.attach(!s.h.rawAttach)
 	}
 	return s.format()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"poseidon/internal/core"
@@ -12,21 +13,20 @@ import (
 
 // parallelSweepOptions is the 4-sub-heap configuration the parallel
 // recovery sweep loads with: every recovery surface armed (lanes, rings,
-// magazines, scrub) and a 4-way worker pool so the failpoint walks through
-// genuinely concurrent replay, not the serial fallback.
+// magazines, scrub). The sweep runs at GOMAXPROCS 4, so the failpoint walks
+// through a 4-way worker pool's genuinely concurrent replay.
 func parallelSweepOptions() core.Options {
 	return core.Options{
-		Subheaps:            4,
-		SubheapUserSize:     1 << 20,
-		SubheapMetaSize:     256 << 10,
-		UndoLogSize:         64 << 10,
-		MaxThreads:          16,
-		HeapID:              0x70051D05, // fixed: runs must be byte-identical
-		CrashTracking:       true,
-		ScrubOnLoad:         true,
-		RemoteFreeRings:     true,
-		Magazines:           core.MagazineOptions{Capacity: 8, Classes: 4},
-		RecoveryParallelism: 4,
+		Subheaps:        4,
+		SubheapUserSize: 1 << 20,
+		SubheapMetaSize: 256 << 10,
+		UndoLogSize:     64 << 10,
+		MaxThreads:      16,
+		HeapID:          0x70051D05, // fixed: runs must be byte-identical
+		CrashTracking:   true,
+		ScrubOnLoad:     true,
+		RemoteFreeRings: true,
+		Magazines:       core.MagazineOptions{Capacity: 8, Classes: 4},
 	}
 }
 
@@ -125,6 +125,8 @@ func loadSweepImage(t *testing.T, path string) *nvm.Device {
 // corruption), no pending transactions, the sentinel payload intact, and
 // the heap serving allocations again.
 func TestSweepParallelRecoveryTail(t *testing.T) {
+	// Recovery sizes its worker pool by GOMAXPROCS.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	path, sentinel, spat := parallelRecoveryImage(t)
 
 	// Measure one full parallel recovery to size the sweep, and pin that

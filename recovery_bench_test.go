@@ -15,61 +15,56 @@ import (
 	"poseidon/internal/nvm"
 )
 
-// BenchmarkRecoveryPoseidonLoad sweeps sub-heap count x recovery
-// parallelism. The per-iteration work is the load-time scan and the
-// ScrubOnLoad audit — per-sub-heap independent and identical every
-// iteration (log replay is idempotent, the audit is read-mostly) — so the
-// parallelism axis isolates the fan-out's speedup: at 32 sub-heaps the
-// 8-way pool should approach 8x on an unloaded 8-core machine, and par=1
-// is exactly the legacy serial path. On a single-core runner the two
-// columns collapse (GOMAXPROCS bounds real concurrency), which is itself
-// the honest result.
+// BenchmarkRecoveryPoseidonLoad sweeps the sub-heap count. The
+// per-iteration work is the load-time scan and the ScrubOnLoad audit —
+// per-sub-heap independent and identical every iteration (log replay is
+// idempotent, the audit is read-mostly) — and it fans out over GOMAXPROCS
+// workers, so `go test -bench RecoveryPoseidonLoad -cpu 1,2,8` sweeps the
+// recovery width. GOMAXPROCS above the core count cannot add real
+// concurrency, which is itself the honest result.
 func BenchmarkRecoveryPoseidonLoad(b *testing.B) {
 	const objectsPerSubheap = 2000
 	for _, subheaps := range []int{2, 8, 32} {
-		for _, par := range []int{1, 8} {
-			b.Run(fmt.Sprintf("subheaps=%d/par=%d", subheaps, par), func(b *testing.B) {
-				opts := core.Options{
-					Subheaps:            subheaps,
-					SubheapUserSize:     4 << 20,
-					SubheapMetaSize:     1 << 20,
-					MaxThreads:          64,
-					CrashTracking:       true,
-					ScrubOnLoad:         true,
-					RecoveryParallelism: par,
-				}
-				h, err := core.Create(opts)
+		b.Run(fmt.Sprintf("subheaps=%d", subheaps), func(b *testing.B) {
+			opts := core.Options{
+				Subheaps:        subheaps,
+				SubheapUserSize: 4 << 20,
+				SubheapMetaSize: 1 << 20,
+				MaxThreads:      64,
+				CrashTracking:   true,
+				ScrubOnLoad:     true,
+			}
+			h, err := core.Create(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for w := 0; w < subheaps; w++ {
+				th, err := h.ThreadOn(w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for w := 0; w < subheaps; w++ {
-					th, err := h.ThreadOn(w)
-					if err != nil {
+				for i := 0; i < objectsPerSubheap; i++ {
+					if _, err := th.Alloc(256); err != nil {
 						b.Fatal(err)
 					}
-					for i := 0; i < objectsPerSubheap; i++ {
-						if _, err := th.Alloc(256); err != nil {
-							b.Fatal(err)
-						}
-					}
-					th.Close()
 				}
-				dev := h.Device()
-				// Crash once (the crash *simulation* copies every touched
-				// chunk and would otherwise dominate the measurement); the
-				// timed section is the restart path itself — §5.1's log scan
-				// plus the full-audit fan-out.
-				if _, err := dev.Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+				th.Close()
+			}
+			dev := h.Device()
+			// Crash once (the crash *simulation* copies every touched
+			// chunk and would otherwise dominate the measurement); the
+			// timed section is the restart path itself — §5.1's log scan
+			// plus the full-audit fan-out.
+			if _, err := dev.Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Load(dev, opts); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Load(dev, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
