@@ -404,7 +404,7 @@ func recovery(cfg config) error {
 
 // flushes measures persistence traffic per operation (clwb-equivalents and
 // fences), the honest cost of each allocator's crash-consistency scheme:
-// Poseidon's whole-operation undo logging vs PMDK's redo-logged bitmap
+// Poseidon's one-record-per-operation redo log vs PMDK's redo-logged bitmap
 // updates vs Makalu's log-free header writes.
 func flushes(cfg config) error {
 	fmt.Println("# Extra — persistence traffic per alloc/free operation (256 B micro)")

@@ -114,7 +114,7 @@ func printReport(rep report) {
 		}
 	}
 	if r.PendingUndo > 0 {
-		fmt.Printf("pending:   %d undo-log entries (interrupted operation; recovery will revert it)\n", r.PendingUndo)
+		fmt.Printf("pending:   %d commit-record words not in place (interrupted operation; recovery will replay them)\n", r.PendingUndo)
 	}
 	if r.PendingTx > 0 {
 		fmt.Printf("pending:   %d micro-log entries (open transactions; recovery will roll them back)\n", r.PendingTx)

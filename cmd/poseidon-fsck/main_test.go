@@ -36,6 +36,15 @@ func corruptImage(t *testing.T) string {
 			t.Fatal(err)
 		}
 		if w == 0 {
+			// Two more commits, so the two commit records Load replays no
+			// longer hold p's record: replay would undo the flip.
+			q, err := th.Alloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := th.Free(q); err != nil {
+				t.Fatal(err)
+			}
 			slot, err := h.RecordSlot(p)
 			if err != nil {
 				t.Fatal(err)

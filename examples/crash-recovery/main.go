@@ -1,6 +1,6 @@
 // crash-recovery: crashes a heap at the worst possible moments and shows
 // Poseidon's recovery guarantees (§5.8): committed state survives, the
-// interrupted metadata operation is rolled back by the undo log, and
+// interrupted metadata operation is settled by the commit log, and
 // adversarial cacheline eviction cannot produce a torn heap.
 package main
 
@@ -67,7 +67,7 @@ func run() error {
 	}
 	fmt.Println("power failed (random surviving cachelines); restarting…")
 
-	// Restart: Load replays the undo logs and rolls back uncommitted
+	// Restart: Load replays the commit logs and rolls back uncommitted
 	// transactional allocations.
 	h2, err := core.Load(h.Device(), opts())
 	if err != nil {

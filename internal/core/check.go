@@ -22,24 +22,24 @@ type SubheapReport struct {
 	AllocatedBlocks  uint64
 	FreeBlocks       uint64
 	PendingUndo      uint64
-	PendingRemote    uint64 // un-drained remote-free ring entries
+	PendingRemote    uint64   // un-drained remote-free ring entries
 	Problems         []string `json:",omitempty"`
 }
 
 // CheckReport is the result of a full heap consistency audit.
 type CheckReport struct {
-	Subheaps        int
-	Formatted       int
-	Quarantined     int    // sub-heaps out of service
+	Subheaps         int
+	Formatted        int
+	Quarantined      int    // sub-heaps out of service
 	QuarantinedBytes uint64 // user capacity lost to quarantine
-	AllocatedBlocks uint64
-	FreeBlocks      uint64
-	PendingUndo     uint64 // committed undo entries awaiting replay
-	PendingTx       uint64 // micro-log entries of open transactions
-	PendingRemote   uint64 // un-drained remote-free ring entries
-	PendingCached   uint64 // magazine-cached blocks recorded in lane manifests
-	Problems        []string
-	SubheapReports  []SubheapReport
+	AllocatedBlocks  uint64
+	FreeBlocks       uint64
+	PendingUndo      uint64 // newest commit-record words not yet in place
+	PendingTx        uint64 // micro-log entries of open transactions
+	PendingRemote    uint64 // un-drained remote-free ring entries
+	PendingCached    uint64 // magazine-cached blocks recorded in lane manifests
+	Problems         []string
+	SubheapReports   []SubheapReport
 }
 
 // OK reports whether the audit found no structural problems in any
@@ -82,17 +82,14 @@ func (h *Heap) Check() (CheckReport, error) {
 	h.grant(h.sbThread)
 	defer h.revoke(h.sbThread)
 	for i := 0; i < h.lay.laneCount; i++ {
-		count, err := h.sbWin.ReadU64(h.lay.laneBase(i))
-		if err != nil {
+		switch lane, err := plog.OpenMicroLog(h.sbWin, h.lay.laneBase(i), h.lay.laneSize); {
+		case err == nil:
+			report.PendingTx += lane.Count()
+		case quarantinable(err):
+			report.Problems = append(report.Problems, fmt.Sprintf("micro lane %d: %v", i, err))
+		default:
 			return report, err
 		}
-		maxEntries := (h.lay.laneSize - 64) / 16
-		if count > maxEntries {
-			report.Problems = append(report.Problems,
-				fmt.Sprintf("micro lane %d: corrupt count %d", i, count))
-			continue
-		}
-		report.PendingTx += count
 	}
 	h.checkManifests(&report)
 	return report, nil
@@ -204,7 +201,9 @@ func (s *subheap) checkLocked(full bool) (SubheapReport, error) {
 	if err := s.ensureReady(); err != nil {
 		return report, err
 	}
-	report.PendingUndo = s.undo.Count()
+	if report.PendingUndo, err = s.log.Pending(); err != nil {
+		return report, err
+	}
 	g := s.mgr.Geometry()
 	problem := func(format string, args ...any) {
 		report.Problems = append(report.Problems, fmt.Sprintf(format, args...))

@@ -1,7 +1,8 @@
 // Package core implements the Poseidon persistent memory allocator:
 // per-CPU sub-heaps for scalability, fully segregated metadata guarded by
 // (modeled) Intel MPK, a multi-level hash table of memory-block records for
-// constant-time safety checks, and undo/micro logging for crash consistency.
+// constant-time safety checks, and commit-record/micro logging for crash
+// consistency.
 //
 // The exported facade for applications is the module-root package poseidon;
 // this package holds the implementation and is exercised directly by the
@@ -41,7 +42,7 @@ type Heap struct {
 	sbMu     sync.Mutex // guards superblock metadata (root pointer)
 	sbThread *mpk.Thread
 	sbWin    mpk.Window
-	sbUndo   *plog.UndoLog
+	sbLog    *plog.RedoLog
 	sbBatch  *txn.Batch
 
 	subheaps []*subheap
@@ -245,12 +246,11 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 		return nil, err
 	}
 	h.grant(h.sbThread)
-	h.sbUndo, err = plog.OpenUndoLog(h.sbWin, sbUndoOff, sbUndoSize)
+	err = h.sbLog.Open(false)
 	h.revoke(h.sbThread)
 	if err != nil {
 		return nil, fmt.Errorf("%w: superblock log: %v", ErrCorruptHeap, err)
 	}
-	h.sbBatch = txn.NewBatch(h.sbWin, h.sbUndo)
 	return h, nil
 }
 
@@ -298,6 +298,8 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		h.profWin = mpk.NewWindow(dev, h.profThread).
 			WithRecorder(nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassProfile))
 	}
+	h.sbLog = plog.NewRedoLog(h.sbWin, sbUndoOff, sbUndoSize)
+	h.sbBatch = txn.NewBatch(h.sbWin, h.sbLog)
 	// The black-box window exists even without telemetry: Attach-mode tools
 	// (poseidon-fsck, poseidon-inspect) replay the persistent ring from a
 	// crashed image with no registry wired.
@@ -440,13 +442,7 @@ func (h *Heap) format() error {
 	if err := w.PersistU64(sbInitializedOff, 1); err != nil {
 		return err
 	}
-	var err error
-	h.sbUndo, err = plog.OpenUndoLog(w, sbUndoOff, sbUndoSize)
-	if err != nil {
-		return err
-	}
-	h.sbBatch = txn.NewBatch(w, h.sbUndo)
-	return nil
+	return h.sbLog.Open(false)
 }
 
 // retry is nvm.Retry with the heap's stats counter and journal attached.
@@ -520,8 +516,9 @@ func readLayout(dev *nvm.Device) (layout, error) {
 }
 
 // recover replays all logs after a restart (paper §5.1, §5.8): first the
-// superblock and sub-heap undo logs restore metadata consistency, then the
-// micro-log lanes roll back uncommitted transactional allocations.
+// superblock's and every sub-heap's newest commit records restore metadata
+// consistency, then the micro-log lanes roll back uncommitted
+// transactional allocations.
 //
 // Recovery degrades instead of dying: transient device errors are retried
 // with bounded backoff, and a sub-heap whose metadata proves corrupt — log
@@ -554,15 +551,7 @@ func (h *Heap) recover() error {
 	err := h.retry(func() error {
 		h.grant(h.sbThread)
 		defer h.revoke(h.sbThread)
-		undo, err := plog.OpenUndoLog(h.sbWin, sbUndoOff, sbUndoSize)
-		if err != nil {
-			return err
-		}
-		if err := undo.Replay(); err != nil {
-			return err
-		}
-		h.sbUndo = undo
-		return nil
+		return h.sbLog.Open(true)
 	})
 	if err != nil {
 		if !quarantinable(err) {
@@ -570,7 +559,6 @@ func (h *Heap) recover() error {
 		}
 		return fmt.Errorf("%w: superblock log: %v", ErrCorruptHeap, err)
 	}
-	h.sbBatch = txn.NewBatch(h.sbWin, h.sbUndo)
 
 	par := runtime.GOMAXPROCS(0)
 	if err := h.recoverFanout(par); err != nil {
@@ -644,39 +632,6 @@ func (h *Heap) scrubOne(s *subheap) error {
 	return nil
 }
 
-// replayTxEntry rolls back one micro-log allocation against its sub-heap —
-// the per-entry body of the per-sub-heap replay (recovery.go). lane is the
-// entry's micro lane, used only for latency attribution. Returns only
-// fatal errors; no-op outcomes (quarantined target, already-reverted
-// allocation) are absorbed into the recovery counters.
-func (h *Heap) replayTxEntry(s *subheap, lane int, dev uint64) error {
-	if s.isQuarantined() {
-		// The block lives in a region already out of service; rolling
-		// it back would touch metadata we no longer trust.
-		s.stats.recoveredNoops.Add(1)
-		return nil
-	}
-	var start time.Time
-	if h.tel != nil {
-		start = time.Now()
-	}
-	err := s.freeAs(dev, nvm.ClassTxFree)
-	if h.tel != nil {
-		h.tel.RecordOn(lane, obs.OpTxFree, time.Since(start))
-	}
-	if err != nil {
-		// Invalid/double frees here mean the undo log already
-		// reverted this allocation; anything else is fatal.
-		if err == ErrInvalidFree || err == ErrDoubleFree {
-			s.stats.recoveredNoops.Add(1)
-			return nil
-		}
-		return err
-	}
-	s.stats.recoveredBlocks.Add(1)
-	return nil
-}
-
 // replayManifestEntry returns one cached block to its sub-heap's free list
 // — the per-entry body of the per-sub-heap replay (recovery.go). Entries
 // that fail to decode or point outside the heap never reach it: the scan
@@ -744,7 +699,7 @@ func (h *Heap) Root() (NVMPtr, error) {
 }
 
 // SetRoot durably stores the root pointer. The location and validity words
-// update failure-atomically under the superblock undo log.
+// update failure-atomically through the superblock's commit log.
 func (h *Heap) SetRoot(p NVMPtr) error {
 	if err := h.writable(); err != nil {
 		return err
@@ -771,9 +726,6 @@ func (h *Heap) SetRoot(p NVMPtr) error {
 	}
 	if err := b.Commit(); err != nil {
 		b.Abort()
-		if rerr := h.sbUndo.Replay(); rerr != nil {
-			return fmt.Errorf("poseidon: rollback after failed root update: %w", rerr)
-		}
 		return err
 	}
 	return nil
@@ -885,11 +837,17 @@ func (h *Heap) Stats() HeapStats {
 		out.MagazineRefills += s.stats.magazineRefills.Load()
 		out.MagazineFlushes += s.stats.magazineFlushes.Load()
 		out.RecoveredCached += s.stats.recoveredCached.Load()
+		n, b := s.log.Commits()
+		out.Commits += n
+		out.CommitBytes += b
 		if s.isQuarantined() {
 			out.QuarantinedSubheaps++
 			out.QuarantinedBytes += h.lay.userSize
 		}
 	}
+	n, b := h.sbLog.Commits()
+	out.Commits += n
+	out.CommitBytes += b
 	out.PermissionSwitches = h.unit.Switches()
 	out.TransientRetries = h.transientRetries.Load()
 	out.RepairedSubheaps = h.repairedSubheaps.Load()

@@ -49,7 +49,9 @@ func (h *Heap) InspectSubheap(i int) (SubheapInfo, error) {
 		return info, err
 	}
 	info.ActiveLevels = levels
-	info.UndoLogEntries = s.undo.Count()
+	if info.UndoLogEntries, err = s.log.Pending(); err != nil {
+		return info, err
+	}
 	err = s.mgr.ForEachRecord(s.win, func(rec memblock.Record) error {
 		if rec.Status == memblock.StatusAllocated {
 			info.AllocatedBlocks++
@@ -112,7 +114,7 @@ func (h *Heap) Inspect(w io.Writer) error {
 		fmt.Fprintf(w, "  sub-heap %d: %d allocated blocks (%d B), %d free blocks (%d B), %d hash levels\n",
 			i, info.AllocatedBlocks, info.AllocatedBytes, info.FreeBlocks, info.FreeBytes, info.ActiveLevels)
 		if info.UndoLogEntries > 0 {
-			fmt.Fprintf(w, "    WARNING: undo log holds %d entries (interrupted operation)\n", info.UndoLogEntries)
+			fmt.Fprintf(w, "    WARNING: %d commit-record words not in place (interrupted operation)\n", info.UndoLogEntries)
 		}
 	}
 	st := h.Stats()

@@ -12,14 +12,14 @@ import (
 //
 //	superblock region (MPK-protected)
 //	  +0        superblock header (one page)
-//	  +4 KiB    superblock undo log (root-pointer updates)
+//	  +4 KiB    superblock commit log (root-pointer updates)
 //	  +64 KiB   micro-log lane arena: MaxThreads lanes, one per Thread
 //	  (page-aligned) cache-manifest arena: magSlots words per lane,
 //	             the persistent shadow of per-thread block magazines
 //	sub-heap 0
 //	  +0        sub-heap header (one page)
-//	  +4 KiB    undo log
-//	  +4K+undo  memory-block metadata (free lists + multi-level hash table)
+//	  +4 KiB    commit log (UndoLogSize: two record slots)
+//	  +4K+log   memory-block metadata (free lists + multi-level hash table)
 //	  +metaSize user-data region (MPK key 0, freely writable)
 //	sub-heap 1 …
 //
@@ -174,7 +174,7 @@ func (l layout) ringBase(i int) uint64 {
 	return l.subheapBase(i) + shRingOff
 }
 
-// undoBase returns the device offset of sub-heap i's undo log.
+// undoBase returns the device offset of sub-heap i's commit log.
 func (l layout) undoBase(i int) uint64 {
 	return l.subheapBase(i) + shHeaderSize
 }

@@ -139,14 +139,7 @@ func (s *subheap) restoreMirrorLocked(img *mirrorImage) error {
 			return err
 		}
 	}
-	if err := s.batch.Commit(); err != nil {
-		s.batch.Abort()
-		if rerr := s.undo.Replay(); rerr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-		}
-		return err
-	}
-	return nil
+	return s.commit(nil)
 }
 
 // noteMirrorMutation counts one committed mutation and refreshes the mirror

@@ -45,7 +45,7 @@ type Options struct {
 	// SubheapMetaSize is the metadata bytes per sub-heap (header, logs,
 	// hash table). Default max(1 MiB, SubheapUserSize/16), page aligned.
 	SubheapMetaSize uint64
-	// UndoLogSize is the per-sub-heap undo-log bytes. Default 256 KiB.
+	// UndoLogSize is the per-sub-heap commit-log bytes. Default 256 KiB.
 	UndoLogSize uint64
 	// MaxThreads bounds concurrently open Thread handles (each owns one
 	// persistent micro-log lane). Default 256.
@@ -132,7 +132,7 @@ type Options struct {
 // enabled, each Thread keeps a DRAM stack of pre-carved block offsets per
 // small size class: Alloc pops and Free pushes without taking the sub-heap
 // lock or touching device metadata. An empty class refills in one batched
-// undo transaction (Capacity/2 blocks, one lock acquisition, one
+// commit (Capacity/2 blocks, one lock acquisition, one
 // flush+fence for the whole batch); an overfull class flushes Capacity/2
 // blocks back the same way. Every cached block is recorded in a persistent
 // cache manifest next to the thread's micro-log lane, so a crash can never
@@ -310,7 +310,7 @@ func (o Options) validate() error {
 		return fmt.Errorf("poseidon: sub-heap metadata size %d too small", o.SubheapMetaSize)
 	}
 	if o.UndoLogSize < 8<<10 || o.UndoLogSize >= o.SubheapMetaSize {
-		return fmt.Errorf("poseidon: undo log size %d out of range", o.UndoLogSize)
+		return fmt.Errorf("poseidon: commit log size %d out of range", o.UndoLogSize)
 	}
 	if o.MaxThreads < 1 || o.MaxThreads > 1<<20 {
 		return fmt.Errorf("poseidon: max threads %d out of range", o.MaxThreads)

@@ -296,10 +296,7 @@ func TestParallelScrubQuarantinesBoth(t *testing.T) {
 		}
 		for _, v := range victims {
 			if w == v {
-				slot := recordSlot(t, h, p)
-				if err := h.Device().InjectBitFlip(slot+8, 0); err != nil {
-					t.Fatal(err)
-				}
+				flipSizeBit(t, h, p)
 			}
 		}
 		th.Close()

@@ -7,12 +7,13 @@ import (
 
 // TestLockedOpPersistBudget pins the persistence cost of the locked hot
 // path exactly, from device-stat deltas on a warm heap: a plain Alloc and a
-// Free are one undo transaction each (seal, apply, truncate: 7 flushes, 3
-// fences), and a non-final TxAlloc adds the micro-log append's 2 flushes
-// and 2 fences to that. The op that lands on the mirrorInterval-th commit
-// also writes one mirror generation: one fence and the slot image's lines,
-// 5 at the 1 MiB test geometry (15 size classes) and 6 at the 16 and
-// 64 MiB sub-heaps the benchmark runs (19 and 21 classes).
+// Free are one commit each — a two-line record and one fence, then three
+// applied lines without one: 5 flushes, 1 fence. A TxAlloc adds its
+// micro-log append's flush and fence before the record, and a final one
+// the truncating epoch bump's. The op that lands on the mirrorInterval-th
+// commit also writes one mirror generation: one fence and the slot image's
+// lines, 5 at the 1 MiB test geometry (15 size classes) and 6 at the 16
+// and 64 MiB sub-heaps the benchmark runs (19 and 21 classes).
 func TestLockedOpPersistBudget(t *testing.T) {
 	for _, geo := range []struct {
 		user, mirrorLines uint64
@@ -29,8 +30,8 @@ func TestLockedOpPersistBudget(t *testing.T) {
 			th := newThread(t, h)
 			defer th.Close()
 
-			// Warm up: every log has taken its one-time format seal and the
-			// 256-byte class has a free block that needs no split.
+			// Warm up: the 256-byte class has a free block that needs no
+			// split.
 			for i := 0; i < 8; i++ {
 				p, err := th.Alloc(256)
 				if err != nil {
@@ -75,12 +76,18 @@ func TestLockedOpPersistBudget(t *testing.T) {
 				return err
 			}
 			free := func() error { return th.Free(p) }
-			measure("Alloc(256)", false, 7, 3, alloc)
-			measure("Free", false, 7, 3, free)
-			measure("Alloc(256) with mirror refresh", true, 7+geo.mirrorLines, 4, alloc)
-			measure("Free", false, 7, 3, free)
-			measure("TxAlloc(256, isEnd=false)", false, 9, 5, func() error {
+			measure("Alloc(256)", false, 5, 1, alloc)
+			measure("Free", false, 5, 1, free)
+			measure("Alloc(256) with mirror refresh", true, 5+geo.mirrorLines, 2, alloc)
+			measure("Free", false, 5, 1, free)
+			measure("TxAlloc(256, isEnd=false)", false, 6, 2, func() error {
 				_, err := th.TxAlloc(256, false)
+				return err
+			})
+			// The class's last free block: its list's head and tail share
+			// one line, so two applied lines.
+			measure("TxAlloc(256, isEnd=true)", false, 6, 3, func() error {
+				_, err := th.TxAlloc(256, true)
 				return err
 			})
 		})

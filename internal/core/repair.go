@@ -12,8 +12,6 @@ import (
 	"poseidon/internal/memblock"
 	"poseidon/internal/nvm"
 	"poseidon/internal/obs"
-	"poseidon/internal/plog"
-	"poseidon/internal/txn"
 )
 
 // Repair rebuilds the metadata of a quarantined sub-heap and returns it to
@@ -139,15 +137,11 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 		return false, err
 	}
 
-	// The undo log itself may be the corrupt structure. Try a normal
+	// The commit log itself may be the corrupt structure. Try a normal
 	// replay; if the log is unreadable, zero the whole region — a zeroed
-	// region is a valid empty log, and whatever half-committed batch it
-	// held is exactly what the rebuild below reconstructs around.
-	undo, uerr := plog.OpenUndoLog(s.win, s.h.lay.undoBase(s.id), s.h.lay.undoSize)
-	if uerr == nil {
-		uerr = undo.Replay()
-	}
-	if uerr != nil {
+	// region is a valid empty log, and whatever commit it held is exactly
+	// what the rebuild below reconstructs around.
+	if uerr := s.open(true); uerr != nil {
 		base, size := s.h.lay.undoBase(s.id), s.h.lay.undoSize
 		if err := s.win.Zero(base, size); err != nil {
 			return false, err
@@ -156,13 +150,10 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 			return false, err
 		}
 		s.win.Fence()
-		if undo, err = plog.OpenUndoLog(s.win, base, size); err != nil {
+		if err := s.open(false); err != nil {
 			return false, err
 		}
 	}
-	s.undo = undo
-	s.batch = txn.NewBatch(s.win, undo)
-	s.ready = true
 
 	// Strategy 1: mirror restore, audited before it counts.
 	if _, img := s.loadMirrorLocked(); img != nil {
@@ -209,35 +200,29 @@ type repairCand struct {
 }
 
 // repairChunkWords bounds how many staged words a rebuild accumulates
-// before committing — the undo log is finite, and chunked commits also
-// bound how much work a crash mid-repair throws away.
+// before committing, so chunked commits bound how much work a crash
+// mid-repair throws away. A small log bounds a chunk to half what one
+// commit record holds, leaving room for the free-list reset's run.
 const repairChunkWords = 256
 
 // rebuildLocked reconstructs the hash table and free lists from the
 // surviving records. Idempotent and convergent: every pass stages bounded
-// chunks through the undo log, so a crash at any point either replays the
-// last chunk back or leaves a prefix of valid work that the re-run (after
-// re-quarantine) redoes harmlessly.
+// chunks and commits them, so a crash at any point leaves a prefix of
+// valid work that the re-run (after re-quarantine) redoes harmlessly.
 func (s *subheap) rebuildLocked() error {
 	g := s.mgr.Geometry()
 	b := s.batch
 	b.Abort() // start from a clean batch whatever state repair found
+	chunk := min(repairChunkWords, s.log.MaxWords()/2)
 
 	commitChunk := func() error {
 		if b.Len() == 0 {
 			return nil
 		}
-		if err := b.Commit(); err != nil {
-			b.Abort()
-			if rerr := s.undo.Replay(); rerr != nil {
-				return fmt.Errorf("%w (rollback also failed: %v)", err, rerr)
-			}
-			return err
-		}
-		return nil
+		return s.commit(nil)
 	}
 	maybeCommit := func() error {
-		if b.Len() >= repairChunkWords {
+		if b.Len() >= chunk {
 			return commitChunk()
 		}
 		return nil

@@ -101,10 +101,7 @@ func TestRepairAfterBitFlip(t *testing.T) {
 	th1.Close()
 
 	// Corrupt the victim's size word on media: 128 -> 129.
-	slot := recordSlot(t, h, victim)
-	if err := h.Device().InjectBitFlip(slot+8, 0); err != nil {
-		t.Fatal(err)
-	}
+	flipSizeBit(t, h, victim)
 
 	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
 		t.Fatal(err)
@@ -362,10 +359,7 @@ func TestCrashMidRepairRequarantines(t *testing.T) {
 		}
 		th0.Close()
 		th1.Close()
-		slot := recordSlot(t, h, victim)
-		if err := h.Device().InjectBitFlip(slot+8, 0); err != nil {
-			t.Fatal(err)
-		}
+		flipSizeBit(t, h, victim)
 		if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
 			t.Fatal(err)
 		}

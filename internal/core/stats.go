@@ -32,7 +32,7 @@ type HeapStats struct {
 	InvalidFrees        uint64 // frees rejected: address not a block
 	DoubleFrees         uint64 // frees rejected: block already free
 	RecoveredBlocks     uint64 // uncommitted tx allocations freed at recovery
-	RecoveredNoops      uint64 // micro-log entries already rolled back by undo
+	RecoveredNoops      uint64 // rollback entries whose block was already free or unknown
 	RemoteFrees         uint64 // cross-sub-heap frees enqueued on remote-free rings
 	RemoteDrains        uint64 // ring entries drained (owner batches + recovery replay)
 	RingFallbacks       uint64 // remote frees that found a full ring and took the locked path
@@ -49,4 +49,6 @@ type HeapStats struct {
 	RepairedSubheaps    uint64 // quarantined sub-heaps returned to service by Repair
 	RepairedBytes       uint64 // user capacity returned to service by Repair
 	MirrorRestores      uint64 // repairs whose header came back from the metadata mirror
+	Commits             uint64 // commit records written, sub-heaps and superblock
+	CommitBytes         uint64 // payload bytes of those records
 }

@@ -64,7 +64,7 @@ func (s *subheap) defragment() (uint64, error) {
 // "filesystem" (the sparse device). Two things happen per sub-heap:
 //
 //  1. Shrink: while the topmost active hash-table level holds no live
-//     records, it is deactivated (an undo-logged header update) — the
+//     records, it is deactivated (a committed header update) — the
 //     inverse of ExtendLevel.
 //  2. Punch: the regions of all inactive levels are hole-punched, so their
 //     backing memory is released; they read as zero (= empty slots) and
@@ -99,31 +99,30 @@ func (s *subheap) trimMetadata() (uint64, error) {
 	}
 	g := s.mgr.Geometry()
 
-	// Shrink: drop empty topmost levels.
-	for {
-		levels, err := s.mgr.ActiveLevels(s.win)
-		if err != nil {
-			return 0, err
-		}
-		if levels <= 1 {
-			break
-		}
-		empty, err := s.levelEmpty(levels - 1)
+	// Shrink: drop empty topmost levels. The shrink commits twice, so
+	// neither of the two records recovery replays (plog.RedoLog) covers a
+	// word of a level the punch below zeroes.
+	levels, err := s.mgr.ActiveLevels(s.win)
+	if err != nil {
+		return 0, err
+	}
+	keep := levels
+	for keep > 1 {
+		empty, err := s.levelEmpty(keep - 1)
 		if err != nil {
 			return 0, err
 		}
 		if !empty {
 			break
 		}
-		if err := s.batch.WriteU64(g.HeaderOff, uint64(levels-1)); err != nil {
+		keep--
+	}
+	for i := 0; keep < levels && i < 2; i++ {
+		if err := s.batch.WriteU64(g.HeaderOff, uint64(keep)); err != nil {
 			s.batch.Abort()
 			return 0, err
 		}
-		if err := s.batch.Commit(); err != nil {
-			s.batch.Abort()
-			if rerr := s.undo.Replay(); rerr != nil {
-				return 0, rerr
-			}
+		if err := s.commit(nil); err != nil {
 			return 0, err
 		}
 	}
@@ -131,12 +130,8 @@ func (s *subheap) trimMetadata() (uint64, error) {
 	// Punch every inactive level's region. The zeroed state is exactly the
 	// all-empty-slots state, so a deactivated level that held tombstones
 	// comes back clean.
-	levels, err := s.mgr.ActiveLevels(s.win)
-	if err != nil {
-		return 0, err
-	}
 	var punched uint64
-	for l := levels; l < len(g.LevelOff); l++ {
+	for l := keep; l < len(g.LevelOff); l++ {
 		size := g.LevelCap[l] * memblock.RecordSize
 		if err := s.win.Device().PunchHole(g.LevelOff[l], size); err != nil {
 			return punched, err

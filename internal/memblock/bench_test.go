@@ -27,8 +27,8 @@ func benchTable(b *testing.B, metaBytes, userBytes uint64, blocks int) (*Manager
 	if err := m.Format(); err != nil {
 		b.Fatal(err)
 	}
-	log, err := plog.OpenUndoLog(w, 0, 1<<20)
-	if err != nil {
+	log := plog.NewRedoLog(w, 0, 1<<20)
+	if err := log.Open(false); err != nil {
 		b.Fatal(err)
 	}
 	batch := txn.NewBatch(w, log)

@@ -24,7 +24,7 @@ type fixture struct {
 	w   mpk.Window
 	m   *Manager
 	b   *txn.Batch
-	log *plog.UndoLog
+	log *plog.RedoLog
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -43,8 +43,8 @@ func newFixture(t *testing.T) *fixture {
 	if err := m.Format(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := plog.OpenUndoLog(w, testLogBase, testLogSize)
-	if err != nil {
+	log := plog.NewRedoLog(w, testLogBase, testLogSize)
+	if err := log.Open(false); err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{w: w, m: m, b: txn.NewBatch(w, log), log: log}
@@ -415,11 +415,8 @@ func TestTableMatchesModel(t *testing.T) {
 			if _, err := f.w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
 				t.Fatal(err)
 			}
-			log, err := plog.OpenUndoLog(f.w, testLogBase, testLogSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := log.Replay(); err != nil {
+			log := plog.NewRedoLog(f.w, testLogBase, testLogSize)
+			if err := log.Open(true); err != nil {
 				t.Fatal(err)
 			}
 			f.b = txn.NewBatch(f.w, log)

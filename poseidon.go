@@ -11,7 +11,7 @@
 //     user data and guarded by (modeled) Intel Memory Protection Keys.
 //     Stray writes into metadata fault; invalid and double frees are
 //     detected via the memory-block hash table and rejected.
-//   - Crash consistency: every metadata mutation is undo-logged, and
+//   - Crash consistency: every metadata mutation is one logged commit, and
 //     transactional allocations are micro-logged, so a crash at any point —
 //     including adversarial cacheline eviction — recovers to a consistent
 //     heap with no leaks from uncommitted transactions.
