@@ -18,11 +18,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The per-figure testing.B benchmarks (bounded sweeps), plus the magazine
-# before/after baseline (locked path vs lock-free fast path) as JSON.
+# The per-figure testing.B benchmarks (bounded sweeps).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/poseidon-bench -fig mags -out BENCH_magazines.json
 
 # Full figure regeneration (tables of Mops/sec vs threads + extras).
 figures:
@@ -39,4 +37,4 @@ examples:
 	rm -f heap.img tasks.img
 
 clean:
-	rm -f heap.img tasks.img test_output.txt bench_output.txt BENCH_magazines.json
+	rm -f heap.img tasks.img test_output.txt bench_output.txt

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -44,7 +43,6 @@ type config struct {
 	fig        string
 	maxThreads int
 	scale      int
-	out        string
 }
 
 func run() error {
@@ -52,7 +50,6 @@ func run() error {
 	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: 6, 7, 8, 9, ablation, all")
 	flag.IntVar(&cfg.maxThreads, "maxthreads", defaultThreads(), "largest thread count in the sweep")
 	flag.IntVar(&cfg.scale, "scale", 1, "work multiplier (larger = longer, steadier numbers)")
-	flag.StringVar(&cfg.out, "out", "", "also write the figure's machine-readable baseline JSON here (mags figure)")
 	metrics := flag.String("metrics", "", "serve /metrics, /vars and /debug/pprof on this address (empty = off)")
 	flag.Parse()
 
@@ -79,10 +76,9 @@ func run() error {
 		"frag":       fragmentation,
 		"flushes":    flushes,
 		"recovery":   recovery,
-		"mags":       mags,
 	}
 	if cfg.fig == "all" {
-		for _, name := range []string{"6", "7", "8", "9", "ablation", "contention", "frag", "flushes", "recovery", "mags"} {
+		for _, name := range []string{"6", "7", "8", "9", "ablation", "contention", "frag", "flushes", "recovery"} {
 			if err := figs[name](cfg); err != nil {
 				return fmt.Errorf("figure %s: %w", name, err)
 			}
@@ -114,14 +110,8 @@ func fig6(cfg config) error {
 	for _, size := range sizes {
 		fig := benchutil.Figure{Title: fmt.Sprintf(
 			"Figure 6 — microbenchmark, %d B objects (100 allocs + 100 frees in random order)", size)}
-		names := benchutil.AllocatorNames
-		if size <= 8<<10 {
-			// Magazines only cache the 8 smallest classes; the large-object
-			// rows would just duplicate the plain curve.
-			names = append(append([]string{}, names...), benchutil.MagsAllocatorName)
-		}
 		for _, threads := range benchutil.ThreadSweep(cfg.maxThreads) {
-			for _, name := range names {
+			for _, name := range benchutil.AllocatorNames {
 				a, err := benchutil.NewAllocator(name, benchutil.Config{
 					Threads:   threads,
 					HeapBytes: benchutil.MicroHeapBytes(size, threads),
@@ -409,21 +399,16 @@ func recovery(cfg config) error {
 func flushes(cfg config) error {
 	fmt.Println("# Extra — persistence traffic per alloc/free operation (256 B micro)")
 	fmt.Printf("%-14s %14s %14s %14s\n", "allocator", "flushes/op", "fences/op", "bytes/op")
-	names := append(append([]string{}, benchutil.AllocatorNames...), benchutil.MagsAllocatorName)
-	for _, name := range names {
+	for _, name := range benchutil.AllocatorNames {
 		var a alloc.Allocator
 		var err error
 		// Enable device stats for each allocator.
 		switch name {
-		case "poseidon", benchutil.MagsAllocatorName:
-			opts := core.Options{
-				Subheaps: 1, SubheapUserSize: 64 << 20, DeviceStats: true,
-			}
-			if name == benchutil.MagsAllocatorName {
-				opts.Magazines = benchutil.MagazineGeometry
-			}
+		case "poseidon":
 			var p *alloc.Poseidon
-			p, err = alloc.NewPoseidon(opts)
+			p, err = alloc.NewPoseidon(core.Options{
+				Subheaps: 1, SubheapUserSize: 64 << 20, DeviceStats: true,
+			})
 			a = p
 		case "pmdk":
 			a, err = pmdkalloc.New(pmdkalloc.Options{Capacity: 64 << 20, DeviceStats: true})
@@ -577,106 +562,5 @@ func ablation(cfg config) error {
 		fig2.Add(fmt.Sprintf("subheaps=%d", subheaps), threads, ops, d)
 	}
 	fig2.Print(os.Stdout)
-	return nil
-}
-
-// magVariant is one row of the machine-readable magazine baseline.
-type magVariant struct {
-	MopsSec         float64 `json:"mops_sec"`
-	FlushesPerOp    float64 `json:"flushes_per_op"`
-	FencesPerOp     float64 `json:"fences_per_op"`
-	LocksPerOp      float64 `json:"locks_per_op"`
-	MagazineHits    uint64  `json:"magazine_hits,omitempty"`
-	MagazineMisses  uint64  `json:"magazine_misses,omitempty"`
-	MagazineRefills uint64  `json:"magazine_refills,omitempty"`
-	MagazineFlushes uint64  `json:"magazine_flushes,omitempty"`
-}
-
-// mags is the magazine before/after baseline: the single-thread small-object
-// microbenchmark on the locked path vs the magazine fast path, with the
-// serialization and persistence-traffic counters behind EXPERIMENTS.md's
-// lock-acquisitions-per-op and flushes-per-op math. With -out it also writes
-// the numbers as JSON (the BENCH_magazines.json baseline `make bench` emits).
-func mags(cfg config) error {
-	fmt.Println("# Extra — per-thread magazines, 256 B micro, 1 thread (locked path vs magazine fast path)")
-	fmt.Printf("%-14s %12s %14s %14s %14s\n", "allocator", "Mops/sec", "flushes/op", "fences/op", "locks/op")
-	variants := map[string]magVariant{}
-	for _, name := range []string{"poseidon", benchutil.MagsAllocatorName} {
-		opts := core.Options{
-			Subheaps: 1, SubheapUserSize: 64 << 20, DeviceStats: true,
-		}
-		if name == benchutil.MagsAllocatorName {
-			opts.Magazines = benchutil.MagazineGeometry
-		}
-		a, err := alloc.NewPoseidon(opts)
-		if err != nil {
-			return err
-		}
-		h, err := a.Thread(0)
-		if err != nil {
-			return err
-		}
-		// Warm up (pays lazy formatting and the first refills), then measure
-		// a steady-state window.
-		if _, err := benchutil.MicroWorker(h, benchutil.MicroConfig{Size: 256, Rounds: 10, Seed: 1}); err != nil {
-			return err
-		}
-		devBefore := a.Heap().Device().StatsSnapshot()
-		heapBefore := a.Heap().Stats()
-		start := time.Now()
-		ops, err := benchutil.MicroWorker(h, benchutil.MicroConfig{Size: 256, Rounds: 200 * cfg.scale, Seed: 2})
-		if err != nil {
-			return err
-		}
-		d := time.Since(start)
-		devAfter := a.Heap().Device().StatsSnapshot()
-		heapAfter := a.Heap().Stats()
-		h.Close()
-		_ = a.Close()
-
-		per := func(b, aft uint64) float64 { return float64(aft-b) / float64(ops) }
-		v := magVariant{
-			MopsSec:         float64(ops) / d.Seconds() / 1e6,
-			FlushesPerOp:    per(devBefore.Flushes, devAfter.Flushes),
-			FencesPerOp:     per(devBefore.Fences, devAfter.Fences),
-			MagazineHits:    heapAfter.MagazineHits - heapBefore.MagazineHits,
-			MagazineMisses:  heapAfter.MagazineMisses - heapBefore.MagazineMisses,
-			MagazineRefills: heapAfter.MagazineRefills - heapBefore.MagazineRefills,
-			MagazineFlushes: heapAfter.MagazineFlushes - heapBefore.MagazineFlushes,
-		}
-		// The locked path takes the sub-heap lock once per alloc and once per
-		// free; the magazine path only locks for refills, overflow
-		// flush-backs, and ops that missed the magazine entirely.
-		if name == benchutil.MagsAllocatorName {
-			v.LocksPerOp = float64((ops-v.MagazineHits)+v.MagazineRefills+v.MagazineFlushes) / float64(ops)
-		} else {
-			v.LocksPerOp = 1.0
-		}
-		variants[name] = v
-		fmt.Printf("%-14s %12.3f %14.3f %14.3f %14.4f\n", name,
-			v.MopsSec, v.FlushesPerOp, v.FencesPerOp, v.LocksPerOp)
-	}
-	speedup := variants[benchutil.MagsAllocatorName].MopsSec / variants["poseidon"].MopsSec
-	fmt.Printf("# magazine speedup: %.2fx\n\n", speedup)
-
-	if cfg.out != "" {
-		baseline := struct {
-			Workload string                `json:"workload"`
-			Variants map[string]magVariant `json:"variants"`
-			Speedup  float64               `json:"speedup"`
-		}{
-			Workload: "micro: 256 B objects, 100 allocs + 100 frees per round in random order, 1 thread",
-			Variants: variants,
-			Speedup:  speedup,
-		}
-		data, err := json.MarshalIndent(baseline, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("# baseline written to %s\n", cfg.out)
-	}
 	return nil
 }

@@ -56,19 +56,16 @@ type recProbe struct {
 	pat []byte
 }
 
-// specOp is the last acknowledged op on one block address.
+// specOp is the last acknowledged op on one block address. Every op is
+// durable on return, magazine ops included, so the model is exact.
 type specOp struct {
 	live bool   // an allocation (else a free)
 	size uint64 // the allocating request's class size
-	// relaxed marks magazine fast-path ops: an Alloc of a magazined class
-	// or a Free of such a block is durable only at the thread's next sync
-	// point, so after a crash the block may be found either way.
-	relaxed bool
-	pat     []byte // the payload persisted into the allocated block, if any
+	pat  []byte // the payload persisted into the allocated block, if any
 }
 
 // freed is the entry an acknowledged free of op's block leaves behind.
-func (op specOp) freed() specOp { return specOp{size: op.size, relaxed: op.relaxed} }
+func (op specOp) freed() specOp { return specOp{size: op.size} }
 
 // classSize is the block size a request of n bytes is carved at: the next
 // power of two, at least 64 bytes.
@@ -110,8 +107,7 @@ func recoverySchedule(h *core.Heap, w, seed, ops int) (workerRun, error) {
 	alloc := func(size uint64) (core.NVMPtr, error) {
 		p, err := th.Alloc(size)
 		if err == nil {
-			run.ops[p] = specOp{live: true, size: classSize(size),
-				relaxed: size <= 64<<(recoveryMagClasses-1)}
+			run.ops[p] = specOp{live: true, size: classSize(size)}
 			run.held = append(run.held, p)
 		}
 		return p, err
@@ -217,19 +213,15 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe, recSpec) {
 			spec.ops[p] = op
 		}
 	}
-	// Undrained ring traffic: shard 0 frees one locked-path block each
-	// other worker still holds. The owners never run again before the
-	// crash, so the entries sit persisted in the rings for recovery to
-	// replay.
+	// Undrained ring traffic: shard 0 frees one block each other worker
+	// still holds. The owners never run again before the crash, so the
+	// entries sit persisted in the rings for recovery to replay.
 	th0, err := h.ThreadOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w < workers; w++ {
 		for _, p := range runs[w].held {
-			if spec.ops[p].relaxed {
-				continue
-			}
 			if err := th0.Free(p); err != nil {
 				t.Fatalf("cross-shard free into shard %d's ring: %v", w, err)
 			}
@@ -277,14 +269,14 @@ func checkSpec(t *testing.T, h *core.Heap, spec recSpec) {
 		t.Fatal(err)
 	}
 	defer th.Close()
-	var exactLive, relaxedLive uint64
+	var live uint64
 	for p, op := range spec.ops {
 		size, err := th.BlockSize(p)
 		allocated := err == nil
 		switch {
-		case op.live && !allocated && !op.relaxed:
+		case op.live && !allocated:
 			t.Errorf("%v: acknowledged %d B allocation lost: %v", p, op.size, err)
-		case !op.live && allocated && !op.relaxed:
+		case !op.live && allocated:
 			t.Errorf("%v: acknowledged free undone: allocated at %d B", p, size)
 		case allocated && size != op.size:
 			t.Errorf("%v: allocated at %d B, its request's class is %d B", p, size, op.size)
@@ -294,11 +286,8 @@ func checkSpec(t *testing.T, h *core.Heap, spec recSpec) {
 				t.Errorf("%v: persisted payload lost (read error %v)", p, err)
 			}
 		}
-		switch {
-		case op.relaxed && allocated:
-			relaxedLive++
-		case !op.relaxed && op.live:
-			exactLive++
+		if op.live {
+			live++
 		}
 	}
 	rep, err := h.Check()
@@ -308,11 +297,9 @@ func checkSpec(t *testing.T, h *core.Heap, spec recSpec) {
 	if !rep.OK() {
 		t.Errorf("recovery audit found problems: %v", rep.Problems)
 	}
-	if rep.AllocatedBlocks != exactLive+relaxedLive {
-		t.Errorf("census: %d allocated blocks, the model accounts for %d exact + %d relaxed",
-			rep.AllocatedBlocks, exactLive, relaxedLive)
+	if rep.AllocatedBlocks != live {
+		t.Errorf("census: %d allocated blocks, the model holds %d", rep.AllocatedBlocks, live)
 	}
-	t.Logf("census: %d allocated blocks = %d exact + %d relaxed", rep.AllocatedBlocks, exactLive, relaxedLive)
 	st := h.Stats()
 	if st.RecoveredBlocks != uint64(spec.openTx) {
 		t.Errorf("RecoveredBlocks = %d, want %d open TxAllocs rolled back", st.RecoveredBlocks, spec.openTx)

@@ -27,16 +27,6 @@ var AllocatorNames = []string{"poseidon", "pmdk", "makalu"}
 // cross-thread free workloads (Fig 7).
 const RingAllocatorName = "poseidon-rings"
 
-// MagsAllocatorName is the Poseidon variant with per-thread magazines on —
-// benchmarked against plain "poseidon" to measure what the lock-free
-// alloc/free fast path buys on small-object workloads (Fig 5/6).
-const MagsAllocatorName = "poseidon-mags"
-
-// MagazineGeometry is the magazine shape every benchmarked variant uses:
-// 64 blocks per class across the 8 smallest classes (64 B … 8 KiB), so a
-// refill of 32 blocks amortizes one lock + one flush+fence over 32 pops.
-var MagazineGeometry = core.MagazineOptions{Capacity: 64, Classes: 8}
-
 // Config sizes the heap for a workload.
 type Config struct {
 	// Threads is the maximum worker count the allocator must serve.
@@ -51,9 +41,6 @@ type Config struct {
 	// RemoteFreeRings enables Poseidon's remote-free rings (implied by the
 	// "poseidon-rings" allocator name).
 	RemoteFreeRings bool
-	// Magazines enables Poseidon's per-thread magazines with the standard
-	// MagazineGeometry (implied by the "poseidon-mags" allocator name).
-	Magazines bool
 }
 
 // defaultTelemetry is applied to every Poseidon heap NewAllocator builds
@@ -75,7 +62,7 @@ func NewAllocator(name string, cfg Config) (alloc.Allocator, error) {
 		cfg.HeapBytes = 512 << 20
 	}
 	switch name {
-	case "poseidon", RingAllocatorName, MagsAllocatorName:
+	case "poseidon", RingAllocatorName:
 		perSub := nextPow2(cfg.HeapBytes / uint64(cfg.Threads))
 		if perSub < 4<<20 {
 			perSub = 4 << 20
@@ -88,10 +75,6 @@ func NewAllocator(name string, cfg Config) (alloc.Allocator, error) {
 		if tel == nil {
 			tel = defaultTelemetry
 		}
-		var mags core.MagazineOptions
-		if cfg.Magazines || name == MagsAllocatorName {
-			mags = MagazineGeometry
-		}
 		return alloc.NewPoseidon(core.Options{
 			Subheaps:        cfg.Threads,
 			SubheapUserSize: perSub,
@@ -100,7 +83,6 @@ func NewAllocator(name string, cfg Config) (alloc.Allocator, error) {
 			Protection:      cfg.Protection,
 			Telemetry:       tel,
 			RemoteFreeRings: cfg.RemoteFreeRings || name == RingAllocatorName,
-			Magazines:       mags,
 		})
 	case "pmdk":
 		return pmdkalloc.New(pmdkalloc.Options{Capacity: cfg.HeapBytes})

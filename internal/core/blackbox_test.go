@@ -402,6 +402,7 @@ func TestWatchdogStallDetection(t *testing.T) {
 	tel := obs.NewWithOptions(obs.Options{Shards: 1})
 	opts := boxTestOptions(tel)
 	opts.Watchdog = WatchdogOptions{StallThreshold: 15 * time.Millisecond, Interval: 2 * time.Millisecond}
+	opts.Magazines = MagazineOptions{Classes: 1} // 128 B takes the locked path
 	h, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)

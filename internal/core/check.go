@@ -32,7 +32,7 @@ type CheckReport struct {
 	Formatted        int
 	Quarantined      int    // sub-heaps out of service
 	QuarantinedBytes uint64 // user capacity lost to quarantine
-	AllocatedBlocks  uint64
+	AllocatedBlocks  uint64 // allocated blocks no lane manifest names: the application's
 	FreeBlocks       uint64
 	PendingUndo      uint64 // newest commit-record words not yet in place
 	PendingTx        uint64 // micro-log entries of open transactions
@@ -59,8 +59,13 @@ func (r CheckReport) Healthy() bool { return r.OK() && r.Quarantined == 0 }
 // headers must be sane. It is the engine of cmd/poseidon-fsck and the
 // invariant oracle of the crash-injection tests. Quarantined sub-heaps are
 // reported but not audited — their metadata is already known bad.
+// AllocatedBlocks leaves out the blocks the magazines cache: every pop and
+// push persists its manifest word, so in a running process the census is
+// exactly the blocks the application holds.
 func (h *Heap) Check() (CheckReport, error) {
 	report := CheckReport{Subheaps: len(h.subheaps)}
+	var man CheckReport
+	cached := h.checkManifests(&man)
 	for _, s := range h.subheaps {
 		if s.isQuarantined() {
 			report.Quarantined++
@@ -72,7 +77,7 @@ func (h *Heap) Check() (CheckReport, error) {
 			})
 			continue
 		}
-		sub, err := s.check()
+		sub, err := s.check(cached)
 		if err != nil {
 			return report, err
 		}
@@ -91,7 +96,8 @@ func (h *Heap) Check() (CheckReport, error) {
 			return report, err
 		}
 	}
-	h.checkManifests(&report)
+	report.PendingCached = man.PendingCached
+	report.Problems = append(report.Problems, man.Problems...)
 	return report, nil
 }
 
@@ -99,12 +105,9 @@ func (h *Heap) Check() (CheckReport, error) {
 // decode, reference an in-bounds block of an in-range sub-heap, and no
 // block may be cached twice across all lanes (two magazines claiming the
 // same block would double-allocate it). Valid entries are counted, not
-// flagged — like pending ring entries, they are work recovery performs.
-// Caller holds the metadata grant.
-func (h *Heap) checkManifests(report *CheckReport) {
-	if h.lay.magSlots == 0 {
-		return
-	}
+// flagged — like pending ring entries, they are work recovery performs —
+// and returned, keyed by sub-heap<<subheapShift | offset.
+func (h *Heap) checkManifests(report *CheckReport) map[uint64]string {
 	cached := map[uint64]string{}
 	for i := 0; i < h.lay.laneCount; i++ {
 		base := h.lay.laneManifestBase(i)
@@ -142,6 +145,7 @@ func (h *Heap) checkManifests(report *CheckReport) {
 			}
 		}
 	}
+	return cached
 }
 
 // merge folds one sub-heap's report into the heap-wide aggregate.
@@ -159,17 +163,18 @@ func (r *CheckReport) merge(sub SubheapReport) {
 	}
 }
 
-// check audits one sub-heap and returns its classified report. Errors are
-// I/O-level failures (the audit could not run), not inconsistencies — those
-// land in the report's Problems.
-func (s *subheap) check() (SubheapReport, error) {
+// check audits one sub-heap and returns its classified report, leaving
+// the allocated blocks cached names (checkManifests' keys) out of the
+// census. Errors are I/O-level failures (the audit could not run), not
+// inconsistencies — those land in the report's Problems.
+func (s *subheap) check(cached map[uint64]string) (SubheapReport, error) {
 	s.mu.Lock()
 	s.h.grant(s.thread)
 	defer func() {
 		s.h.revoke(s.thread)
 		s.mu.Unlock()
 	}()
-	return s.checkLocked(true)
+	return s.checkLocked(true, cached)
 }
 
 // checkLocked is the audit body; the caller holds s.mu and the metadata
@@ -177,7 +182,7 @@ func (s *subheap) check() (SubheapReport, error) {
 // check (the marker is legitimately set mid-repair) and the remote-free ring
 // audit (the ring may still hold pending entries that repairRingLocked
 // replays afterwards).
-func (s *subheap) checkLocked(full bool) (SubheapReport, error) {
+func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapReport, error) {
 	report := SubheapReport{ID: s.id}
 	init, err := s.initializedFlag()
 	if err != nil {
@@ -223,7 +228,9 @@ func (s *subheap) checkLocked(full bool) (SubheapReport, error) {
 		}
 		switch rec.Status {
 		case memblock.StatusAllocated:
-			report.AllocatedBlocks++
+			if _, ok := cached[uint64(s.id)<<subheapShift|(rec.BlockOff-g.UserBase)]; !ok {
+				report.AllocatedBlocks++
+			}
 		case memblock.StatusFree:
 			report.FreeBlocks++
 		default:

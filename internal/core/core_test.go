@@ -430,10 +430,10 @@ func TestFreeDelaysReuse(t *testing.T) {
 	defer th.Close()
 	// Two blocks of the same class on the free list: freeing a third and
 	// allocating again must not hand back the just-freed block (tail
-	// insertion, §5.5).
-	a, _ := th.Alloc(64)
-	b, _ := th.Alloc(64)
-	c, _ := th.Alloc(64)
+	// insertion, §5.5). TxAllocs take the locked path.
+	a, _ := th.TxAlloc(64, true)
+	b, _ := th.TxAlloc(64, true)
+	c, _ := th.TxAlloc(64, true)
 	if err := th.Free(a); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestFreeDelaysReuse(t *testing.T) {
 	if err := th.Free(c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := th.Alloc(64)
+	got, err := th.TxAlloc(64, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,13 @@ func TestProbeWindowDefrag(t *testing.T) {
 	defer th.Close()
 
 	// Two adjacent 64 B buddies (offsets 0 and 64 of the region, since the
-	// first splits carve the region front-to-back).
-	a, err := th.Alloc(64)
+	// first splits carve the region front-to-back), carved by the locked
+	// path.
+	a, err := th.TxAlloc(64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := th.Alloc(64)
+	b, err := th.TxAlloc(64, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,9 @@ type Heap struct {
 	freeLanes []int
 	nextShard atomic.Uint32
 
-	// magsOn is set when Options.Magazines is enabled AND the image's
-	// manifest arena is large enough for the requested geometry; magCap
-	// and magClasses are the effective per-thread magazine shape.
+	// magsOn is set unless the image's manifest arena is too small for
+	// Options.Magazines or its sub-heaps too wide for a manifest word;
+	// magCap and magClasses are the effective per-thread magazine shape.
 	magsOn     bool
 	magCap     int
 	magClasses int
@@ -332,26 +332,22 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		}
 		h.subheaps[i] = s
 	}
-	if opts.Magazines.Capacity > 0 {
-		g, err := lay.memblockGeometry(0)
-		if err != nil {
-			return nil, err
-		}
-		classes := opts.Magazines.Classes
-		if classes > g.NumClasses {
-			classes = g.NumClasses
-		}
-		if need := uint64(classes) * uint64(opts.Magazines.Capacity); need <= lay.magSlots {
-			h.magsOn = true
-			h.magCap = opts.Magazines.Capacity
-			h.magClasses = classes
-		} else {
-			// An old or differently-sized image: run without magazines
-			// rather than fail the open.
-			h.tel.Emit(obs.EventRecovery, -1, fmt.Sprintf(
-				"magazines disabled: image provisions %d manifest words per lane, geometry needs %d",
-				lay.magSlots, need))
-		}
+	g, err := lay.memblockGeometry(0)
+	if err != nil {
+		return nil, err
+	}
+	classes := min(opts.Magazines.Classes, g.NumClasses, maxMarkedClasses)
+	if need := uint64(classes) * uint64(opts.Magazines.Capacity); need <= lay.magSlots &&
+		lay.userSize-1 <= plog.MaxCacheRel {
+		h.magsOn = true
+		h.magCap = opts.Magazines.Capacity
+		h.magClasses = classes
+	} else {
+		// An old or differently-sized image: run without magazines
+		// rather than fail the open.
+		h.tel.Emit(obs.EventRecovery, -1, fmt.Sprintf(
+			"magazines disabled: image provisions %d manifest words per lane for %d-byte sub-heaps, sizing needs %d",
+			lay.magSlots, lay.userSize, need))
 	}
 	if opts.Protection == ProtectMPKHardened {
 		authority, err := unit.Seal()
@@ -614,7 +610,7 @@ func (h *Heap) scrubOne(s *subheap) error {
 	var sub SubheapReport
 	err := h.retry(func() error {
 		var e error
-		sub, e = s.check()
+		sub, e = s.check(nil)
 		return e
 	})
 	switch {
@@ -630,41 +626,6 @@ func (h *Heap) scrubOne(s *subheap) error {
 		return fmt.Errorf("sub-heap %d scrub: %w", s.id, err)
 	}
 	return nil
-}
-
-// replayManifestEntry returns one cached block to its sub-heap's free list
-// — the per-entry body of the per-sub-heap replay (recovery.go). Entries
-// that fail to decode or point outside the heap never reach it: the scan
-// leaves them in place for the audit. It reports whether
-// the manifest word may be cleared: processed entries (freed, or no-op
-// because the cache push never became durable) clear; entries naming a
-// quarantined sub-heap stay in place — that capacity is out of service
-// anyway, and the surviving word keeps replay idempotent if the sub-heap
-// is later repaired. Returns only fatal errors.
-func (h *Heap) replayManifestEntry(s *subheap, rel uint64) (clear bool, _ error) {
-	if s.isQuarantined() {
-		s.stats.recoveredNoops.Add(1)
-		return false, nil
-	}
-	switch err := s.freeAs(h.lay.userBase(s.id)+rel, nvm.ClassRecovery); {
-	case err == nil:
-		s.stats.recoveredCached.Add(1)
-		return true, nil
-	case errors.Is(err, ErrInvalidFree) || errors.Is(err, ErrDoubleFree):
-		// The block was never durably removed from its free list (or a
-		// later flush-back already returned it) — nothing leaked.
-		s.stats.recoveredNoops.Add(1)
-		return true, nil
-	case errors.Is(err, ErrSubheapQuarantined):
-		s.stats.recoveredNoops.Add(1)
-		return false, nil
-	case quarantinable(err):
-		s.quarantine(fmt.Sprintf("cache manifest replay failed: %v", err))
-		s.stats.recoveredNoops.Add(1)
-		return false, nil
-	default:
-		return false, err
-	}
 }
 
 // HeapID returns the heap's persistent identity.

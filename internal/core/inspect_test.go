@@ -15,10 +15,11 @@ func TestInspectSubheap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer t0.Close()
-	if _, err := t0.Alloc(64); err != nil {
+	// Locked-path carves: a magazine refill would carve a whole batch.
+	if _, err := t0.TxAlloc(64, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t0.Alloc(4096); err != nil {
+	if _, err := t0.TxAlloc(4096, true); err != nil {
 		t.Fatal(err)
 	}
 	info, err := h.InspectSubheap(0)

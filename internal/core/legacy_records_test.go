@@ -141,6 +141,14 @@ func TestParentFormatRecordsLoad(t *testing.T) {
 			t.Fatalf("parent-format records journalled %d %s events", events[kind], kind)
 		}
 	}
+	for _, s := range h2.subheaps {
+		s.mu.Lock()
+		gen, _ := s.loadMirrorLocked()
+		s.mu.Unlock()
+		if gen != 0 {
+			t.Fatalf("sub-heap %d: parent-format mirror read as generation %d", s.id, gen)
+		}
+	}
 	if got := h2.ProfileEpoch(); got != 1 || len(h2.Telemetry().Profiler().Sites()) != 0 {
 		t.Fatalf("parent-format profile adopted: epoch %d, %d sites", got, len(h2.Telemetry().Profiler().Sites()))
 	}
@@ -152,14 +160,6 @@ func TestParentFormatRecordsLoad(t *testing.T) {
 	}
 	if got := countBoxEvents(tl, "scrub_finding"); got != 3 {
 		t.Fatalf("replayed %d pre-rewrite black-box markers, want 3", got)
-	}
-	for _, s := range h2.subheaps {
-		s.mu.Lock()
-		gen, _ := s.loadMirrorLocked()
-		s.mu.Unlock()
-		if gen != 0 {
-			t.Fatalf("sub-heap %d: parent-format mirror read as generation %d", s.id, gen)
-		}
 	}
 
 	// Without a mirror the corrupted header heals by rebuild.

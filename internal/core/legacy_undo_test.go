@@ -88,14 +88,14 @@ func TestLegacyUndoImageRollsBack(t *testing.T) {
 	for _, pre := range []bool{false, true} {
 		h := newTestHeap(t)
 		th := newThread(t, h)
-		for i := 0; i < 4; i++ {
-			if _, err := th.Alloc(256); err != nil {
+		for i := 0; i < 4; i++ { // TxAllocs: one locked carve each
+			if _, err := th.TxAlloc(256, true); err != nil {
 				t.Fatal(err)
 			}
 		}
 		shard := th.Shard()
 		before := metaWords(t, h, shard)
-		if _, err := th.Alloc(256); err != nil {
+		if _, err := th.TxAlloc(256, true); err != nil {
 			t.Fatal(err)
 		}
 		old := map[uint64]uint64{}

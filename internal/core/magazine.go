@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"poseidon/internal/memblock"
 	"poseidon/internal/nvm"
@@ -10,43 +12,25 @@ import (
 	"poseidon/internal/plog"
 )
 
-// Per-thread block magazines (Options.Magazines): the lock-free fast path
-// for small allocations.
+// Per-thread block magazines (Options.Magazines): the lock-free path for
+// small allocations.
 //
 // A magazine is a DRAM stack of pre-carved block offsets per small size
-// class. Alloc pops — no lock, no flush, no device metadata read; a
-// same-shard Free pushes. The persistent shadow is the thread's cache
+// class. Alloc pops without a lock or a commit; a same-shard Free of a
+// popped block pushes. The persistent shadow is the thread's cache
 // manifest (plog.Manifest, one 8-byte checksummed word per cached block,
-// adjacent to its micro-log lane): refill writes its entries inside the
-// carve transaction's commit hook with one flush+fence for the whole
-// batch, so a crash can never leak a magazine — recovery returns every
-// surviving entry's block to its free list idempotently.
+// adjacent to its micro-log lane). A refill writes its entries inside the
+// carve's commit hook, so a crash can never leak a magazine: recovery
+// returns every surviving entry's block to its free list. Every pop clears
+// its word and every push sets one with a single store, flush and fence
+// before returning, so each magazine Alloc and Free is as durable on
+// return as a locked one, and the manifest names exactly the cached
+// blocks.
 //
-// Fast-path pops and pushes update their manifest word with a plain
-// store. Durability of an individual pop/push therefore defers to the
-// next explicit sync point (Thread.SyncMagazines or Thread.Close): after
-// a crash, a dropped push-entry replays as if the free never happened,
-// and a resurrected pre-pop entry rolls the allocation back — the same
-// visibility hazard as a transactional allocation whose lane never
-// committed, now extended to the magazined singleton path.
-//
-// Known limitation: a block sitting in one thread's magazine is still
-// StatusAllocated on the device, so a buggy free of it from a DIFFERENT
-// thread is accepted by the locked path instead of being rejected as a
-// double free. The owning thread detects its own double frees via the
-// track map below.
-
-const (
-	// magStateCached marks a tracked block currently cached in the
-	// magazine (vs popped out to the application).
-	magStateCached = 1
-
-	// maxMagTrack bounds the track map. Cached blocks are always tracked
-	// (they are bounded by classes×capacity and correctness depends on
-	// them); beyond the bound, popped blocks simply go untracked — their
-	// frees take the safe locked path.
-	maxMagTrack = 1 << 15
-)
+// A cached block stays allocated on the device, so the sub-heap's block
+// marks (blockMarks) tell the free paths apart: a free of a cached block is
+// a double free whichever thread issues it, and only a block that left a
+// magazine through a pop may go back into one.
 
 // magazine is the DRAM half of a thread's block cache.
 type magazine struct {
@@ -57,16 +41,6 @@ type magazine struct {
 	// blocks[c] is class c's stack of cached user-region-relative block
 	// offsets; manifest words [c*cap, c*cap+len) mirror it positionally.
 	blocks [][]uint64
-
-	// track maps rel → class<<1 | state for blocks this magazine has
-	// touched: cached entries catch same-thread double frees, popped
-	// entries route the eventual free back onto the fast path with the
-	// class already known.
-	track map[uint64]uint8
-
-	// dirty is a per-class bitmap of manifest windows touched since the
-	// last sync; a clean class costs zero device ops at sync time.
-	dirty uint64
 
 	// disabled latches the magazine off (quarantined shard, uncleanable
 	// adopted manifest, failed flush-back); all ops take the locked path.
@@ -79,12 +53,97 @@ func newMagazine(classes, capacity int, man plog.Manifest) *magazine {
 		cap:     capacity,
 		man:     man,
 		blocks:  make([][]uint64, classes),
-		track:   make(map[uint64]uint8),
 	}
 	for c := range m.blocks {
 		m.blocks[c] = make([]uint64, 0, capacity)
 	}
 	return m
+}
+
+// Block marks: one 4-bit state per 64-byte granule of a sub-heap's user
+// region, sixteen to a word, kept on the granule a block starts at.
+// markCached means the block sits in some thread's magazine; markPopped+c
+// means a magazine popped it (class c) and it has not been freed since;
+// markNone covers everything else. Refills set markCached, pops move it to
+// markPopped+c, and flush-backs and locked frees clear it. Marks change
+// only by compare-and-swap, so of two frees racing for one popped block
+// exactly one claims it. The marks are DRAM only, allocated at the
+// sub-heap's first refill (a sub-heap no magazine refills from pays
+// nothing), and start empty after Load, since recovery frees every block a
+// manifest names.
+type blockMarks struct{ words []atomic.Uint64 }
+
+const (
+	markNone   = 0
+	markCached = 1
+	markPopped = 2
+
+	// maxMarkedClasses is how many classes a popped mark can name.
+	maxMarkedClasses = 16 - markPopped
+)
+
+func newBlockMarks(userSize uint64) *blockMarks {
+	return &blockMarks{words: make([]atomic.Uint64, (userSize>>memblock.MinClassLog+15)/16)}
+}
+
+// word returns the word and bit shift holding rel's mark; ok is false for
+// an offset that is not granule-aligned, which no block starts at.
+func (m *blockMarks) word(rel uint64) (w *atomic.Uint64, shift uint, ok bool) {
+	if rel&(1<<memblock.MinClassLog-1) != 0 {
+		return nil, 0, false
+	}
+	g := rel >> memblock.MinClassLog
+	return &m.words[g/16], uint(g%16) * 4, true
+}
+
+// get returns the mark of the block at rel.
+func (m *blockMarks) get(rel uint64) uint64 {
+	w, sh, ok := m.word(rel)
+	if !ok {
+		return markNone
+	}
+	return w.Load() >> sh & 15
+}
+
+// swap moves the mark of the block at rel from old to new and reports
+// whether it held old.
+func (m *blockMarks) swap(rel, old, new uint64) bool {
+	w, sh, ok := m.word(rel)
+	if !ok {
+		return false
+	}
+	for {
+		v := w.Load()
+		if v>>sh&15 != old {
+			return false
+		}
+		if w.CompareAndSwap(v, v&^(15<<sh)|new<<sh) {
+			return true
+		}
+	}
+}
+
+// release clears the popped mark of the block at rel, if it has one, and
+// reports whether the block is cached instead.
+func (m *blockMarks) release(rel uint64) (cached bool) {
+	for {
+		switch mark := m.get(rel); {
+		case mark == markCached:
+			return true
+		case mark == markNone || m.swap(rel, mark, markNone):
+			return false
+		}
+	}
+}
+
+// set overwrites the mark of the block at rel.
+func (m *blockMarks) set(rel, mark uint64) {
+	w, sh, ok := m.word(rel)
+	if !ok {
+		return
+	}
+	for v := w.Load(); !w.CompareAndSwap(v, v&^(15<<sh)|mark<<sh); v = w.Load() {
+	}
 }
 
 // magClassOf mirrors memblock.Geometry.ClassOf for the in-range sizes the
@@ -98,111 +157,115 @@ func magClassOf(size uint64) int {
 }
 
 // magAlloc is the allocation fast path: pop a cached block, refilling the
-// class from the sub-heap in one batched transaction when empty. Reports
-// handled=false (and the caller takes the locked path) when magazines are
-// off, the size is not magazined, the shard is quarantined, or the refill
-// could not deliver.
-func (t *Thread) magAlloc(size uint64) (NVMPtr, bool) {
+// class from the sub-heap in one commit when empty. Reports handled=false
+// (and the caller takes the locked path) when the size is not magazined,
+// the shard is quarantined, or the refill found no space; any other
+// refill error is the Alloc's.
+func (t *Thread) magAlloc(size uint64) (_ NVMPtr, handled bool, _ error) {
 	m := t.mag
 	if m == nil || m.disabled || size == 0 {
-		return NVMPtr{}, false
+		return NVMPtr{}, false, nil
 	}
 	class := magClassOf(size)
 	if class >= m.classes {
-		return NVMPtr{}, false
+		return NVMPtr{}, false, nil
 	}
 	s := t.h.subheaps[t.shard]
 	if s.isQuarantined() {
 		// Leave any cached entries in the manifest: the capacity is out
 		// of service and recovery/audit owns the evidence.
 		m.disabled = true
-		return NVMPtr{}, false
+		return NVMPtr{}, false, nil
 	}
-	if len(m.blocks[class]) == 0 && !t.magRefill(s, class) {
-		s.stats.magazineMisses.Add(1)
-		return NVMPtr{}, false
+	if len(m.blocks[class]) == 0 {
+		if err := t.magRefill(s, class); err != nil {
+			s.stats.magazineMisses.Add(1)
+			if errors.Is(err, ErrOutOfMemory) || errors.Is(err, ErrSubheapQuarantined) {
+				return NVMPtr{}, false, nil
+			}
+			return NVMPtr{}, true, err
+		}
 	}
 	stack := m.blocks[class]
 	d := len(stack) - 1
 	rel := stack[d]
-	// Clear the manifest word with a plain store: the pop's durability
-	// defers to the next sync point (the relaxed magazine contract).
-	if t.magWriteWord(m.man.WordOff(uint64(class*m.cap+d)), 0, nvm.ClassAlloc) != nil {
+	if t.magPersistWord(m.man.WordOff(uint64(class*m.cap+d)), 0, nvm.ClassAlloc) != nil {
 		s.stats.magazineMisses.Add(1)
-		return NVMPtr{}, false
+		return NVMPtr{}, false, nil
 	}
 	m.blocks[class] = stack[:d]
-	m.dirty |= 1 << uint(class)
-	if len(m.track) < maxMagTrack {
-		m.track[rel] = uint8(class) << 1 // popped
-	} else {
-		delete(m.track, rel)
-	}
+	s.marks.Load().set(rel, markPopped+uint64(class))
 	s.stats.allocs.Add(1)
 	s.stats.magazineHits.Add(1)
-	return makePtr(t.h.heapID, uint16(t.shard), rel), true
+	return makePtr(t.h.heapID, uint16(t.shard), rel), true, nil
 }
 
-// magRefill fills class from the sub-heap: one lock acquisition, one
-// commit, one flush+fence for the whole batch of manifest entries.
-func (t *Thread) magRefill(s *subheap, class int) bool {
+// magRefill fills class to capacity from the sub-heap: one lock
+// acquisition, one commit, one flush+fence for the whole batch of
+// manifest entries.
+func (t *Thread) magRefill(s *subheap, class int) error {
 	m := t.mag
-	want := m.cap / 2
-	if want < 1 {
-		want = 1
-	}
-	blocks, err := s.refillMagazine(class, want, m.man, uint64(class*m.cap))
-	if err != nil || len(blocks) == 0 {
-		return false
+	blocks, err := s.refillMagazine(class, m.cap, m.man, uint64(class*m.cap))
+	if err != nil {
+		return err
 	}
 	base := t.h.lay.userBase(t.shard)
 	for _, dev := range blocks {
-		rel := dev - base
-		m.blocks[class] = append(m.blocks[class], rel)
-		m.track[rel] = uint8(class)<<1 | magStateCached
+		m.blocks[class] = append(m.blocks[class], dev-base)
 	}
-	m.dirty |= 1 << uint(class)
-	return true
+	return nil
 }
 
-// magFree is the free fast path: push a block this magazine previously
-// popped back onto its class stack, flushing half the stack back to the
-// sub-heap first when full. Reports handled=false for anything it cannot
-// prove safe lock-free — the caller takes the locked (or remote-ring)
-// path. A free of a block currently CACHED here is this thread's own
-// double free: rejected without touching the device.
+// magFree is the free fast path: claim a popped block of this thread's
+// shard and push it onto its class stack, flushing half the stack back to
+// the sub-heap first when full. A free of a cached block is a double free,
+// rejected without touching the device. Reports handled=false for every
+// other block, and when another free claims the block first: the caller
+// takes the locked (or remote-ring) path.
 func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 	m := t.mag
 	if m == nil || m.disabled || int(p.Subheap()) != t.shard {
 		return false, nil
 	}
-	rel := p.Offset()
-	enc, tracked := m.track[rel]
-	if !tracked {
+	s := t.h.subheaps[t.shard]
+	marks := s.marks.Load()
+	if marks == nil {
 		return false, nil
 	}
-	s := t.h.subheaps[t.shard]
-	if enc&magStateCached != 0 {
+	rel := p.Offset()
+	mark := marks.get(rel)
+	switch {
+	case mark == markCached:
 		s.stats.doubleFrees.Add(1)
 		return true, ErrDoubleFree
-	}
-	class := int(enc >> 1)
-	if class >= m.classes || s.isQuarantined() {
+	case mark < markPopped || s.isQuarantined():
 		return false, nil
 	}
+	class := int(mark - markPopped)
 	if len(m.blocks[class]) == m.cap && !t.magOverflow(s, class) {
 		s.stats.magazineMisses.Add(1)
 		return false, nil
 	}
+	if !marks.swap(rel, mark, markCached) {
+		return false, nil
+	}
 	d := len(m.blocks[class])
-	word := plog.EncodeCacheEntry(rel, uint16(t.shard))
-	if t.magWriteWord(m.man.WordOff(uint64(class*m.cap+d)), word, nvm.ClassFree) != nil {
+	off := m.man.WordOff(uint64(class*m.cap + d))
+	if err := t.magPersistWord(off, plog.EncodeCacheEntry(rel, uint16(t.shard)), nvm.ClassFree); err != nil {
+		// The word may have reached the device: the locked path may free
+		// the block only once it is cleared, or recovery would free it
+		// again. Failing that, the block stays cached and the magazine
+		// latches off; the next Load returns the block if the word is
+		// durable.
+		if t.h.retry(func() error { return t.magPersistWord(off, 0, nvm.ClassFree) }) != nil {
+			m.disabled = true
+			return true, err
+		}
+		marks.set(rel, markNone)
 		s.stats.magazineMisses.Add(1)
 		return false, nil
 	}
 	m.blocks[class] = append(m.blocks[class], rel)
-	m.dirty |= 1 << uint(class)
-	m.track[rel] = uint8(class)<<1 | magStateCached
 	s.stats.frees.Add(1)
 	s.stats.magazineHits.Add(1)
 	return true, nil
@@ -217,11 +280,10 @@ func (t *Thread) magOverflow(s *subheap, class int) bool {
 	n := m.cap / 2
 	stack := m.blocks[class]
 	d := len(stack)
-	top := stack[d-n:]
 	base := t.h.lay.userBase(t.shard)
 	devs := make([]uint64, n)
 	words := make([]uint64, n)
-	for i, rel := range top {
+	for i, rel := range stack[d-n:] {
 		devs[i] = base + rel
 		words[i] = uint64(class*m.cap + d - n + i)
 	}
@@ -229,53 +291,40 @@ func (t *Thread) magOverflow(s *subheap, class int) bool {
 		m.disabled = true
 		return false
 	}
-	for _, rel := range top {
-		delete(m.track, rel)
-	}
 	m.blocks[class] = stack[:d-n]
 	return true
 }
 
-// magSyncAll is the magazine durability sync point: every cached block
-// returns to its free list, and every dirty class's full manifest window
-// is cleared, flushed and fenced — covering the plain-store pops and
-// pushes since the last sync, which makes every earlier magazine-path
-// Alloc and Free on this thread durable. A magazine that was never
-// touched since the last sync costs zero device ops. On error the blocks
-// not yet freed stay durably recorded in the manifest (the next Load or
+// magFlushAll returns every block cached in this thread's magazines to its
+// sub-heap (Close, and an Alloc that ran out of space) and reports how
+// many it freed. An empty magazine costs zero device ops. On error the
+// blocks not yet freed stay recorded in the manifest (the next Load or
 // lane adoption reclaims them) and the magazine latches off.
-func (t *Thread) magSyncAll() error {
+func (t *Thread) magFlushAll() (int, error) {
 	m := t.mag
-	if m == nil || m.disabled || m.dirty == 0 {
-		return nil
+	if m == nil || m.disabled {
+		return 0, nil
 	}
 	base := t.h.lay.userBase(t.shard)
-	var devs, words, rest []uint64
+	var devs, words []uint64
 	for class, stack := range m.blocks {
 		for i, rel := range stack {
 			devs = append(devs, base+rel)
 			words = append(words, uint64(class*m.cap+i))
 		}
-		if m.dirty&(1<<uint(class)) != 0 {
-			for i := len(stack); i < m.cap; i++ {
-				rest = append(rest, uint64(class*m.cap+i))
-			}
-		}
 	}
-	words = append(words, rest...)
-	s := t.h.subheaps[t.shard]
-	if _, err := s.flushCached(devs, m.man, words); err != nil {
+	if len(devs) == 0 {
+		return 0, nil
+	}
+	n, err := t.h.subheaps[t.shard].flushCached(devs, m.man, words)
+	if err != nil {
 		m.disabled = true
-		return err
+		return n, err
 	}
-	for class, stack := range m.blocks {
-		for _, rel := range stack {
-			delete(m.track, rel)
-		}
-		m.blocks[class] = stack[:0]
+	for class := range m.blocks {
+		m.blocks[class] = m.blocks[class][:0]
 	}
-	m.dirty = 0
-	return nil
+	return n, nil
 }
 
 // magAdopt cleans a recycled lane's manifest before this thread starts
@@ -283,9 +332,10 @@ func (t *Thread) magSyncAll() error {
 // successful Close flush-back (the heap stayed open, so no recovery ran).
 // Valid entries are flushed back to their owning sub-heaps — adopting
 // them into this magazine is unsound, they may belong to other shards —
-// and their words cleared. Anything that cannot be cleaned (corrupt word,
-// out-of-bounds entry, quarantined owner, device error) leaves ALL the
-// evidence in place for check/recovery and latches the magazine off.
+// and their words and marks cleared. Anything that cannot be cleaned
+// (corrupt word, out-of-bounds entry, quarantined owner, device error)
+// leaves ALL the evidence in place for check/recovery and latches the
+// magazine off.
 func (t *Thread) magAdopt() {
 	m := t.mag
 	type pending struct {
@@ -332,30 +382,17 @@ func (t *Thread) magAdopt() {
 	}
 }
 
-// magWriteWord is one plain manifest-word store under the thread's grant,
-// charged to the given attribution class (the manifest lives in protected
-// superblock metadata, and the producer is an application thread — the
-// same discipline as a remote-free ring publish).
-func (t *Thread) magWriteWord(off, v uint64, cls nvm.OpClass) error {
+// magPersistWord stores, flushes and fences one manifest word under the
+// thread's grant, charged to the given attribution class (the manifest
+// lives in protected superblock metadata, and the producer is an
+// application thread — the same discipline as a remote-free ring publish).
+func (t *Thread) magPersistWord(off, v uint64, cls nvm.OpClass) error {
 	if t.rec != nil {
 		t.rec.SetClass(cls)
 		defer t.rec.SetClass(nvm.ClassUser)
 	}
 	t.h.grant(t.pkru)
-	err := t.win.WriteU64(off, v)
+	err := t.win.PersistU64(off, v)
 	t.h.revoke(t.pkru)
 	return err
-}
-
-// SyncMagazines flushes every block cached in this thread's magazines
-// back to its sub-heap and persists the manifest state — the durability
-// sync point of the relaxed magazine contract: after it returns, every
-// earlier magazine-path Alloc and Free on this thread is durable. A no-op
-// without Options.Magazines. Thread.Close performs the same sync
-// (best-effort) automatically.
-func (t *Thread) SyncMagazines() error {
-	if err := t.check(); err != nil {
-		return err
-	}
-	return t.magSyncAll()
 }

@@ -8,7 +8,6 @@ import (
 	"poseidon/internal/memblock"
 	"poseidon/internal/nvm"
 	"poseidon/internal/obs"
-	"poseidon/internal/plog"
 )
 
 // Protection selects how the heap-metadata region is guarded.
@@ -83,9 +82,9 @@ type Options struct {
 	// in the InvalidFrees/DoubleFrees counters at drain time instead of
 	// as an error from Free. Default off.
 	RemoteFreeRings bool
-	// Magazines enables per-thread block magazines: lock-free alloc/free
-	// fast paths for small size classes backed by crash-reclaimable
-	// refill batches. See MagazineOptions. Zero value: disabled.
+	// Magazines sizes the per-thread block magazines, the lock-free
+	// alloc/free path for small size classes. See MagazineOptions. Zero
+	// value: 64 blocks of each of the 8 smallest classes.
 	Magazines MagazineOptions
 	// OnlineScrub enables the background scrubber: a goroutine that
 	// periodically audits every in-service sub-heap with the fsck engine
@@ -128,33 +127,24 @@ type Options struct {
 	Telemetry *obs.Telemetry
 }
 
-// MagazineOptions configures the opt-in per-thread block magazines. When
-// enabled, each Thread keeps a DRAM stack of pre-carved block offsets per
-// small size class: Alloc pops and Free pushes without taking the sub-heap
-// lock or touching device metadata. An empty class refills in one batched
-// commit (Capacity/2 blocks, one lock acquisition, one
-// flush+fence for the whole batch); an overfull class flushes Capacity/2
-// blocks back the same way. Every cached block is recorded in a persistent
-// cache manifest next to the thread's micro-log lane, so a crash can never
-// leak a magazine — recovery returns surviving entries to their free lists
-// idempotently.
-//
-// The trade-off is a relaxed durability contract on magazined classes:
-// an individual Alloc or Free becomes durable at the thread's next
-// explicit sync point — Thread.SyncMagazines or Thread.Close — rather
-// than before the call returns. A crash in between replays a dropped
-// push as if the free never happened and rolls a not-yet-persisted pop
-// back at recovery — the same visibility hazard as a TxAlloc whose lane
-// never committed. Callers that need a specific allocation durable
-// immediately should call Thread.SyncMagazines after it.
+// MagazineOptions sizes the per-thread block magazines. Each Thread keeps
+// a DRAM stack of pre-carved blocks per small size class: Alloc pops and a
+// same-shard Free of a popped block pushes, without the sub-heap lock or a
+// commit. Every pop and push persists one word of the thread's cache
+// manifest (one flush and one fence) before it returns, so each Alloc and
+// Free is durable on return like a locked one. An empty class refills to
+// Capacity blocks in one commit; a full class flushes Capacity/2 blocks
+// back. Recovery returns every block a manifest names to its free list.
+// Magazines cannot be turned off: an image whose manifest arena is too
+// small for the sizing, or whose sub-heaps are too wide for a manifest
+// word, runs without them.
 type MagazineOptions struct {
-	// Capacity is the per-class magazine depth in blocks. 0 disables
-	// magazines; otherwise it must be in [2, 4096] (refill and overflow
-	// move Capacity/2 blocks at a time).
+	// Capacity is the per-class magazine depth in blocks. Default 64;
+	// otherwise it must be in [2, 4096].
 	Capacity int
 	// Classes is how many of the smallest size classes are magazined:
-	// class c holds blocks of 64<<c bytes. Defaults to 8 (64 B … 8 KiB)
-	// when Capacity > 0; capped at the sub-heap's class count.
+	// class c holds blocks of 64<<c bytes. Default 8 (64 B … 8 KiB);
+	// capped at the sub-heap's class count and at maxMarkedClasses.
 	Classes int
 }
 
@@ -210,15 +200,13 @@ const (
 	defaultMagCapacity = 64
 
 	// defaultMagSlots is the per-lane cache-manifest capacity every new
-	// image provisions (4 KiB per lane) even when magazines are off, so
-	// the feature can be enabled on an existing image by reopening it
-	// with Magazines set — no reformat needed.
+	// image provisions (4 KiB per lane): the default magazine sizing.
 	defaultMagSlots = defaultMagClasses * defaultMagCapacity
 
 	// defaultProfSize is the profile side-table arena every new image
 	// provisions (two checksummed snapshot slots of ~32 KiB payload each)
 	// even when profiling is off, so profiling can be enabled on an
-	// existing image later — same reopen-to-enable contract as magazines.
+	// existing image later by reopening it.
 	// Old images read a zero sbProfSize word: no arena, profiling runs
 	// DRAM-only (samples aggregate but nothing persists).
 	defaultProfSize = 64 << 10
@@ -226,8 +214,8 @@ const (
 	// defaultBoxSize is the black-box flight-recorder arena every new image
 	// provisions (two header cachelines + ~510 record slots of 128 bytes)
 	// even when no telemetry is attached, so the recorder can start mirroring
-	// the moment a heap is reopened with Telemetry — the reopen-to-enable
-	// contract once more. Old images read a zero sbBoxSize word: no ring,
+	// the moment a heap is reopened with Telemetry, as with the profile
+	// arena. Old images read a zero sbBoxSize word: no ring,
 	// the journal stays DRAM-only and post-mortem tools report "no black
 	// box" instead of failing.
 	defaultBoxSize = 64 << 10
@@ -274,7 +262,10 @@ func (o Options) withDefaults() Options {
 	if o.MprotectCost == 0 {
 		o.MprotectCost = defaultMprotectCost
 	}
-	if o.Magazines.Capacity > 0 && o.Magazines.Classes == 0 {
+	if o.Magazines.Capacity == 0 {
+		o.Magazines.Capacity = defaultMagCapacity
+	}
+	if o.Magazines.Classes == 0 {
 		o.Magazines.Classes = defaultMagClasses
 	}
 	if o.Watchdog.StallThreshold > 0 && o.Watchdog.Interval == 0 {
@@ -345,17 +336,11 @@ func (o Options) validateRuntime(userSize uint64) error {
 	if o.Watchdog.StallThreshold > 0 && o.Telemetry == nil {
 		return fmt.Errorf("poseidon: Watchdog requires Options.Telemetry")
 	}
-	if o.Magazines.Capacity != 0 {
-		if o.Magazines.Capacity < 2 || o.Magazines.Capacity > 4096 {
-			return fmt.Errorf("poseidon: magazine capacity %d out of range [2, 4096]", o.Magazines.Capacity)
-		}
-		if o.Magazines.Classes < 1 || o.Magazines.Classes > 64 {
-			return fmt.Errorf("poseidon: magazine class count %d out of range [1, 64]", o.Magazines.Classes)
-		}
-		if userSize-1 > plog.MaxCacheRel {
-			return fmt.Errorf("poseidon: sub-heap user size %d exceeds the cache manifest's 33-bit offset",
-				userSize)
-		}
+	if o.Magazines.Capacity < 2 || o.Magazines.Capacity > 4096 {
+		return fmt.Errorf("poseidon: magazine capacity %d out of range [2, 4096]", o.Magazines.Capacity)
+	}
+	if o.Magazines.Classes < 1 || o.Magazines.Classes > 64 {
+		return fmt.Errorf("poseidon: magazine class count %d out of range [1, 64]", o.Magazines.Classes)
 	}
 	return nil
 }

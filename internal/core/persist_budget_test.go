@@ -6,7 +6,8 @@ import (
 )
 
 // TestLockedOpPersistBudget pins the persistence cost of the locked hot
-// path exactly, from device-stat deltas on a warm heap: a plain Alloc and a
+// path exactly, from device-stat deltas on a warm heap whose magazines
+// stop below the 256-byte class: a plain Alloc and a
 // Free are one commit each — a two-line record and one fence, then three
 // applied lines without one: 5 flushes, 1 fence. A TxAlloc adds its
 // micro-log append's flush and fence before the record, and a final one
@@ -22,6 +23,7 @@ func TestLockedOpPersistBudget(t *testing.T) {
 			opts := testOptions()
 			opts.DeviceStats = true
 			opts.SubheapUserSize = geo.user
+			opts.Magazines = MagazineOptions{Classes: 2}
 			h, err := Create(opts)
 			if err != nil {
 				t.Fatal(err)

@@ -286,24 +286,61 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 
 // replaySubheap applies one sub-heap's bucketed replay work in order:
 // micro-log rollbacks first, manifest frees second, marking the manifest
-// words phase 4 may clear. The per-entry semantics live in
-// rollbackTx/replayManifestEntry.
+// words phase 4 may clear.
 func (h *Heap) replaySubheap(s *subheap, tx []txItem, man []manItem, clears [][]bool) error {
 	if err := s.rollbackTx(tx); err != nil {
 		return wrapLaneErr("micro-log rollback in sub-heap", s.id, err)
 	}
-	for _, it := range man {
-		clear, err := h.replayManifestEntry(s, it.rel)
-		if err != nil {
-			// Only non-quarantinable errors escape replayManifestEntry
-			// (corruption quarantines in place).
-			return fmt.Errorf("cache manifest %d: %w", it.lane, err)
-		}
-		if clear {
-			clears[it.lane][it.slot] = true
-		}
+	if err := s.replayCached(man, clears); err != nil {
+		return fmt.Errorf("cache manifest replay in sub-heap %d: %w", s.id, err)
 	}
 	return nil
+}
+
+// replayCached returns the blocks of surviving manifest entries to their
+// free lists under one lock hold, in as few commits as fit one record
+// each, and marks the words of each committed chunk for phase 4 to clear.
+// An entry whose block is unknown or already free (the push never became
+// durable, or a flush-back already returned it) counts as a
+// RecoveredNoop and clears too. Entries naming a quarantined sub-heap stay
+// in place for the audit; corruption found here quarantines the sub-heap.
+func (s *subheap) replayCached(items []manItem, clears [][]bool) error {
+	if len(items) == 0 {
+		return nil
+	}
+	if s.isQuarantined() {
+		s.stats.recoveredNoops.Add(uint64(len(items)))
+		return nil
+	}
+	s.lockOp(obs.OpFree)
+	defer s.unlockOp()
+	var noops atomic.Uint64
+	freed, done := 0, 0
+	err := s.ensureReady()
+	if err == nil {
+		s.setClass(nvm.ClassRecovery)
+		devs := make([]uint64, len(items))
+		for i, it := range items {
+			devs[i] = s.h.lay.userBase(s.id) + it.rel
+		}
+		err = s.freeChunked(devs, &noops, func(n, upto int) error {
+			freed += n
+			for _, it := range items[done:upto] {
+				clears[it.lane][it.slot] = true
+			}
+			done = upto
+			return nil
+		})
+	}
+	s.stats.frees.Add(uint64(freed))
+	s.stats.recoveredCached.Add(uint64(freed))
+	if quarantinable(err) {
+		s.quarantine(fmt.Sprintf("cache manifest replay failed: %v", err))
+		noops.Store(uint64(len(items) - freed))
+		err = nil
+	}
+	s.stats.recoveredNoops.Add(noops.Load())
+	return err
 }
 
 // stageFreeSlack is the most words one staged free adds to a batch

@@ -158,7 +158,7 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 	// Strategy 1: mirror restore, audited before it counts.
 	if _, img := s.loadMirrorLocked(); img != nil {
 		if rerr := s.restoreMirrorLocked(img); rerr == nil {
-			if rep, cerr := s.checkLocked(false); cerr == nil && len(rep.Problems) == 0 {
+			if rep, cerr := s.checkLocked(false, nil); cerr == nil && len(rep.Problems) == 0 {
 				mirrored = true
 			}
 		}
@@ -169,7 +169,7 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 		if err := s.rebuildLocked(); err != nil {
 			return false, err
 		}
-		rep, cerr := s.checkLocked(false)
+		rep, cerr := s.checkLocked(false, nil)
 		if cerr != nil {
 			return false, cerr
 		}
@@ -185,6 +185,9 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 	if err := s.reseedFreeMask(); err != nil {
 		return mirrored, err
 	}
+	if err := s.pruneMarks(); err != nil {
+		return mirrored, err
+	}
 	s.seedGauges()
 	s.seedMirrorSeq()
 	_ = s.updateMirrorLocked()
@@ -192,6 +195,37 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 	// Everything above is durable (batch commits flush+fence); only now may
 	// the marker clear — the repair's commit point.
 	return mirrored, s.win.PersistU64(s.base+shRepairingOff, 0)
+}
+
+// pruneMarks clears the magazine marks of blocks the repair left without
+// an allocated record, so a repaired sub-heap keeps no stale marks. Caller
+// holds mu with the metadata window granted.
+func (s *subheap) pruneMarks() error {
+	marks := s.marks.Load()
+	if marks == nil {
+		return nil
+	}
+	base := s.h.lay.userBase(s.id)
+	for i := range marks.words {
+		for j := uint64(0); j < 16 && marks.words[i].Load() != 0; j++ {
+			rel := (uint64(i)*16 + j) << memblock.MinClassLog
+			if marks.get(rel) == markNone {
+				continue
+			}
+			slot, err := s.mgr.Lookup(s.win, base+rel)
+			var rec memblock.Record
+			if err == nil {
+				rec, err = s.mgr.ReadRecord(s.win, slot)
+			}
+			if err != nil && !errors.Is(err, memblock.ErrNotFound) {
+				return err
+			}
+			if err != nil || rec.Status != memblock.StatusAllocated {
+				marks.set(rel, markNone)
+			}
+		}
+	}
+	return nil
 }
 
 // repairCand is one surviving hash-table record during a rebuild.

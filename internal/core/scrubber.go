@@ -98,7 +98,7 @@ func (h *Heap) scrubSubheap(s *subheap) error {
 	var sub SubheapReport
 	err := h.retry(func() error {
 		var e error
-		sub, e = s.check()
+		sub, e = s.check(nil)
 		return e
 	})
 	if h.tel != nil {

@@ -50,6 +50,9 @@ func runScript(t *testing.T, budget, seed int64) (survived bool, h *Heap) {
 		MaxThreads:      4,
 		HeapID:          77,
 		CrashTracking:   true,
+		// Small magazines: the script still crosses refills, pops and
+		// pushes, at a few dozen stores each rather than hundreds.
+		Magazines: MagazineOptions{Capacity: 8, Classes: 4},
 	}
 	h, err := Create(opts)
 	if err != nil {

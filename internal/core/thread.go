@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,9 +33,9 @@ type Thread struct {
 	// retagging is race-free.
 	rec *nvm.AttrRecorder
 
-	// mag is the thread's block magazine (nil without Options.Magazines):
-	// the lock-free alloc/free fast path, persistently shadowed by the
-	// cache manifest adjacent to this lane. See magazine.go.
+	// mag is the thread's block magazine (nil when the image cannot host
+	// one): the lock-free alloc/free fast path, persistently shadowed by
+	// the cache manifest adjacent to this lane. See magazine.go.
 	mag *magazine
 
 	// prof/profLeft drive allocation-site sampling: prof is non-nil only
@@ -119,7 +120,7 @@ func (t *Thread) Close() {
 	if t.closed {
 		return
 	}
-	_ = t.magSyncAll()
+	_, _ = t.magFlushAll()
 	t.closed = true
 	t.h.laneMu.Lock()
 	t.h.freeLanes = append(t.h.freeLanes, t.laneI)
@@ -185,10 +186,10 @@ func (t *Thread) alloc(size uint64) (NVMPtr, error) {
 	if err := t.h.writable(); err != nil {
 		return NVMPtr{}, err
 	}
-	// Magazine fast path: pop a pre-carved block — no lock, no flush, no
-	// device metadata read. Falls through on any miss.
-	if p, ok := t.magAlloc(size); ok {
-		return p, nil
+	// Magazine fast path: pop a pre-carved block — no lock, no commit.
+	// Falls through on any miss.
+	if p, ok, err := t.magAlloc(size); ok {
+		return p, err
 	}
 	shard, err := t.allocShard()
 	if err != nil {
@@ -196,6 +197,13 @@ func (t *Thread) alloc(size uint64) (NVMPtr, error) {
 	}
 	s := t.h.subheaps[shard]
 	dev, err := s.alloc(size, nil)
+	if errors.Is(err, ErrOutOfMemory) {
+		// Blocks cached here are allocated on the device: return them
+		// and try once more. Other threads' caches stay stranded.
+		if n, _ := t.magFlushAll(); n > 0 {
+			dev, err = s.alloc(size, nil)
+		}
+	}
 	if err != nil {
 		return NVMPtr{}, err
 	}
@@ -318,9 +326,9 @@ func (t *Thread) free(p NVMPtr) error {
 	if err != nil {
 		return err
 	}
-	// Magazine fast path: a same-shard block this magazine popped goes
-	// back on its class stack — no lock, no flush. Also rejects this
-	// thread's own double free of a still-cached block.
+	// Magazine fast path: a popped block of this thread's shard goes
+	// back on its class stack — no lock, no commit. Also rejects a free
+	// of a block cached in any magazine.
 	if handled, err := t.magFree(p); handled {
 		return err
 	}

@@ -155,10 +155,11 @@ func TestDefragmentFullPass(t *testing.T) {
 	}
 	defer th.Close()
 	// Fragment the heap: many small blocks, all freed (no demand-driven
-	// defrag runs because nothing asks for a large block).
+	// defrag runs because nothing asks for a large block). TxAllocs take
+	// the locked path, so no magazine keeps any of them.
 	var ptrs []NVMPtr
 	for i := 0; i < 512; i++ {
-		p, err := th.Alloc(64)
+		p, err := th.TxAlloc(64, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,3 +53,31 @@ func TestManifestGeometry(t *testing.T) {
 		t.Fatalf("WordOff(10) = %d", got)
 	}
 }
+
+// FuzzDecodeCacheEntry: every Load decodes every lane's manifest words, so
+// any word must decode without panicking, and a word that decodes must be
+// exactly the encoding of what it decodes to — no two words name one
+// entry. Seeds: the empty word, single-bit flips of a valid word, a shard
+// beyond any sub-heap count, and an offset past MaxCacheRel.
+func FuzzDecodeCacheEntry(f *testing.F) {
+	valid := EncodeCacheEntry(0x1240, 3)
+	f.Add(uint64(0))
+	f.Add(valid)
+	for bit := 0; bit < 64; bit++ {
+		f.Add(valid ^ 1<<uint(bit))
+	}
+	f.Add(EncodeCacheEntry(64, 65535))
+	f.Add(EncodeCacheEntry(MaxCacheRel+1, 0))
+	f.Fuzz(func(t *testing.T, word uint64) {
+		rel, shard, ok := DecodeCacheEntry(word)
+		if !ok {
+			return
+		}
+		if rel > MaxCacheRel {
+			t.Fatalf("%#x decodes to offset %#x past MaxCacheRel", word, rel)
+		}
+		if enc := EncodeCacheEntry(rel, shard); enc != word {
+			t.Fatalf("%#x decodes to (%#x, %d), which encodes to %#x", word, rel, shard, enc)
+		}
+	})
+}

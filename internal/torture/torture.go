@@ -108,19 +108,22 @@ func heapOptions(tel *obs.Telemetry) core.Options {
 		// single 8-byte words on their own cachelines), so the quarantine
 		// check below also guards the ring's crash argument.
 		RemoteFreeRings: true,
-		// Magazines on: the workload's magazine segment sweeps crash points
-		// through refill persists, overflow flush-backs and the close-time
-		// sync, and recovery's manifest replay must reclaim every cached
-		// block at whatever boundary the failpoint lands on.
+		// Small magazines: the workload's magazine segment sweeps crash
+		// points through refill persists, pops, pushes, overflow
+		// flush-backs and the close-time flush-back, and recovery's
+		// manifest replay must reclaim every cached block at whatever
+		// boundary the failpoint lands on.
 		Magazines: core.MagazineOptions{Capacity: 8, Classes: 4},
 		Telemetry: tel,
 	}
 }
 
 // runWorkload drives the scripted operation sequence on h: transactional
-// allocation bursts, a root update, the seeded alloc/free mix, and one
-// Kruskal iteration. Deterministic for a given seed.
-func runWorkload(h *core.Heap, ops int, seed int64) error {
+// allocation bursts, a root update, the seeded alloc/free mix, one
+// Kruskal iteration, and the remote-free and magazine segments.
+// Deterministic for a given seed. acked records the magazine segment's
+// acknowledged ops (see magazineSegment).
+func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) error {
 	th, err := h.Thread()
 	if err != nil {
 		return err
@@ -158,7 +161,7 @@ func runWorkload(h *core.Heap, ops int, seed int64) error {
 	if err := remoteFreeSegment(h); err != nil {
 		return err
 	}
-	return magazineSegment(h)
+	return magazineSegment(h, acked)
 }
 
 // remoteFreeSegment is the scripted (deterministic, single-goroutine)
@@ -203,13 +206,15 @@ func remoteFreeSegment(h *core.Heap) error {
 }
 
 // magazineSegment is the scripted magazine mix on a capacity-8 magazine:
-// 12 class-1 allocations force three refill carves (the manifest-persist
-// boundary), 12 frees force an overflow flush-back at the ninth push (the
-// entry-clear boundary), and the Close sync flushes the remainder — so
-// swept crash points land inside refill commits, manifest flushes, word
-// clears and the close-time sync, and recovery's manifest replay runs
-// against every intermediate state.
-func magazineSegment(h *core.Heap) error {
+// 12 class-1 allocations force two refill carves (the manifest-persist
+// boundary) and 12 pops, 12 frees push them back and force two overflow
+// flush-backs (the entry-clear boundary), and Close flushes the remainder
+// back — so swept crash points land inside refill commits, pop and push
+// word persists, word clears and the close-time flush-back, and
+// recovery's manifest replay runs against every intermediate state. Every
+// Alloc and Free that returns nil is recorded in acked (true: allocated,
+// false: freed): each is durable on return, so recovery must agree.
+func magazineSegment(h *core.Heap, acked map[core.NVMPtr]bool) error {
 	t0, err := h.ThreadOn(0)
 	if err != nil {
 		return err
@@ -222,11 +227,14 @@ func magazineSegment(h *core.Heap) error {
 		if ptrs[i], err = t0.Alloc(96); err != nil {
 			return err
 		}
+		acked[ptrs[i]] = true
 	}
 	for _, p := range ptrs {
 		if err := t0.Free(p); err != nil {
+			delete(acked, p) // a failed Free may or may not have happened
 			return err
 		}
+		acked[p] = false
 	}
 	return nil
 }
@@ -246,7 +254,7 @@ func CountOps(ops int, seed int64) (int, error) {
 	defer h.Close()
 	const huge = int64(1) << 40
 	h.Device().FailAfter(huge)
-	err = runWorkload(h, ops, seed)
+	err = runWorkload(h, ops, seed, map[core.NVMPtr]bool{})
 	consumed := huge - h.Device().FailBudgetRemaining()
 	h.Device().DisarmFailpoint()
 	if err != nil {
@@ -285,7 +293,8 @@ func runPoint(cfg Config, mode nvm.EvictMode, point int) (nvm.CrashReport, *Viol
 	}
 	dev := h.Device()
 	dev.FailAfter(int64(point))
-	werr := runWorkload(h, cfg.Ops, cfg.Seed)
+	acked := map[core.NVMPtr]bool{}
+	werr := runWorkload(h, cfg.Ops, cfg.Seed, acked)
 	tripped := dev.FailBudgetRemaining() < 0
 	dev.DisarmFailpoint()
 	if !tripped {
@@ -340,6 +349,14 @@ func runPoint(cfg Config, mode nvm.EvictMode, point int) (nvm.CrashReport, *Viol
 		return fail(report, "post-recovery Thread: %v", err)
 	}
 	defer th.Close()
+	// Every acknowledged magazine op survives: a popped block stays
+	// allocated, a pushed one comes back free.
+	for p, live := range acked {
+		if _, err := th.BlockSize(p); (err == nil) != live {
+			return fail(report, "acknowledged magazine op on %v undone: allocated=%v after recovery (%v)",
+				p, err == nil, err)
+		}
+	}
 	p, err := th.Alloc(128)
 	if err != nil {
 		return fail(report, "post-recovery Alloc: %v", err)

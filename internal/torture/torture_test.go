@@ -76,7 +76,7 @@ func TestSweepRemoteFreeTail(t *testing.T) {
 	// so the tail window must span both to reach the remote boundaries.
 	serr := remoteFreeSegment(hm)
 	if serr == nil {
-		serr = magazineSegment(hm)
+		serr = magazineSegment(hm, map[core.NVMPtr]bool{})
 	}
 	segOps := int(huge - hm.Device().FailBudgetRemaining())
 	hm.Device().DisarmFailpoint()
@@ -114,13 +114,14 @@ func TestSweepRemoteFreeTail(t *testing.T) {
 
 // TestSweepMagazineTail is the magazine crash sweep: the workload ends with
 // the magazine segment, so sweeping the tail of the crash-point range walks
-// the failpoint through every refill manifest persist, overflow flush-back,
-// manifest word clear and the close-time sync, and leaves cached entries
-// for the recovery manifest replay. runPoint's audit is the oracle: the
-// user region must tile exactly (a crash can never leak a magazine), no
-// manifest entry may survive recovery (PendingCached), no block may be
-// double-freed onto a free list, and no quarantine may fire on a pure
-// power failure.
+// the failpoint through every refill manifest persist, pop and push,
+// overflow flush-back, manifest word clear and the close-time flush-back,
+// and leaves cached entries for the recovery manifest replay. runPoint's
+// audit is the oracle: the user region must tile exactly (a crash can
+// never leak a magazine), no manifest entry may survive recovery
+// (PendingCached), no block may be double-freed onto a free list, no
+// quarantine may fire on a pure power failure, and every pop and push
+// that returned before the crash is durable.
 func TestSweepMagazineTail(t *testing.T) {
 	const ops, seed = 4, 99
 	total, err := CountOps(ops, seed)
@@ -140,7 +141,7 @@ func TestSweepMagazineTail(t *testing.T) {
 		t.Fatalf("segment warmup: %v", err)
 	}
 	hm.Device().FailAfter(huge)
-	serr := magazineSegment(hm)
+	serr := magazineSegment(hm, map[core.NVMPtr]bool{})
 	segOps := int(huge - hm.Device().FailBudgetRemaining())
 	hm.Device().DisarmFailpoint()
 	_ = hm.Close()
@@ -177,8 +178,8 @@ func TestSweepMagazineTail(t *testing.T) {
 
 func TestSinglePointReproducerMode(t *testing.T) {
 	res, err := Run(Config{
-		Ops:   4,
-		Seed:  7,
+		Ops:         4,
+		Seed:        7,
 		Modes:       []nvm.EvictMode{nvm.EvictTorn},
 		Point:       25,
 		SinglePoint: true,

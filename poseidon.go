@@ -56,10 +56,10 @@ type (
 	HeapStats = core.HeapStats
 	// Protection selects the metadata guard (MPK, none, mprotect-cost).
 	Protection = core.Protection
-	// MagazineOptions configures the opt-in per-thread block magazines
-	// (Options.Magazines): lock-free, flush-free alloc/free fast paths for
-	// small objects with crash-reclaimable refill batches. See
-	// Thread.SyncMagazines for the durability contract.
+	// MagazineOptions sizes the per-thread block magazines
+	// (Options.Magazines), the default small-object path: a lock-free,
+	// commit-free Alloc or Free that is durable on return at one flush and
+	// one fence, backed by crash-reclaimable refill batches.
 	MagazineOptions = core.MagazineOptions
 	// ProfileOptions configures the sampled allocation-site heap profiler
 	// (Options.Profile): 1-in-Rate allocations capture their caller stack,
