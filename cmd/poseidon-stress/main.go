@@ -32,10 +32,10 @@ func main() {
 
 func run() error {
 	var (
-		cycles  = flag.Int("cycles", 20, "crash/recover cycles")
-		threads = flag.Int("threads", 4, "concurrent workers")
-		ops     = flag.Int("ops", 3000, "operations per worker per cycle")
-		seed    = flag.Int64("seed", 1, "randomness seed")
+		cycles   = flag.Int("cycles", 20, "crash/recover cycles")
+		threads  = flag.Int("threads", 4, "concurrent workers")
+		ops      = flag.Int("ops", 3000, "operations per worker per cycle")
+		seed     = flag.Int64("seed", 1, "randomness seed")
 		metrics  = flag.String("metrics", "", "serve /metrics, /vars and /debug/pprof on this address (e.g. :9120; empty = off)")
 		save     = flag.String("save", "", "save the final heap image to this path (e.g. for a poseidon-fsck audit)")
 		profRate = flag.Int("profile-rate", 0, "sample 1-in-N allocations into the site profiler (0 = off); served at /debug/pprof/poseidon_heap")

@@ -84,8 +84,8 @@ func TestLeakAttributionSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aPtrs := leakSiteA(t, th, 5) // 5 × 128 B
-	bPtrs := leakSiteB(t, th, 4) // 4 × 2048 B
+	aPtrs := leakSiteA(t, th, 5)  // 5 × 128 B
+	bPtrs := leakSiteB(t, th, 4)  // 4 × 2048 B
 	for _, p := range aPtrs[:2] { // site A leaks only 3
 		if err := th.Free(p); err != nil {
 			t.Fatal(err)

@@ -85,8 +85,8 @@ func DecodeRingEntry(word uint64) (rel uint64, epoch uint8, ok bool) {
 type Ring struct {
 	base      uint64 // device offset of slot 0
 	armed     atomic.Bool
-	head      atomic.Uint64 // next ticket to drain (consumer-owned)
-	tail      atomic.Uint64 // next ticket to reserve
+	head      atomic.Uint64            // next ticket to drain (consumer-owned)
+	tail      atomic.Uint64            // next ticket to reserve
 	published [RingSlots]atomic.Uint64 // ticket+1 once the slot is persisted
 }
 
@@ -101,9 +101,9 @@ func (r *Ring) Base() uint64 { return r.base }
 // Arm opens the ring for producers. Disarm closes it (producers fall back
 // to the locked free path); a ring left holding corrupt entries stays
 // disarmed forever so producers cannot overwrite the evidence.
-func (r *Ring) Arm()         { r.armed.Store(true) }
-func (r *Ring) Disarm()      { r.armed.Store(false) }
-func (r *Ring) Armed() bool  { return r.armed.Load() }
+func (r *Ring) Arm()        { r.armed.Store(true) }
+func (r *Ring) Disarm()     { r.armed.Store(false) }
+func (r *Ring) Armed() bool { return r.armed.Load() }
 
 // Reset clears the DRAM state (after recovery replayed and cleared the
 // persistent slots). Not safe concurrently with producers.

@@ -65,8 +65,8 @@ func TestFailpointBudgetCosts(t *testing.T) {
 		// PunchHole: whole-chunk drop phase costs one unit regardless of
 		// chunk count; partial edges cost Zero+Flush each.
 		{"PunchHoleWholeChunk", func(d *Device) error { return d.PunchHole(0, ChunkSize) }, 1},
-		{"PunchHoleTwoChunks", func(d *Device) error { return d.PunchHole(0, 2 * ChunkSize) }, 1},
-		{"PunchHoleLeadingEdge", func(d *Device) error { return d.PunchHole(64, ChunkSize - 64) }, 2},
+		{"PunchHoleTwoChunks", func(d *Device) error { return d.PunchHole(0, 2*ChunkSize) }, 1},
+		{"PunchHoleLeadingEdge", func(d *Device) error { return d.PunchHole(64, ChunkSize-64) }, 2},
 		{"PunchHoleBothEdges", func(d *Device) error { return d.PunchHole(64, ChunkSize) }, 4},
 		{"InjectBitFlip", func(d *Device) error { return d.InjectBitFlip(0, 0) }, 0},
 	}

@@ -229,9 +229,9 @@ func (p *Profiler) WritePprofGzip() ([]byte, error) {
 // PprofSample is one decoded sample: a resolved frame stack plus the four
 // sample-type values in profile order.
 type PprofSample struct {
-	Frames []SiteFrame
-	Values []int64
-	Labels map[string]string
+	Frames    []SiteFrame
+	Values    []int64
+	Labels    map[string]string
 	NumLabels map[string]int64
 }
 

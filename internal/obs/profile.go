@@ -305,8 +305,8 @@ type SiteStat struct {
 	Frames []SiteFrame
 	// LiveObjects/LiveBytes are sampled blocks allocated and not yet
 	// freed (for recovered sites: as of the last persisted snapshot).
-	LiveObjects int64
-	LiveBytes   int64
+	LiveObjects  int64
+	LiveBytes    int64
 	AllocObjects uint64
 	AllocBytes   uint64
 	FreeObjects  uint64
