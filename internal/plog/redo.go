@@ -270,22 +270,37 @@ func (l *RedoLog) Commit(words []Word, before func() error) error {
 // Apply stores the last committed record's words in place and flushes
 // each of their lines once, without a fence. A failure leaves the commit
 // to be settled by Replay.
+//
+// Runs ascend, so the runs sharing a line come in a row, and a line is
+// flushed only once the runs have moved past it: a flush between two
+// stores to one line would leave the second store unflushed, and once two
+// newer records displace this one, Replay could no longer restore it.
 func (l *RedoLog) Apply() error {
-	last := ^uint64(0) // runs ascend, so a line shared by two comes in a row
+	const none = ^uint64(0)
+	pending := none // the line stored last, not yet flushed
+	flush := func() error {
+		if pending == none {
+			return nil
+		}
+		return l.w.Flush(pending, nvm.CachelineSize)
+	}
 	err := forEachRun(l.pay, func(target uint64, vals []byte) error {
 		if err := l.w.Write(target, vals); err != nil {
 			return err
 		}
 		for line := target &^ (nvm.CachelineSize - 1); line < target+uint64(len(vals)); line += nvm.CachelineSize {
-			if line != last {
-				if err := l.w.Flush(line, nvm.CachelineSize); err != nil {
+			if line != pending {
+				if err := flush(); err != nil {
 					return err
 				}
-				last = line
+				pending = line
 			}
 		}
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
 	l.doubt = l.doubt || err != nil
 	return err
 }

@@ -81,6 +81,30 @@ func TestRedoCommitFencesOnce(t *testing.T) {
 	}
 }
 
+// TestRedoApplyFlushesSharedLine: two runs that share a line (a gap word
+// between them) are applied with the line flushed after both stores, so
+// a crash that drops every unflushed line keeps both words. The line is
+// still flushed once.
+func TestRedoApplyFlushesSharedLine(t *testing.T) {
+	w := newLogWindow(t)
+	l := mustRedo(t, w, false)
+	ws := []Word{{Off: dataBase, Val: 1}, {Off: dataBase + 16, Val: 2}, {Off: dataBase + 64, Val: 3}}
+	if err := l.Commit(ws, nil); err != nil {
+		t.Fatal(err)
+	}
+	s0 := w.Device().StatsSnapshot()
+	if err := l.Apply(); err != nil {
+		t.Fatal(err)
+	}
+	if d := w.Device().StatsSnapshot().Flushes - s0.Flushes; d != 2 {
+		t.Fatalf("apply flushed %d lines, want 2", d)
+	}
+	if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	checkWords(t, w, ws)
+}
+
 // TestRedoRecordFull pins the capacity rule: MaxWords words fit in one
 // record however they are spread, and a record over a slot's capacity
 // fails with ErrLogFull without touching the device.
