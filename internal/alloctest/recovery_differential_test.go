@@ -82,6 +82,7 @@ type recSpec struct {
 	ops       map[core.NVMPtr]specOp
 	openTx    int // uncommitted TxAllocs: recovery must roll back each
 	ringFrees int // cross-shard frees left in rings: recovery must drain each
+	magFrees  int // cross-shard frees left in a magazine: recovery frees each
 }
 
 // workerRun is what one worker's schedule leaves behind.
@@ -213,21 +214,34 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe, recSpec) {
 			spec.ops[p] = op
 		}
 	}
-	// Undrained ring traffic: shard 0 frees one block each other worker
-	// still holds. The owners never run again before the crash, so the
-	// entries sit persisted in the rings for recovery to replay.
+	// Cross-shard frees: shard 0 frees two blocks each other worker still
+	// holds. A locked-path block (above the magazined classes) goes onto
+	// its owner's ring; the owners never run again before the crash, so
+	// the entry sits persisted in the ring for recovery to replay. A
+	// magazine-popped block goes into shard 0's magazine instead, and
+	// recovery returns it to its owner from that thread's manifest.
 	th0, err := h.ThreadOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w < workers; w++ {
+		var ringed, cached bool
 		for _, p := range runs[w].held {
+			popped := spec.ops[p].size <= 64<<(recoveryMagClasses-1)
+			if popped && cached || !popped && ringed {
+				continue
+			}
 			if err := th0.Free(p); err != nil {
-				t.Fatalf("cross-shard free into shard %d's ring: %v", w, err)
+				t.Fatalf("cross-shard free of a shard %d block: %v", w, err)
 			}
 			spec.ops[p] = spec.ops[p].freed()
-			spec.ringFrees++
-			break
+			if popped {
+				cached = true
+				spec.magFrees++
+			} else {
+				ringed = true
+				spec.ringFrees++
+			}
 		}
 	}
 	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictRandom, Prob: 0.5, Seed: int64(seed)}); err != nil {
@@ -317,6 +331,9 @@ func TestRecoverySpec(t *testing.T) {
 			path, _, spec := buildCrashedImage(t, seed)
 			if spec.ringFrees == 0 {
 				t.Fatal("no worker held a locked-path block to free across shards: the schedule is not exercising ring replay")
+			}
+			if spec.magFrees == 0 {
+				t.Fatal("no worker held a popped block to free across shards: the schedule is not exercising foreign manifest entries")
 			}
 			for _, width := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {

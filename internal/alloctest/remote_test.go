@@ -91,7 +91,16 @@ func remoteSchedule(t *testing.T, rings bool) remoteEndState {
 				rng := rand.New(rand.NewSource(int64(round)<<8 | int64(w)))
 				batch := make([]core.NVMPtr, 0, remoteBatch)
 				for i := 0; i < remoteBatch; i++ {
-					p, err := th.Alloc(64 + uint64(rng.Intn(1984)))
+					// Even slots are committed TxAllocs, carved on the
+					// locked path, so their remote frees reach the ring;
+					// odd slots pop from the magazine, and their remote
+					// frees go into the freeing worker's magazine.
+					size := 64 + uint64(rng.Intn(1984))
+					alloc := th.Alloc
+					if i%2 == 0 {
+						alloc = func(size uint64) (core.NVMPtr, error) { return th.TxAlloc(size, true) }
+					}
+					p, err := alloc(size)
 					if err != nil {
 						errs[w] = fmt.Errorf("round %d worker %d alloc %d: %w", round, w, i, err)
 						return
@@ -111,19 +120,20 @@ func remoteSchedule(t *testing.T, rings bool) remoteEndState {
 	}
 
 	// Quiesce, then inject a deterministic error tail: three double frees
-	// and one interior-pointer free, all remote. The rings path accepts
-	// them at enqueue time and rejects them at drain; the legacy path
-	// rejects them synchronously — the counters must agree regardless.
+	// and one interior-pointer free, all remote, of committed TxAllocs so
+	// they reach the ring. The rings path accepts them at enqueue time and
+	// rejects them at drain; the legacy path rejects them synchronously —
+	// the counters must agree regardless.
 	if err := h.DrainRemoteFrees(); err != nil {
 		t.Fatal(err)
 	}
-	victim, err := threads[0].Alloc(128)
+	victim, err := threads[0].TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	doomed := make([]core.NVMPtr, 3)
 	for i := range doomed {
-		if doomed[i], err = threads[0].Alloc(128); err != nil {
+		if doomed[i], err = threads[0].TxAlloc(128, true); err != nil {
 			t.Fatal(err)
 		}
 	}

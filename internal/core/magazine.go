@@ -15,19 +15,21 @@ import (
 // Per-thread block magazines (Options.Magazines): the lock-free path for
 // small allocations.
 //
-// A magazine is a DRAM stack of pre-carved block offsets per small size
-// class. Alloc pops without a lock or a commit; a same-shard Free of a
-// popped block pushes. The persistent shadow is the thread's cache
-// manifest (plog.Manifest, one 8-byte checksummed word per cached block,
-// adjacent to its micro-log lane). A refill writes its entries inside the
-// carve's commit hook, so a crash can never leak a magazine: recovery
-// returns every surviving entry's block to its free list. Every pop clears
-// its word and every push sets one with a single store, flush and fence
-// before returning, so each magazine Alloc and Free is as durable on
-// return as a locked one, and the manifest names exactly the cached
-// blocks.
+// A magazine is a DRAM stack of pre-carved blocks per small size class.
+// Alloc pops without a lock or a commit; a Free of a popped block pushes,
+// whichever sub-heap owns it, so a stack can hold blocks of several
+// owners and a pop hands each out under its owner's pointer. A refill
+// carves from the thread's own sub-heap only. The persistent shadow is
+// the thread's cache manifest (plog.Manifest, one 8-byte checksummed word
+// per cached block naming its owner and offset, adjacent to its micro-log
+// lane). A refill writes its entries inside the carve's commit hook, so a
+// crash can never leak a magazine: recovery returns every surviving
+// entry's block to its owner's free list. Every pop clears its word and
+// every push sets one with a single store, flush and fence before
+// returning, so each magazine Alloc and Free is as durable on return as a
+// locked one, and the manifest names exactly the cached blocks.
 //
-// A cached block stays allocated on the device, so the sub-heap's block
+// A cached block stays allocated on the device, so the owner's block
 // marks (blockMarks) tell the free paths apart: a free of a cached block is
 // a double free whichever thread issues it, and only a block that left a
 // magazine through a pop may go back into one.
@@ -38,8 +40,9 @@ type magazine struct {
 	cap     int
 	man     plog.Manifest
 
-	// blocks[c] is class c's stack of cached user-region-relative block
-	// offsets; manifest words [c*cap, c*cap+len) mirror it positionally.
+	// blocks[c] is class c's stack of cached blocks as location words
+	// (owner<<subheapShift | user-region offset, as in NVMPtr); manifest
+	// words [c*cap, c*cap+len) mirror it positionally.
 	blocks [][]uint64
 
 	// disabled latches the magazine off (quarantined shard, uncleanable
@@ -188,16 +191,21 @@ func (t *Thread) magAlloc(size uint64) (_ NVMPtr, handled bool, _ error) {
 	}
 	stack := m.blocks[class]
 	d := len(stack) - 1
-	rel := stack[d]
+	p := ptrFromWords(t.h.heapID, stack[d])
+	owner := t.h.subheaps[p.Subheap()]
+	if owner.isQuarantined() {
+		m.disabled = true // as above: the entry stays for recovery
+		return NVMPtr{}, false, nil
+	}
 	if t.magPersistWord(m.man.WordOff(uint64(class*m.cap+d)), 0, nvm.ClassAlloc) != nil {
 		s.stats.magazineMisses.Add(1)
 		return NVMPtr{}, false, nil
 	}
 	m.blocks[class] = stack[:d]
-	s.marks.Load().set(rel, markPopped+uint64(class))
+	owner.marks.Load().set(p.Offset(), markPopped+uint64(class))
 	s.stats.allocs.Add(1)
 	s.stats.magazineHits.Add(1)
-	return makePtr(t.h.heapID, uint16(t.shard), rel), true, nil
+	return p, true, nil
 }
 
 // magRefill fills class to capacity from the sub-heap: one lock
@@ -211,38 +219,41 @@ func (t *Thread) magRefill(s *subheap, class int) error {
 	}
 	base := t.h.lay.userBase(t.shard)
 	for _, dev := range blocks {
-		m.blocks[class] = append(m.blocks[class], dev-base)
+		m.blocks[class] = append(m.blocks[class], makePtr(0, uint16(t.shard), dev-base).Loc())
 	}
 	return nil
 }
 
-// magFree is the free fast path: claim a popped block of this thread's
-// shard and push it onto its class stack, flushing half the stack back to
-// the sub-heap first when full. A free of a cached block is a double free,
+// magFree is the free fast path: claim a popped block, whichever sub-heap
+// owns it, and push it onto its class stack, returning half the stack to
+// its owners first when full. A free of a cached block is a double free,
 // rejected without touching the device. Reports handled=false for every
-// other block, and when another free claims the block first: the caller
-// takes the locked (or remote-ring) path.
+// other block, for a quarantined owner or own shard, and when another
+// free claims the block first: the caller takes the locked (or
+// remote-ring) path. Counters go to the thread's own shard, so the fast
+// path writes no other sub-heap's cache lines but the owner's mark.
 func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 	m := t.mag
-	if m == nil || m.disabled || int(p.Subheap()) != t.shard {
+	if m == nil || m.disabled {
 		return false, nil
 	}
-	s := t.h.subheaps[t.shard]
-	marks := s.marks.Load()
+	owner := t.h.subheaps[p.Subheap()]
+	marks := owner.marks.Load()
 	if marks == nil {
 		return false, nil
 	}
 	rel := p.Offset()
 	mark := marks.get(rel)
+	s := t.h.subheaps[t.shard]
 	switch {
 	case mark == markCached:
-		s.stats.doubleFrees.Add(1)
+		owner.stats.doubleFrees.Add(1)
 		return true, ErrDoubleFree
-	case mark < markPopped || s.isQuarantined():
+	case mark < markPopped || owner.isQuarantined() || s.isQuarantined():
 		return false, nil
 	}
 	class := int(mark - markPopped)
-	if len(m.blocks[class]) == m.cap && !t.magOverflow(s, class) {
+	if len(m.blocks[class]) == m.cap && !t.magOverflow(class) {
 		s.stats.magazineMisses.Add(1)
 		return false, nil
 	}
@@ -251,7 +262,7 @@ func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 	}
 	d := len(m.blocks[class])
 	off := m.man.WordOff(uint64(class*m.cap + d))
-	if err := t.magPersistWord(off, plog.EncodeCacheEntry(rel, uint16(t.shard)), nvm.ClassFree); err != nil {
+	if err := t.magPersistWord(off, plog.EncodeCacheEntry(rel, p.Subheap()), nvm.ClassFree); err != nil {
 		// The word may have reached the device: the locked path may free
 		// the block only once it is cleared, or recovery would free it
 		// again. Failing that, the block stays cached and the magazine
@@ -265,60 +276,48 @@ func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 		s.stats.magazineMisses.Add(1)
 		return false, nil
 	}
-	m.blocks[class] = append(m.blocks[class], rel)
+	m.blocks[class] = append(m.blocks[class], p.Loc())
 	s.stats.frees.Add(1)
 	s.stats.magazineHits.Add(1)
 	return true, nil
 }
 
-// magOverflow flushes the newest cap/2 blocks of class back to the
-// sub-heap; flushCached clears their manifest words under the lock so
-// they cannot replay against re-carved blocks. A failed flush-back may
-// have freed some of them, so it latches the magazine off.
-func (t *Thread) magOverflow(s *subheap, class int) bool {
+// magOverflow returns the newest cap/2 blocks of class to their owners
+// and reports whether they all went back (see magReturn).
+func (t *Thread) magOverflow(class int) bool {
 	m := t.mag
-	n := m.cap / 2
-	stack := m.blocks[class]
-	d := len(stack)
-	base := t.h.lay.userBase(t.shard)
-	devs := make([]uint64, n)
+	d, n := len(m.blocks[class]), m.cap/2
 	words := make([]uint64, n)
-	for i, rel := range stack[d-n:] {
-		devs[i] = base + rel
+	for i := range words {
 		words[i] = uint64(class*m.cap + d - n + i)
 	}
-	if _, err := s.flushCached(devs, m.man, words); err != nil {
-		m.disabled = true
+	if _, err := t.magReturn(m.blocks[class][d-n:], words); err != nil {
 		return false
 	}
-	m.blocks[class] = stack[:d-n]
+	m.blocks[class] = m.blocks[class][:d-n]
 	return true
 }
 
 // magFlushAll returns every block cached in this thread's magazines to its
-// sub-heap (Close, and an Alloc that ran out of space) and reports how
-// many it freed. An empty magazine costs zero device ops. On error the
-// blocks not yet freed stay recorded in the manifest (the next Load or
-// lane adoption reclaims them) and the magazine latches off.
+// owner (Close, and an Alloc that ran out of space) and reports how many
+// it freed. An empty magazine costs zero device ops.
 func (t *Thread) magFlushAll() (int, error) {
 	m := t.mag
 	if m == nil || m.disabled {
 		return 0, nil
 	}
-	base := t.h.lay.userBase(t.shard)
-	var devs, words []uint64
+	var locs, words []uint64
 	for class, stack := range m.blocks {
-		for i, rel := range stack {
-			devs = append(devs, base+rel)
+		for i, loc := range stack {
+			locs = append(locs, loc)
 			words = append(words, uint64(class*m.cap+i))
 		}
 	}
-	if len(devs) == 0 {
+	if len(locs) == 0 {
 		return 0, nil
 	}
-	n, err := t.h.subheaps[t.shard].flushCached(devs, m.man, words)
+	n, err := t.magReturn(locs, words)
 	if err != nil {
-		m.disabled = true
 		return n, err
 	}
 	for class := range m.blocks {
@@ -330,19 +329,13 @@ func (t *Thread) magFlushAll() (int, error) {
 // magAdopt cleans a recycled lane's manifest before this thread starts
 // using it: a previous Thread on this lane may have gone away without a
 // successful Close flush-back (the heap stayed open, so no recovery ran).
-// Valid entries are flushed back to their owning sub-heaps — adopting
-// them into this magazine is unsound, they may belong to other shards —
-// and their words and marks cleared. Anything that cannot be cleaned
-// (corrupt word, out-of-bounds entry, quarantined owner, device error)
-// leaves ALL the evidence in place for check/recovery and latches the
-// magazine off.
+// Valid entries are returned to their owners, and their words and marks
+// cleared. Anything that cannot be cleaned (corrupt word, out-of-bounds
+// entry, quarantined owner, device error) leaves ALL the evidence in
+// place for check/recovery and latches the magazine off.
 func (t *Thread) magAdopt() {
 	m := t.mag
-	type pending struct {
-		devs  []uint64
-		words []uint64
-	}
-	byShard := map[int]*pending{}
+	var locs, words []uint64
 	for k := uint64(0); k < m.man.Slots(); k++ {
 		var word uint64
 		err := t.h.retry(func() error {
@@ -366,20 +359,41 @@ func (t *Thread) magAdopt() {
 			m.disabled = true
 			return
 		}
-		p := byShard[int(shard)]
-		if p == nil {
-			p = &pending{}
-			byShard[int(shard)] = p
-		}
-		p.devs = append(p.devs, t.h.lay.userBase(int(shard))+rel)
-		p.words = append(p.words, k)
+		locs = append(locs, makePtr(0, shard, rel).Loc())
+		words = append(words, k)
 	}
-	for shard, p := range byShard {
-		if _, err := t.h.subheaps[shard].flushCached(p.devs, m.man, p.words); err != nil {
-			m.disabled = true
-			return
+	_, _ = t.magReturn(locs, words)
+}
+
+// magReturn returns cached blocks to their owners' free lists: locs[i] is
+// a block's location word and words[i] the manifest word naming it. Each
+// owner's blocks go back in one flushCached call, owners in shard order,
+// so at most one sub-heap lock is held at a time. A failed group may have
+// freed some of its blocks, so it latches the magazine off; the blocks
+// not yet freed stay recorded in the manifest, and the next Load or lane
+// adopter reclaims them. Reports how many blocks were freed, also on
+// error.
+func (t *Thread) magReturn(locs, words []uint64) (n int, err error) {
+	devs := make([][]uint64, len(t.h.subheaps))
+	slots := make([][]uint64, len(t.h.subheaps))
+	for i, loc := range locs {
+		p := ptrFromWords(0, loc)
+		sh := p.Subheap()
+		devs[sh] = append(devs[sh], t.h.lay.userBase(int(sh))+p.Offset())
+		slots[sh] = append(slots[sh], words[i])
+	}
+	for sh, d := range devs {
+		if len(d) == 0 {
+			continue
+		}
+		k, err := t.h.subheaps[sh].flushCached(d, t.mag.man, slots[sh])
+		n += k
+		if err != nil {
+			t.mag.disabled = true
+			return n, err
 		}
 	}
+	return n, nil
 }
 
 // magPersistWord stores, flushes and fences one manifest word under the

@@ -134,21 +134,96 @@ func TestMagazineCrossThreadDoubleFree(t *testing.T) {
 	auditHeap(t, h)
 }
 
-// TestMagazineConcurrentFreeOfPoppedBlock races three frees of one popped
-// block: two from threads on its shard (the magazine path) and one from
-// another shard (the locked path). Exactly one may succeed, every round;
+// TestMagazineCrossShardFree: a shard-1 thread's free of a block a shard-0
+// thread popped goes into the freeing thread's magazine, without the
+// owner's lock or a commit. While the block sits there it is cached: the
+// popping thread's free of it is a double free and the census leaves it
+// out. The freeing thread's next Alloc of the class hands it out again
+// under its owner's pointer, and Close returns every cached block to its
+// owner's free list.
+func TestMagazineCrossShardFree(t *testing.T) {
+	h := newMagHeap(t, magOptions())
+	t0, err := h.ThreadOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Close()
+	t1, err := h.ThreadOn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := t0.Alloc(64) // refills 8, pops 1: t0 caches 7
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.Stats()
+	if err := t1.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.MagazineHits-before.MagazineHits != 1 || st.Commits != before.Commits {
+		t.Fatalf("cross-shard free: %d magazine hits, %d commits; want 1 and 0",
+			st.MagazineHits-before.MagazineHits, st.Commits-before.Commits)
+	}
+	if err := t0.Free(b); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("owner-shard free of a block cached on shard 1 = %v, want ErrDoubleFree", err)
+	}
+	census := func(cached, allocated uint64) {
+		t.Helper()
+		rep := checkHeap(t, h)
+		if !rep.OK() || rep.PendingCached != cached || rep.AllocatedBlocks != allocated {
+			t.Fatalf("census: %d cached, %d allocated, %v; want %d and %d",
+				rep.PendingCached, rep.AllocatedBlocks, rep.Problems, cached, allocated)
+		}
+	}
+	census(8, 0)
+	p, err := t1.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != b || p.Subheap() != 0 {
+		t.Fatalf("shard-1 Alloc after the free = %v, want the shard-0 block %v", p, b)
+	}
+	census(7, 1)
+
+	// Leave both owners' blocks in t1's magazine: b in class 0, a refill
+	// of its own in class 1.
+	if err := t1.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	q, err := t1.Alloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := t1.Free(q); err != nil {
+		t.Fatal(err)
+	}
+	census(16, 0)
+	t1.Close()
+	census(7, 0)
+	for _, p := range []NVMPtr{b, q} {
+		if _, err := t0.BlockSize(p); !errors.Is(err, ErrBadPointer) {
+			t.Fatalf("%v after Close: BlockSize = %v, want ErrBadPointer (free on its owner)", p, err)
+		}
+	}
+}
+
+// TestMagazineConcurrentFreeOfPoppedBlock races four frees of one popped
+// block: two from threads on its shard and one from another shard (all
+// three the magazine path), and one from a thread whose magazine is
+// latched off (the locked path). Exactly one may succeed, every round;
 // the block then sits in one magazine or on the free list, never both.
 func TestMagazineConcurrentFreeOfPoppedBlock(t *testing.T) {
 	h := newMagHeap(t, magOptions())
-	var threads [3]*Thread
+	var threads [4]*Thread
 	for i := range threads {
-		th, err := h.ThreadOn(i / 2) // two on shard 0, one on shard 1
+		th, err := h.ThreadOn(i / 2) // two on shard 0, two on shard 1
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer th.Close()
 		threads[i] = th
 	}
+	threads[3].mag.disabled = true
 	for round := 0; round < 200; round++ {
 		p, err := threads[round%2].Alloc(64 << (round % 4))
 		if err != nil {
@@ -231,10 +306,11 @@ func TestMagazinePersistBudget(t *testing.T) {
 			}
 		}
 	}
-	s := h.subheaps[0]
 	measure := func(what string, flushes, fences, commits uint64, op func() error) {
 		t.Helper()
-		s.mutations = 1 // no mirror refresh inside the measured op
+		for _, s := range h.subheaps {
+			s.mutations = 1 // no mirror refresh inside the measured op
+		}
 		before, st := h.Device().StatsSnapshot(), h.Stats()
 		if err := op(); err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -264,6 +340,39 @@ func TestMagazinePersistBudget(t *testing.T) {
 		}
 	}
 	measure("Free with a one-chunk overflow flush-back (2 fences) and its push", 0, 3, 1, free)
+
+	// A shard-1 thread's free of a block th popped costs the same as a
+	// same-shard one. Its stack then holds two owners' blocks, and an
+	// overflow returns each owner's share in its own chunk.
+	t1, err := h.ThreadOn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Close()
+	var mine, lent []NVMPtr
+	for range 40 { // one refill of 64: 24 stay cached
+		p, err := t1.Alloc(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine = append(mine, p)
+	}
+	for range 20 {
+		if err := alloc(); err != nil {
+			t.Fatal(err)
+		}
+		lent = append(lent, ps[len(ps)-1])
+	}
+	measure("cross-shard Free of a popped block", 1, 1, 0, func() error { return t1.Free(lent[0]) })
+	for _, p := range append(lent[1:], mine[:20]...) {
+		if err := t1.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The stack is full: 24 own, 20 foreign, 20 own. Its newest 32 hold
+	// 12 foreign and 20 own blocks.
+	measure("Free with a two-owner overflow flush-back (2 fences per owner) and its push", 0, 5, 2,
+		func() error { return t1.Free(mine[20]) })
 }
 
 // TestMagazineOverflowFlush drives a class stack past capacity: the 9th

@@ -72,15 +72,16 @@ type Options struct {
 	ScrubOnLoad bool
 	// RemoteFreeRings enables the persistent per-sub-heap remote-free
 	// ring (mimalloc-style message-passing frees): a thread freeing a
-	// block owned by another sub-heap CAS-reserves a ring slot, persists
-	// one {blockOff, epoch} entry with a single flush+fence and returns —
-	// no owner lock taken. The owner drains entries in batches under one
-	// lock acquisition, a full ring falls back to the locked path (Free
-	// never blocks), and recovery replays un-drained entries
-	// idempotently. The trade-off: a cross-sub-heap Free returns before
-	// validation, so an invalid or double free of a remote block surfaces
-	// in the InvalidFrees/DoubleFrees counters at drain time instead of
-	// as an error from Free. Default off.
+	// block owned by another sub-heap that no magazine popped (a popped
+	// one goes into the freeing thread's magazine) CAS-reserves a ring
+	// slot, persists one {blockOff, epoch} entry with a single
+	// flush+fence and returns — no owner lock taken. The owner drains
+	// entries in batches under one lock acquisition, a full ring falls
+	// back to the locked path (Free never blocks), and recovery replays
+	// un-drained entries idempotently. The trade-off: a cross-sub-heap
+	// Free returns before validation, so an invalid or double free of a
+	// remote block surfaces in the InvalidFrees/DoubleFrees counters at
+	// drain time instead of as an error from Free. Default off.
 	RemoteFreeRings bool
 	// Magazines sizes the per-thread block magazines, the lock-free
 	// alloc/free path for small size classes. See MagazineOptions. Zero
@@ -129,12 +130,13 @@ type Options struct {
 
 // MagazineOptions sizes the per-thread block magazines. Each Thread keeps
 // a DRAM stack of pre-carved blocks per small size class: Alloc pops and a
-// same-shard Free of a popped block pushes, without the sub-heap lock or a
-// commit. Every pop and push persists one word of the thread's cache
-// manifest (one flush and one fence) before it returns, so each Alloc and
-// Free is durable on return like a locked one. An empty class refills to
-// Capacity blocks in one commit; a full class flushes Capacity/2 blocks
-// back. Recovery returns every block a manifest names to its free list.
+// Free of a popped block pushes, whichever sub-heap owns it, without a
+// sub-heap lock or a commit. Every pop and push persists one word of the
+// thread's cache manifest (one flush and one fence) before it returns, so
+// each Alloc and Free is durable on return like a locked one. An empty
+// class refills to Capacity blocks from the thread's sub-heap in one
+// commit; a full class flushes Capacity/2 blocks back to their owners.
+// Recovery returns every block a manifest names to its owner's free list.
 // Magazines cannot be turned off: an image whose manifest arena is too
 // small for the sizing, or whose sub-heaps are too wide for a manifest
 // word, runs without them.

@@ -9,7 +9,10 @@ import (
 	"poseidon/internal/obs"
 )
 
-// ringOptions is testOptions with the remote-free rings enabled.
+// ringOptions is testOptions with the remote-free rings enabled. The ring
+// tests carve their cross-shard victims with committed TxAllocs: a Free of
+// a magazine-popped block goes into the freeing thread's magazine,
+// whichever shard owns it, so only locked-path blocks reach a ring.
 func ringOptions() Options {
 	o := testOptions()
 	o.RemoteFreeRings = true
@@ -47,7 +50,7 @@ func TestRemoteFreeRingDrainAndReuse(t *testing.T) {
 
 	var ptrs []NVMPtr
 	for i := 0; i < 8; i++ {
-		p, err := th0.Alloc(128)
+		p, err := th0.TxAlloc(128, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +151,7 @@ func TestRemoteFreeRingFullFallsBack(t *testing.T) {
 	const n = memblock.RingSlots + 8
 	var ptrs []NVMPtr
 	for i := 0; i < n; i++ {
-		p, err := th0.Alloc(128)
+		p, err := th0.TxAlloc(128, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +198,7 @@ func TestRemoteFreeCrashReplayIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := th0.Alloc(128)
+	p, err := th0.TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,7 @@ func TestRemoteFreeCrashReplayIdempotent(t *testing.T) {
 	}
 	defer ta.Close()
 	defer tb.Close()
-	q, err := ta.Alloc(128)
+	q, err := ta.TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +365,11 @@ func TestRemoteFreeCheckReportsPendingAndCorrupt(t *testing.T) {
 	}
 	defer th0.Close()
 	defer th1.Close()
-	pa, err := th0.Alloc(128)
+	pa, err := th0.TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := th0.Alloc(128)
+	pb, err := th0.TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +512,7 @@ func TestRemoteFreeRejectedTelemetry(t *testing.T) {
 	}
 
 	// Ring-routed free + drain shows up in the drain histogram.
-	q, err := th0.Alloc(128)
+	q, err := th0.TxAlloc(128, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,13 @@ type subheap struct {
 	h    *Heap
 	base uint64
 
+	// marks is the magazine block state (magazine.go), nil until the
+	// first refill; written under mu, read lock-free by every magazine
+	// op on this sub-heap's blocks, from any shard's thread. It is kept
+	// off the cache lines of stats, which this shard's threads write on
+	// every op.
+	marks atomic.Pointer[blockMarks]
+
 	mu     sync.Mutex
 	thread *mpk.Thread // the allocator's execution context on this sub-heap
 	win    mpk.Window
@@ -90,10 +97,6 @@ type subheap struct {
 	mutations uint64
 	mirrorPay []byte
 	mirrorBuf []byte
-
-	// marks is the magazine block state (magazine.go), nil until the
-	// first refill; written under mu, read lock-free by magazine frees.
-	marks atomic.Pointer[blockMarks]
 
 	stats subheapStats
 

@@ -12,9 +12,10 @@ import (
 )
 
 // Thread is a per-goroutine allocation context: it pins the goroutine to
-// one sub-heap for allocations (frees go to the owning sub-heap of the
-// pointer), owns a persistent micro-log lane for transactional allocation,
-// and carries the goroutine's PKRU for user-data access.
+// one sub-heap for carving blocks (a freed block goes back to the sub-heap
+// that owns it, directly or through this thread's magazine), owns a
+// persistent micro-log lane for transactional allocation, and carries the
+// goroutine's PKRU for user-data access.
 //
 // A Thread must not be used concurrently from multiple goroutines. Close
 // returns the lane to the heap's pool.
@@ -127,7 +128,9 @@ func (t *Thread) Close() {
 	t.h.laneMu.Unlock()
 }
 
-// Shard returns the sub-heap this thread allocates from.
+// Shard returns the sub-heap this thread carves blocks from. A magazine
+// Alloc may also hand out a block another sub-heap owns, one this thread
+// freed.
 func (t *Thread) Shard() int { return t.shard }
 
 // Heap returns the owning heap.
@@ -198,8 +201,9 @@ func (t *Thread) alloc(size uint64) (NVMPtr, error) {
 	s := t.h.subheaps[shard]
 	dev, err := s.alloc(size, nil)
 	if errors.Is(err, ErrOutOfMemory) {
-		// Blocks cached here are allocated on the device: return them
-		// and try once more. Other threads' caches stay stranded.
+		// Blocks cached here are allocated on the device: return them to
+		// their owners and try once more. Other threads' caches stay
+		// stranded.
 		if n, _ := t.magFlushAll(); n > 0 {
 			dev, err = s.alloc(size, nil)
 		}
@@ -280,14 +284,17 @@ func (t *Thread) TxAbandon() error {
 	return t.lane.Truncate()
 }
 
-// Free returns a block to its owning sub-heap — poseidon_free (§5.5).
-// Without Options.RemoteFreeRings, cross-sub-heap frees contend on the
-// owner's lock, exactly as in the paper (§5.7); with rings, they persist
-// one entry on the owner's remote-free ring and return without the lock
-// (the owner drains in batches; a full ring falls back to the locked
-// path). Invalid and double frees return an error and leave the heap
-// untouched — except a ring-routed free, which returns before validation
-// and surfaces rejects in the counters at drain time.
+// Free returns a block to its owning sub-heap — poseidon_free (§5.5). A
+// block a magazine popped goes into this thread's magazine, whichever
+// sub-heap owns it, without a lock or a commit; it returns to its owner
+// when the magazine overflows or the thread closes. Any other
+// cross-sub-heap free contends on the owner's lock, exactly as in the
+// paper (§5.7), or with Options.RemoteFreeRings persists one entry on the
+// owner's remote-free ring and returns without the lock (the owner drains
+// in batches; a full ring falls back to the locked path). Invalid and
+// double frees return an error and leave the heap untouched — except a
+// ring-routed free, which returns before validation and surfaces rejects
+// in the counters at drain time.
 //
 // Rejected frees are journalled (EventFreeRejected), not latency-recorded:
 // an error return measures the validation path, and mixing it into the
@@ -326,9 +333,9 @@ func (t *Thread) free(p NVMPtr) error {
 	if err != nil {
 		return err
 	}
-	// Magazine fast path: a popped block of this thread's shard goes
-	// back on its class stack — no lock, no commit. Also rejects a free
-	// of a block cached in any magazine.
+	// Magazine fast path: a popped block, whichever shard owns it, goes
+	// on this thread's class stack — no lock, no commit. Also rejects a
+	// free of a block cached in any magazine.
 	if handled, err := t.magFree(p); handled {
 		return err
 	}

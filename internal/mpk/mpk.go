@@ -92,7 +92,21 @@ type Unit struct {
 	switchSpin int  // busy iterations per WRPKRU, modeling its cost
 	sealed     bool // ERIM/Hodor-style inspection: only the Authority switches
 
-	switches atomic.Uint64 // WRPKRU executions
+	// switches counts WRPKRU executions, striped so that threads switching
+	// concurrently do not contend on one cache line: each Thread charges
+	// the stripe NewThread gave it, round-robin, and Switches sums them.
+	switches   [switchStripes]switchStripe
+	nextStripe atomic.Uint32
+}
+
+// switchStripes is the number of switch-counter stripes per unit.
+const switchStripes = 32
+
+// switchStripe is one switch counter, padded to its own pair of cache
+// lines (adjacent-line prefetch pulls lines in pairs).
+type switchStripe struct {
+	n atomic.Uint64
+	_ [120]byte
 }
 
 // NewUnit creates the protection state for a device of the given capacity.
@@ -108,7 +122,13 @@ func NewUnit(capacity uint64) *Unit {
 func (u *Unit) SetSwitchCost(iterations int) { u.switchSpin = iterations }
 
 // Switches returns how many WRPKRU executions have occurred on this unit.
-func (u *Unit) Switches() uint64 { return u.switches.Load() }
+func (u *Unit) Switches() uint64 {
+	var n uint64
+	for i := range u.switches {
+		n += u.switches[i].n.Load()
+	}
+	return n
+}
 
 // AssignRange tags every page in [off, off+n) with key k. The range must be
 // page aligned and within the unit.
@@ -167,20 +187,20 @@ func (u *Unit) Seal() (*Authority, error) {
 
 // SetRights performs an authorized WRPKRU on a sealed unit.
 func (a *Authority) SetRights(t *Thread, k Key, r Rights) {
-	a.unit.chargeSwitch()
+	t.chargeSwitch()
 	t.pkru[k] = r
 }
 
 // spinSink defeats dead-code elimination of the calibrated spin.
 var spinSink atomic.Uint64
 
-func (u *Unit) chargeSwitch() {
-	u.switches.Add(1)
+func (t *Thread) chargeSwitch() {
+	t.switches.Add(1)
 	s := uint64(0)
-	for i := 0; i < u.switchSpin; i++ {
+	for i := 0; i < t.unit.switchSpin; i++ {
 		s += uint64(i) ^ (s << 1)
 	}
-	if u.switchSpin > 0 {
+	if t.unit.switchSpin > 0 {
 		spinSink.Store(s)
 	}
 }
@@ -189,15 +209,17 @@ func (u *Unit) chargeSwitch() {
 // A Thread must not be shared between goroutines (PKRU is core-local state;
 // sharing one would be the same bug as sharing a CPU register).
 type Thread struct {
-	unit *Unit
-	pkru [NumKeys]Rights
+	unit     *Unit
+	switches *atomic.Uint64 // this thread's stripe of unit.switches
+	pkru     [NumKeys]Rights
 }
 
 // NewThread creates a thread with the given initial rights applied to every
 // key (hardware resets PKRU to all-rights-granted; a hardened runtime starts
 // with the metadata key write-disabled).
 func (u *Unit) NewThread(initial Rights) *Thread {
-	t := &Thread{unit: u}
+	stripe := &u.switches[(u.nextStripe.Add(1)-1)%switchStripes]
+	t := &Thread{unit: u, switches: &stripe.n}
 	for k := range t.pkru {
 		t.pkru[k] = initial
 	}
@@ -212,7 +234,7 @@ func (t *Thread) SetRights(k Key, r Rights) {
 	if t.unit.sealed {
 		panic(&SwitchViolationError{Key: k})
 	}
-	t.unit.chargeSwitch()
+	t.chargeSwitch()
 	t.pkru[k] = r
 }
 

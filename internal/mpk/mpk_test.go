@@ -3,6 +3,7 @@ package mpk
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"poseidon/internal/nvm"
@@ -249,6 +250,41 @@ func TestSwitchCostCharged(t *testing.T) {
 	th.SetRights(1, RightsRW)
 	if got := u.Switches(); got != 2 {
 		t.Fatalf("switches = %d, want 2", got)
+	}
+}
+
+// TestConcurrentSwitchesExact: threads switching at once charge their own
+// counter stripes (more threads than stripes, so some share one), and
+// Switches sums them to the exact count, for plain WRPKRUs and for a
+// sealed unit's Authority alike.
+func TestConcurrentSwitchesExact(t *testing.T) {
+	const n, k = switchStripes + 8, 500
+	for _, sealed := range []bool{false, true} {
+		u, _ := newUnitDev(t, 16)
+		set := func(th *Thread, r Rights) { th.SetRights(1, r) }
+		if sealed {
+			auth, err := u.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			set = func(th *Thread, r Rights) { auth.SetRights(th, 1, r) }
+		}
+		var wg sync.WaitGroup
+		for range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				th := u.NewThread(RightsRO)
+				for range k {
+					set(th, RightsRW)
+					set(th, RightsRO)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := u.Switches(); got != 2*n*k {
+			t.Fatalf("sealed=%v: switches = %d, want %d", sealed, got, 2*n*k)
+		}
 	}
 }
 

@@ -165,11 +165,13 @@ func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) 
 }
 
 // remoteFreeSegment is the scripted (deterministic, single-goroutine)
-// remote-free mix: blocks allocated on sub-heap 0 are freed from a thread
-// pinned to sub-heap 1, so every free rides sub-heap 0's ring. The first
-// batch is drained by the owner; the second stays pending, so crash points
-// falling after it exercise the recovery replay — and points inside the
-// drain sweep the free-commit / slot-clear / release boundaries.
+// remote-free mix: blocks carved on sub-heap 0's locked path (committed
+// TxAllocs; a magazine-popped block would go into the freeing thread's
+// magazine instead) are freed from a thread pinned to sub-heap 1, so every
+// free rides sub-heap 0's ring. The first batch is drained by the owner;
+// the second stays pending, so crash points falling after it exercise the
+// recovery replay — and points inside the drain sweep the free-commit /
+// slot-clear / release boundaries.
 func remoteFreeSegment(h *core.Heap) error {
 	t0, err := h.ThreadOn(0)
 	if err != nil {
@@ -185,7 +187,7 @@ func remoteFreeSegment(h *core.Heap) error {
 	const blocks = 10
 	var ptrs [blocks]core.NVMPtr
 	for i := range ptrs {
-		if ptrs[i], err = t0.Alloc(uint64(64 << (i % 3))); err != nil {
+		if ptrs[i], err = t0.TxAlloc(uint64(64<<(i%3)), true); err != nil {
 			return err
 		}
 	}
@@ -202,39 +204,107 @@ func remoteFreeSegment(h *core.Heap) error {
 			return err
 		}
 	}
+	if h.Stats().RemoteFrees == 0 {
+		return errors.New("torture: no remote free reached the ring")
+	}
 	return nil
 }
 
-// magazineSegment is the scripted magazine mix on a capacity-8 magazine:
-// 12 class-1 allocations force two refill carves (the manifest-persist
-// boundary) and 12 pops, 12 frees push them back and force two overflow
-// flush-backs (the entry-clear boundary), and Close flushes the remainder
-// back — so swept crash points land inside refill commits, pop and push
-// word persists, word clears and the close-time flush-back, and
-// recovery's manifest replay runs against every intermediate state. Every
-// Alloc and Free that returns nil is recorded in acked (true: allocated,
-// false: freed): each is durable on return, so recovery must agree.
+// magazineSegment is the scripted magazine mix on capacity-8 magazines.
+// On shard 0, 12 class-1 allocations force two refill carves (the
+// manifest-persist boundary) and 12 pops, and 12 frees push them back and
+// force two overflow flush-backs (the entry-clear boundary). Then a
+// shard-1 thread frees shard-0 popped blocks into its own magazine
+// (foreign pushes), pops one back (a foreign pop), and twice overflows a
+// stack holding both sub-heaps' blocks (one flush-back per owner). Close
+// flushes the remainders back, the shard-1 thread's to both owners — so
+// swept crash points land inside refill commits, pop and push word
+// persists, word clears and per-owner flush-backs, and recovery's
+// manifest replay runs against every intermediate state. Every Alloc and
+// Free that returns nil is recorded in acked (true: allocated, false:
+// freed): each is durable on return, so recovery must agree.
 func magazineSegment(h *core.Heap, acked map[core.NVMPtr]bool) error {
 	t0, err := h.ThreadOn(0)
 	if err != nil {
 		return err
 	}
 	defer t0.Close()
-
-	const blocks = 12
-	var ptrs [blocks]core.NVMPtr
-	for i := range ptrs {
-		if ptrs[i], err = t0.Alloc(96); err != nil {
-			return err
-		}
-		acked[ptrs[i]] = true
+	t1, err := h.ThreadOn(1)
+	if err != nil {
+		return err
 	}
-	for _, p := range ptrs {
-		if err := t0.Free(p); err != nil {
+	defer t1.Close()
+	// freedBy[p] is the thread whose acknowledged Free pushed p. A failed
+	// Alloc may have been popping any block its thread pushed when the
+	// device died, so the frees of those blocks are in flight too.
+	freedBy := map[core.NVMPtr]*core.Thread{}
+	alloc := func(th *core.Thread) (core.NVMPtr, error) {
+		p, err := th.Alloc(96)
+		if err != nil {
+			for q, by := range freedBy {
+				if by == th {
+					delete(acked, q)
+				}
+			}
+			return p, err
+		}
+		acked[p] = true
+		delete(freedBy, p)
+		return p, nil
+	}
+	free := func(th *core.Thread, p core.NVMPtr) error {
+		if err := th.Free(p); err != nil {
 			delete(acked, p) // a failed Free may or may not have happened
 			return err
 		}
 		acked[p] = false
+		freedBy[p] = th
+		return nil
+	}
+
+	var ptrs [12]core.NVMPtr
+	for i := range ptrs {
+		if ptrs[i], err = alloc(t0); err != nil {
+			return err
+		}
+	}
+	for _, p := range ptrs {
+		if err := free(t0, p); err != nil {
+			return err
+		}
+	}
+
+	// Cross-shard: t1 pops 2 of its own blocks (its refill leaves 6
+	// cached), takes 2 shard-0 blocks on top (foreign pushes) and pops the
+	// newest back (a foreign pop).
+	var own [2]core.NVMPtr
+	for i := range own {
+		if own[i], err = alloc(t1); err != nil {
+			return err
+		}
+	}
+	var lent [6]core.NVMPtr
+	for i := range lent {
+		if lent[i], err = alloc(t0); err != nil {
+			return err
+		}
+	}
+	for _, p := range lent[:2] {
+		if err := free(t1, p); err != nil {
+			return err
+		}
+	}
+	if p, err := alloc(t1); err != nil {
+		return err
+	} else if p != lent[1] {
+		return fmt.Errorf("torture: shard-1 pop returned %v, want the shard-0 block %v it freed", p, lent[1])
+	}
+	// Re-push it and overflow twice with both owners in the newest half
+	// (at lent[2] and lent[4]); Close then returns both owners' blocks.
+	for _, p := range []core.NVMPtr{lent[1], lent[2], own[0], own[1], lent[3], lent[4], lent[5]} {
+		if err := free(t1, p); err != nil {
+			return err
+		}
 	}
 	return nil
 }

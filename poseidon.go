@@ -59,7 +59,8 @@ type (
 	// MagazineOptions sizes the per-thread block magazines
 	// (Options.Magazines), the default small-object path: a lock-free,
 	// commit-free Alloc or Free that is durable on return at one flush and
-	// one fence, backed by crash-reclaimable refill batches.
+	// one fence, backed by crash-reclaimable refill batches. A Free of a
+	// popped block takes that path whichever sub-heap owns the block.
 	MagazineOptions = core.MagazineOptions
 	// ProfileOptions configures the sampled allocation-site heap profiler
 	// (Options.Profile): 1-in-Rate allocations capture their caller stack,
