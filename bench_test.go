@@ -74,10 +74,7 @@ func BenchmarkFig6Micro(b *testing.B) {
 }
 
 func BenchmarkFig7Larson(b *testing.B) {
-	// Larson's rotating cross-thread frees are exactly the contention the
-	// remote-free rings target, so Fig 7 also runs the rings-on variant.
-	names := append(append([]string{}, benchutil.AllocatorNames...), benchutil.RingAllocatorName)
-	for _, name := range names {
+	for _, name := range benchutil.AllocatorNames {
 		for _, threads := range benchThreads() {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
 				a, err := benchutil.NewAllocator(name, benchutil.Config{

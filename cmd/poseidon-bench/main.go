@@ -139,15 +139,11 @@ func fig6(cfg config) error {
 
 func fig7(cfg config) error {
 	fig := benchutil.Figure{Title: "Figure 7 — Larson benchmark (cross-thread server churn)"}
-	names := append(append([]string{}, benchutil.AllocatorNames...), benchutil.RingAllocatorName)
-	ringLines := []string{}
 	for _, threads := range benchutil.ThreadSweep(cfg.maxThreads) {
-		for _, name := range names {
-			tel := obs.New()
+		for _, name := range benchutil.AllocatorNames {
 			a, err := benchutil.NewAllocator(name, benchutil.Config{
 				Threads:   threads,
 				HeapBytes: 32 << 20 * uint64(threads),
-				Telemetry: tel,
 			})
 			if err != nil {
 				return err
@@ -164,27 +160,10 @@ func fig7(cfg config) error {
 				return fmt.Errorf("%s threads=%d: %w", name, threads, err)
 			}
 			fig.Add(name, threads, res.Ops, res.Duration)
-			// The rings' serialization story — the hardware-independent
-			// multicore predictor: owner-lock acquisitions per cross-thread
-			// free drop from 1 (locked path) to batches/enqueued.
-			if p, ok := a.(*alloc.Poseidon); ok && name == benchutil.RingAllocatorName {
-				st := p.Heap().Stats()
-				batches := tel.Hist(obs.OpDrain).Count
-				if st.RemoteFrees > 0 {
-					ringLines = append(ringLines, fmt.Sprintf(
-						"# threads=%-3d remote frees enqueued lock-free: %d, drained in %d batches (%.1f entries/batch, %.4f owner-lock acq/cross-free vs 1.0 locked), ring-full fallbacks: %d",
-						threads, st.RemoteFrees, batches,
-						float64(st.RemoteDrains)/float64(max(batches, 1)),
-						float64(batches)/float64(st.RemoteFrees), st.RingFallbacks))
-				}
-			}
 			_ = a.Close()
 		}
 	}
 	fig.Print(os.Stdout)
-	for _, l := range ringLines {
-		fmt.Println(l)
-	}
 	return nil
 }
 

@@ -22,8 +22,8 @@ import (
 // every recovery of the crashed image must agree with that model — an
 // acknowledged allocation survives at its class size, an acknowledged free
 // stays free, payloads survive, every allocated block is one the model
-// accounts for, and the rollback and ring-replay counters match the work
-// the schedule left behind. TestDifferentialParallelRecovery recovers the
+// accounts for, and the rollback counter matches the work the schedule
+// left behind. TestDifferentialParallelRecovery recovers the
 // same image at GOMAXPROCS 1, 2 and 8 (Load sizes its worker pool by
 // GOMAXPROCS) and requires the recoveries to be indistinguishable: audit
 // reports, recovery counters, surviving-pointer fingerprints and the
@@ -45,7 +45,6 @@ func recoveryDiffOptions() core.Options {
 		HeapID:          0xD1F2,
 		CrashTracking:   true,
 		ScrubOnLoad:     true,
-		RemoteFreeRings: true,
 		Magazines:       core.MagazineOptions{Capacity: 16, Classes: recoveryMagClasses},
 	}
 }
@@ -79,10 +78,10 @@ func classSize(n uint64) uint64 {
 
 // recSpec is the model of one crashed schedule.
 type recSpec struct {
-	ops       map[core.NVMPtr]specOp
-	openTx    int // uncommitted TxAllocs: recovery must roll back each
-	ringFrees int // cross-shard frees left in rings: recovery must drain each
-	magFrees  int // cross-shard frees left in a magazine: recovery frees each
+	ops         map[core.NVMPtr]specOp
+	openTx      int // uncommitted TxAllocs: recovery must roll back each
+	lockedFrees int // cross-shard frees of locked-path blocks: durable on return
+	magFrees    int // cross-shard frees left in a magazine: recovery frees each
 }
 
 // workerRun is what one worker's schedule leaves behind.
@@ -215,20 +214,19 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe, recSpec) {
 		}
 	}
 	// Cross-shard frees: shard 0 frees two blocks each other worker still
-	// holds. A locked-path block (above the magazined classes) goes onto
-	// its owner's ring; the owners never run again before the crash, so
-	// the entry sits persisted in the ring for recovery to replay. A
-	// magazine-popped block goes into shard 0's magazine instead, and
-	// recovery returns it to its owner from that thread's manifest.
+	// holds. A locked-path block (above the magazined classes) takes its
+	// owner's lock and commits there, durable on return. A magazine-popped
+	// block goes into shard 0's magazine instead, and recovery returns it
+	// to its owner from that thread's manifest.
 	th0, err := h.ThreadOn(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w < workers; w++ {
-		var ringed, cached bool
+		var locked, cached bool
 		for _, p := range runs[w].held {
 			popped := spec.ops[p].size <= 64<<(recoveryMagClasses-1)
-			if popped && cached || !popped && ringed {
+			if popped && cached || !popped && locked {
 				continue
 			}
 			if err := th0.Free(p); err != nil {
@@ -239,8 +237,8 @@ func buildCrashedImage(t *testing.T, seed int) (string, []recProbe, recSpec) {
 				cached = true
 				spec.magFrees++
 			} else {
-				ringed = true
-				spec.ringFrees++
+				locked = true
+				spec.lockedFrees++
 			}
 		}
 	}
@@ -318,9 +316,6 @@ func checkSpec(t *testing.T, h *core.Heap, spec recSpec) {
 	if st.RecoveredBlocks != uint64(spec.openTx) {
 		t.Errorf("RecoveredBlocks = %d, want %d open TxAllocs rolled back", st.RecoveredBlocks, spec.openTx)
 	}
-	if st.RemoteDrains != uint64(spec.ringFrees) {
-		t.Errorf("RemoteDrains = %d, want the %d cross-shard frees drained", st.RemoteDrains, spec.ringFrees)
-	}
 }
 
 // TestRecoverySpec recovers randomized crashed images at widths 1, 2 and 8
@@ -329,8 +324,8 @@ func TestRecoverySpec(t *testing.T) {
 	for seed := 1; seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			path, _, spec := buildCrashedImage(t, seed)
-			if spec.ringFrees == 0 {
-				t.Fatal("no worker held a locked-path block to free across shards: the schedule is not exercising ring replay")
+			if spec.lockedFrees == 0 {
+				t.Fatal("no worker held a locked-path block to free across shards: the schedule is not exercising the owner-lock path")
 			}
 			if spec.magFrees == 0 {
 				t.Fatal("no worker held a popped block to free across shards: the schedule is not exercising foreign manifest entries")
@@ -387,7 +382,6 @@ func fingerprintRecovery(t *testing.T, path string, width int, probes []recProbe
 		"recoveredCached":     st.RecoveredCached,
 		"invalidFrees":        st.InvalidFrees,
 		"doubleFrees":         st.DoubleFrees,
-		"remoteDrains":        st.RemoteDrains,
 		"quarantinedSubheaps": st.QuarantinedSubheaps,
 		"quarantinedBytes":    st.QuarantinedBytes,
 	}
@@ -418,7 +412,7 @@ func fingerprintRecovery(t *testing.T, path string, width int, probes []recProbe
 // images at widths 1, 2 and 8 and requires the recoveries to be
 // indistinguishable, down to the persistent image bytes.
 func TestDifferentialParallelRecovery(t *testing.T) {
-	var sawTx, sawCached, sawDrains bool
+	var sawTx, sawCached bool
 	for seed := 1; seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			path, probes, _ := buildCrashedImage(t, seed)
@@ -459,20 +453,14 @@ func TestDifferentialParallelRecovery(t *testing.T) {
 			if base.stats["recoveredCached"] > 0 {
 				sawCached = true
 			}
-			if base.stats["remoteDrains"] > 0 {
-				sawDrains = true
-			}
 		})
 	}
-	// Coverage guards: a sweep that never exercised lane rollback, magazine
-	// reclaim or ring replay would be vacuously green.
+	// Coverage guards: a sweep that never exercised lane rollback or
+	// magazine reclaim would be vacuously green.
 	if !sawTx {
 		t.Error("no seed exercised micro-log rollback")
 	}
 	if !sawCached {
 		t.Error("no seed exercised magazine-manifest reclaim")
-	}
-	if !sawDrains {
-		t.Error("no seed exercised remote-free ring replay")
 	}
 }

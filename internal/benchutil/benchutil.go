@@ -22,11 +22,6 @@ import (
 // paper's order.
 var AllocatorNames = []string{"poseidon", "pmdk", "makalu"}
 
-// RingAllocatorName is the Poseidon variant with remote-free rings on —
-// benchmarked against plain "poseidon" to measure what the rings buy on
-// cross-thread free workloads (Fig 7).
-const RingAllocatorName = "poseidon-rings"
-
 // Config sizes the heap for a workload.
 type Config struct {
 	// Threads is the maximum worker count the allocator must serve.
@@ -38,9 +33,6 @@ type Config struct {
 	// Telemetry, when non-nil, wires Poseidon heaps into an observability
 	// registry. Falls back to the package default set by SetTelemetry.
 	Telemetry *obs.Telemetry
-	// RemoteFreeRings enables Poseidon's remote-free rings (implied by the
-	// "poseidon-rings" allocator name).
-	RemoteFreeRings bool
 }
 
 // defaultTelemetry is applied to every Poseidon heap NewAllocator builds
@@ -62,7 +54,7 @@ func NewAllocator(name string, cfg Config) (alloc.Allocator, error) {
 		cfg.HeapBytes = 512 << 20
 	}
 	switch name {
-	case "poseidon", RingAllocatorName:
+	case "poseidon":
 		perSub := nextPow2(cfg.HeapBytes / uint64(cfg.Threads))
 		if perSub < 4<<20 {
 			perSub = 4 << 20
@@ -82,7 +74,6 @@ func NewAllocator(name string, cfg Config) (alloc.Allocator, error) {
 			MaxThreads:      cfg.Threads + 8,
 			Protection:      cfg.Protection,
 			Telemetry:       tel,
-			RemoteFreeRings: cfg.RemoteFreeRings || name == RingAllocatorName,
 		})
 	case "pmdk":
 		return pmdkalloc.New(pmdkalloc.Options{Capacity: cfg.HeapBytes})

@@ -115,8 +115,9 @@ func TestBlackboxRoundTrip(t *testing.T) {
 
 	// Span kinds are persisted obs.Op numbers, so retiring an op must not
 	// shift the ones after it: an older image's span of the retired kind 11
-	// still decodes as retired, never as lock_wait.
-	for kind, want := range map[uint8]string{10: "repair", 11: "retired", 12: "lock_wait", 13: "lock_hold"} {
+	// still decodes as retired, never as lock_wait, and one of the retired
+	// ring drain (kind 5) as drain, never as refill.
+	for kind, want := range map[uint8]string{5: "drain", 6: "refill", 10: "repair", 11: "retired", 12: "lock_wait", 13: "lock_hold"} {
 		buf := plog.EncodeBoxRecord(plog.BoxRecord{Type: plog.BoxSpan, Seq: 1, Kind: kind})
 		r, ok := plog.DecodeBoxRecord(buf[:])
 		if !ok {

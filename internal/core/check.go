@@ -180,8 +180,8 @@ func (s *subheap) check(cached map[uint64]string) (SubheapReport, error) {
 // checkLocked is the audit body; the caller holds s.mu and the metadata
 // grant. full=false is the repair-internal mode: it skips the repair-marker
 // check (the marker is legitimately set mid-repair) and the remote-free ring
-// audit (the ring may still hold pending entries that repairRingLocked
-// replays afterwards).
+// audit (the ring may still hold pending entries that the repair replays
+// afterwards).
 func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapReport, error) {
 	report := SubheapReport{ID: s.id}
 	init, err := s.initializedFlag()
@@ -300,13 +300,13 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 		return report, nil
 	}
 
-	// Remote-free ring. Non-empty slots must decode and reference the user
-	// region; what the referenced record's status is depends on when the
-	// crash hit (before the free committed → StatusAllocated, after → the
-	// replay is an idempotent no-op), so pending entries are counted, not
-	// flagged. Only corruption is a problem. The audit assumes quiescence —
-	// no concurrent producers — like the rest of Check.
-	ringBase := s.ring.Base()
+	// Remote-free ring region of an older image (replayRingLocked). Non-empty
+	// slots must decode and reference the user region; what the referenced
+	// record's status is depends on when the crash hit (before the free
+	// committed → StatusAllocated, after → the replay is an idempotent
+	// no-op), so pending entries are counted, not flagged. Only corruption
+	// is a problem.
+	ringBase := s.h.lay.ringBase(s.id)
 	for i := uint64(0); i < memblock.RingSlots; i++ {
 		word, err := s.win.ReadU64(ringBase + i*memblock.RingSlotBytes)
 		if err != nil {

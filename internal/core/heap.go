@@ -188,7 +188,7 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validateRuntime(lay.userSize); err != nil {
+	if err := opts.validateRuntime(); err != nil {
 		return nil, err
 	}
 	h, err := assemble(dev, lay, opts)
@@ -233,7 +233,7 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validateRuntime(lay.userSize); err != nil {
+	if err := opts.validateRuntime(); err != nil {
 		return nil, err
 	}
 	h, err := assemble(dev, lay, opts)
@@ -762,22 +762,6 @@ func (h *Heap) isClosed() bool {
 	return h.closed
 }
 
-// DrainRemoteFrees drains every sub-heap's remote-free ring to empty —
-// the quiesce point tests and tools use before auditing, and a hook for
-// applications that want an empty ring at a checkpoint. A no-op on heaps
-// without Options.RemoteFreeRings. Quarantined sub-heaps are skipped.
-func (h *Heap) DrainRemoteFrees() error {
-	if h.isClosed() {
-		return ErrClosed
-	}
-	for _, s := range h.subheaps {
-		if err := s.drainRemote(); err != nil {
-			return fmt.Errorf("sub-heap %d: %w", s.id, err)
-		}
-	}
-	return nil
-}
-
 // Stats aggregates per-sub-heap counters.
 func (h *Heap) Stats() HeapStats {
 	var out HeapStats
@@ -790,9 +774,7 @@ func (h *Heap) Stats() HeapStats {
 		out.DoubleFrees += s.stats.doubleFrees.Load()
 		out.RecoveredBlocks += s.stats.recoveredBlocks.Load()
 		out.RecoveredNoops += s.stats.recoveredNoops.Load()
-		out.RemoteFrees += s.stats.remoteFrees.Load()
 		out.RemoteDrains += s.stats.remoteDrains.Load()
-		out.RingFallbacks += s.stats.ringFallbacks.Load()
 		out.MagazineHits += s.stats.magazineHits.Load()
 		out.MagazineMisses += s.stats.magazineMisses.Load()
 		out.MagazineRefills += s.stats.magazineRefills.Load()

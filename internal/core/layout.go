@@ -81,10 +81,12 @@ const (
 	// images read "no repair in progress".
 	shRepairingOff = 64
 
-	// shRingOff places the remote-free ring in the spare space of the
-	// sub-heap header page, one cacheline past the initialized word so
-	// the two never share a dirty line. format() zeroes the whole header
-	// page, so images written before rings existed read as an empty ring.
+	// shRingOff is the remote-free ring region, in the spare space of the
+	// sub-heap header page one cacheline past the initialized word. No
+	// free writes it any more; it stays reserved because images written
+	// with rings on may hold undrained entries, which Load and Repair
+	// replay (replayRingLocked) and Check audits. format() zeroes the whole
+	// header page, so a new sub-heap's ring region reads empty.
 	shRingOff = 128
 
 	// The metadata mirror lives in the header page after the ring: a
@@ -169,7 +171,7 @@ func (l layout) userBase(i int) uint64 {
 	return l.subheapBase(i) + l.metaSize
 }
 
-// ringBase returns the device offset of sub-heap i's remote-free ring.
+// ringBase returns the device offset of sub-heap i's remote-free ring region.
 func (l layout) ringBase(i int) uint64 {
 	return l.subheapBase(i) + shRingOff
 }

@@ -229,8 +229,7 @@ func (t *Thread) magRefill(s *subheap, class int) error {
 // its owners first when full. A free of a cached block is a double free,
 // rejected without touching the device. Reports handled=false for every
 // other block, for a quarantined owner or own shard, and when another
-// free claims the block first: the caller takes the locked (or
-// remote-ring) path. Counters go to the thread's own shard, so the fast
+// free claims the block first: the caller takes the locked path. Counters go to the thread's own shard, so the fast
 // path writes no other sub-heap's cache lines but the owner's mark.
 func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 	m := t.mag
@@ -399,7 +398,7 @@ func (t *Thread) magReturn(locs, words []uint64) (n int, err error) {
 // magPersistWord stores, flushes and fences one manifest word under the
 // thread's grant, charged to the given attribution class (the manifest
 // lives in protected superblock metadata, and the producer is an
-// application thread — the same discipline as a remote-free ring publish).
+// application thread).
 func (t *Thread) magPersistWord(off, v uint64, cls nvm.OpClass) error {
 	if t.rec != nil {
 		t.rec.SetClass(cls)

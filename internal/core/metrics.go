@@ -36,9 +36,7 @@ func (h *Heap) Metrics() *obs.Snapshot {
 		"double_frees":         st.DoubleFrees,
 		"recovered_blocks":     st.RecoveredBlocks,
 		"recovered_noops":      st.RecoveredNoops,
-		"remote_frees":         st.RemoteFrees,
 		"remote_drains":        st.RemoteDrains,
-		"ring_fallbacks":       st.RingFallbacks,
 		"magazine_hits":        st.MagazineHits,
 		"magazine_misses":      st.MagazineMisses,
 		"magazine_refills":     st.MagazineRefills,

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"poseidon/internal/memblock"
 	"poseidon/internal/nvm"
 	"poseidon/internal/obs"
 )
@@ -70,19 +69,6 @@ type Options struct {
 	// writes that beat MPK). Costs a full metadata scan per sub-heap at
 	// load; default off.
 	ScrubOnLoad bool
-	// RemoteFreeRings enables the persistent per-sub-heap remote-free
-	// ring (mimalloc-style message-passing frees): a thread freeing a
-	// block owned by another sub-heap that no magazine popped (a popped
-	// one goes into the freeing thread's magazine) CAS-reserves a ring
-	// slot, persists one {blockOff, epoch} entry with a single
-	// flush+fence and returns — no owner lock taken. The owner drains
-	// entries in batches under one lock acquisition, a full ring falls
-	// back to the locked path (Free never blocks), and recovery replays
-	// un-drained entries idempotently. The trade-off: a cross-sub-heap
-	// Free returns before validation, so an invalid or double free of a
-	// remote block surfaces in the InvalidFrees/DoubleFrees counters at
-	// drain time instead of as an error from Free. Default off.
-	RemoteFreeRings bool
 	// Magazines sizes the per-thread block magazines, the lock-free
 	// alloc/free path for small size classes. See MagazineOptions. Zero
 	// value: 64 blocks of each of the 8 smallest classes.
@@ -104,7 +90,7 @@ type Options struct {
 	// inspection of a saved image works without sampling).
 	Profile ProfileOptions
 	// Trace configures the sampled op-span tracer: 1-in-Rate operations
-	// (alloc/free/tx/refill/ring-drain, plus every repair and recovery)
+	// (alloc/free/tx/refill, plus every repair and recovery)
 	// record a span carrying duration and the flush/fence/write/retry
 	// sub-events the operation issued, into a fixed ring exported as Chrome
 	// trace-event JSON. Requires Telemetry. Zero value: disabled.
@@ -308,18 +294,14 @@ func (o Options) validate() error {
 	if o.MaxThreads < 1 || o.MaxThreads > 1<<20 {
 		return fmt.Errorf("poseidon: max threads %d out of range", o.MaxThreads)
 	}
-	return o.validateRuntime(o.SubheapUserSize)
+	return o.validateRuntime()
 }
 
-// validateRuntime checks the options that do not shape the image against
-// its sub-heap user size: Create passes the requested one, Load and Attach
-// the image's. So Load and Attach reject every option Create rejects,
-// except the geometry fields, which the image's superblock supplies.
-func (o Options) validateRuntime(userSize uint64) error {
-	if o.RemoteFreeRings && userSize-1 > memblock.MaxRingRel {
-		return fmt.Errorf("poseidon: sub-heap user size %d exceeds the remote-free ring's %d-bit offset",
-			userSize, 44)
-	}
+// validateRuntime checks the options that do not shape the image. Create,
+// Load and Attach all run it, so Load and Attach reject every option Create
+// rejects, except the geometry fields, which the image's superblock
+// supplies.
+func (o Options) validateRuntime() error {
 	if o.OnlineScrub.Interval < 0 || o.OnlineScrub.Throttle < 0 {
 		return fmt.Errorf("poseidon: online scrub interval/throttle must not be negative")
 	}

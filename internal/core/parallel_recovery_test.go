@@ -14,7 +14,7 @@ import (
 )
 
 // parallelRecoveryOptions is an 8-sub-heap heap with every recovery surface
-// armed: micro-log lanes, remote-free rings, magazines and the load audit.
+// armed: micro-log lanes, magazines and the load audit.
 func parallelRecoveryOptions() Options {
 	return Options{
 		Subheaps:        8,
@@ -25,15 +25,15 @@ func parallelRecoveryOptions() Options {
 		HeapID:          0xFA40,
 		CrashTracking:   true,
 		ScrubOnLoad:     true,
-		RemoteFreeRings: true,
 		Magazines:       MagazineOptions{Capacity: 16, Classes: 4},
 	}
 }
 
 // messyCrashedImage builds a heap with recovery work pending on every
-// surface — open transactions in several lanes, populated magazines,
-// undrained remote frees — crashes it, and saves the image to a temp file
-// so multiple Loads can recover identical copies.
+// surface — open transactions in several lanes, populated magazines and
+// foreign manifest entries, and crafted remote-free ring entries of the
+// kind an older image may hold — crashes it, and saves the image to a temp
+// file so multiple Loads can recover identical copies.
 func messyCrashedImage(t *testing.T) string {
 	t.Helper()
 	h, err := Create(parallelRecoveryOptions())
@@ -56,7 +56,8 @@ func messyCrashedImage(t *testing.T) string {
 			}
 			blocks = append(blocks, p)
 		}
-		// Remote frees: push some blocks into ANOTHER sub-heap's ring.
+		// Cross-shard frees: thread 0 pushes popped blocks of every other
+		// sub-heap into its own magazine.
 		if w > 0 {
 			for i := 0; i < 4; i++ {
 				if err := threads[0].Free(blocks[i]); err != nil {
@@ -64,6 +65,16 @@ func messyCrashedImage(t *testing.T) string {
 				}
 			}
 		}
+		// Ring entries for two committed blocks, one of them twice.
+		var words []uint64
+		for i := 0; i < 2; i++ {
+			p, err := th.TxAlloc(512, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words = append(words, ringWord(p, 0))
+		}
+		writeRingWords(t, h, w, append(words, words[0])...)
 		// Leave a transaction open: its lane entries must roll back.
 		if _, err := th.TxAlloc(128, false); err != nil {
 			t.Fatal(err)
@@ -179,6 +190,9 @@ func TestRecoveryImageIndependentOfWidth(t *testing.T) {
 	}
 	if h1.Stats().RecoveredBlocks == 0 {
 		t.Fatal("scenario recovered no tx blocks — the sweep is not exercising lane replay")
+	}
+	if h1.Stats().RemoteDrains == 0 {
+		t.Fatal("scenario replayed no ring entries")
 	}
 
 	b1, b8 := saveBytes(t, h1), saveBytes(t, h8)

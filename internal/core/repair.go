@@ -179,7 +179,7 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 		}
 	}
 
-	if err := s.repairRingLocked(); err != nil {
+	if err := s.replayRingLocked(true); err != nil {
 		return mirrored, err
 	}
 	if err := s.reseedFreeMask(); err != nil {
@@ -410,50 +410,4 @@ func (s *subheap) rebuildLocked() error {
 		}
 	}
 	return commitChunk()
-}
-
-// repairRingLocked drains whatever the remote-free ring still holds after a
-// rebuild. Unlike replayRingLocked it CLEARS corrupt entries instead of
-// preserving them as evidence: the table they accused has just been rebuilt,
-// and a lost free is a capacity leak, not data loss. Valid entries replay
-// idempotently through freeLocked.
-func (s *subheap) repairRingLocked() error {
-	g := s.mgr.Geometry()
-	base := s.ring.Base()
-	cleared := 0
-	for i := uint64(0); i < memblock.RingSlots; i++ {
-		off := base + i*memblock.RingSlotBytes
-		word, err := s.readRetry(off)
-		if err != nil {
-			return err
-		}
-		if word == 0 {
-			continue
-		}
-		if rel, _, ok := memblock.DecodeRingEntry(word); ok && rel < g.UserSize {
-			switch ferr := s.freeLocked(g.UserBase + rel); {
-			case ferr == nil:
-				s.stats.remoteDrains.Add(1)
-			case errors.Is(ferr, ErrInvalidFree) || errors.Is(ferr, ErrDoubleFree):
-				s.stats.recoveredNoops.Add(1)
-			default:
-				return ferr
-			}
-		}
-		if err := s.win.WriteU64(off, 0); err != nil {
-			return err
-		}
-		if err := s.win.Flush(off, 8); err != nil {
-			return err
-		}
-		cleared++
-	}
-	if cleared > 0 {
-		s.win.Fence()
-	}
-	s.ring.Reset()
-	if s.h.opts.RemoteFreeRings {
-		s.ring.Arm()
-	}
-	return nil
 }

@@ -13,9 +13,7 @@ type subheapStats struct {
 	doubleFrees     atomic.Uint64
 	recoveredBlocks atomic.Uint64
 	recoveredNoops  atomic.Uint64
-	remoteFrees     atomic.Uint64
 	remoteDrains    atomic.Uint64
-	ringFallbacks   atomic.Uint64
 	magazineHits    atomic.Uint64
 	magazineMisses  atomic.Uint64
 	magazineRefills atomic.Uint64
@@ -33,9 +31,8 @@ type HeapStats struct {
 	DoubleFrees         uint64 // frees rejected: block already free
 	RecoveredBlocks     uint64 // uncommitted tx allocations freed at recovery
 	RecoveredNoops      uint64 // rollback entries whose block was already free or unknown
-	RemoteFrees         uint64 // cross-sub-heap frees enqueued on remote-free rings
-	RemoteDrains        uint64 // ring entries drained (owner batches + recovery replay)
-	RingFallbacks       uint64 // remote frees that found a full ring and took the locked path
+	RemoteFrees         uint64 // always 0: the remote-free ring path it counted was removed; kept for existing readers
+	RemoteDrains        uint64 // remote-free ring entries of an older image replayed at Load or Repair
 	MagazineHits        uint64 // allocs/frees served lock-free from a thread magazine
 	MagazineMisses      uint64 // magazine-eligible ops that fell back to the locked path
 	MagazineRefills     uint64 // batched magazine refill transactions

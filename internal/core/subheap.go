@@ -53,16 +53,6 @@ type subheap struct {
 	batch  *txn.Batch
 	ready  bool // log opened and persistent structures formatted
 
-	// ring is the remote-free ring's DRAM coordination state; the
-	// persistent slots live in the sub-heap header page (shRingOff).
-	// Always wired (replay must run even when the current Options leave
-	// rings off but the image holds entries from a previous run); armed
-	// for producers only under Options.RemoteFreeRings once the
-	// persistent slots are in a known state. localOps counts operations
-	// under mu and paces the opportunistic drain.
-	ring     *memblock.Ring
-	localOps uint64
-
 	// freeMask is a DRAM bitmap of the classes whose free list is
 	// (probably) non-empty: bit c set means class c may hold a block, so
 	// the allocation find loop is one TrailingZeros64 instead of per-class
@@ -221,7 +211,6 @@ func newSubheap(h *Heap, id int) (*subheap, error) {
 		thread: h.unit.NewThread(defaultRights(h.opts)),
 	}
 	s.win = mpk.NewWindow(h.dev, s.thread)
-	s.ring = memblock.NewRing(h.lay.ringBase(id))
 	if h.tel != nil {
 		s.rec = nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassOther)
 		s.win = s.win.WithRecorder(s.rec)
@@ -249,8 +238,8 @@ func (s *subheap) initializedFlag() (bool, error) {
 }
 
 // readRetry is a metadata read with the heap's transient-retry policy
-// attached — used on runtime paths (ring drain/replay, repair) where a
-// clearing ECC fault should cost a bounded backoff, not an aborted drain.
+// attached — used on runtime paths (ring replay, repair) where a clearing
+// ECC fault should cost a bounded backoff, not an aborted replay.
 func (s *subheap) readRetry(off uint64) (uint64, error) {
 	var v uint64
 	err := s.h.retry(func() error {
@@ -296,18 +285,17 @@ func (s *subheap) recoverLogs() error {
 
 // attach opens a formatted sub-heap and rebuilds its DRAM state: the mirror
 // sequence, the free-list mask and the gauges. With replay it also replays
-// the newest commit records and, unless producers already own it, the
-// remote-free ring (the load path); without, the image stays untouched and
-// the ring disarmed, so no producer writes it (raw Attach: fsck -raw audits
-// the post-crash image as it is). Caller holds the lock with metadata
-// write rights.
+// the newest commit records and an older image's remote-free ring entries
+// (the load path); without, the image stays untouched (raw Attach: fsck
+// -raw audits the post-crash image as it is). Caller holds the lock with
+// metadata write rights.
 func (s *subheap) attach(replay bool) error {
 	if err := s.open(replay); err != nil {
 		return err
 	}
 	s.seedMirrorSeq()
-	if replay && !s.ring.Armed() {
-		if err := s.replayRingLocked(); err != nil {
+	if replay {
+		if err := s.replayRingLocked(false); err != nil {
 			return err
 		}
 	}
@@ -446,11 +434,6 @@ func (s *subheap) format() error {
 	}
 	s.freeMask = 1 << uint(g.MaxClass())
 	s.seedGauges()
-	// The ring region was zeroed above; open it for producers.
-	s.ring.Reset()
-	if s.h.opts.RemoteFreeRings {
-		s.ring.Arm()
-	}
 	// First mirror image of the freshly formatted header (best-effort).
 	s.mirrorSeq = 0
 	_ = s.updateMirrorLocked()
@@ -517,10 +500,6 @@ func (s *subheap) alloc(size uint64, lane *plog.MicroLog) (devOff uint64, err er
 	if tdone := s.traceBegin(op, size); tdone != nil {
 		defer func() { tdone(err) }()
 	}
-	// The alloc slow path is a drain point: we already paid for the lock.
-	if err := s.maybeDrainLocked(); err != nil {
-		return 0, err
-	}
 	g := s.mgr.Geometry()
 	class, err := g.ClassOf(size)
 	if err != nil {
@@ -552,17 +531,16 @@ func (s *subheap) alloc(size uint64, lane *plog.MicroLog) (devOff uint64, err er
 // ladder have fired. One instance spans all retries of one logical
 // operation (alloc or magazine refill).
 type pressure struct {
-	defraggedList, defraggedProbe, extended, drainedRing bool
+	defraggedList, defraggedProbe, extended bool
 }
 
 // relievePressure runs the allocation pressure ladder rung matching err:
 // hash-table pressure defragments the probe window then extends the table
-// (§5.2); space pressure drains the remote-free ring (the cheapest memory
-// to reclaim) then merges free lists upward (§5.4). It returns retry=true
-// when a rung made progress and the caller should re-attempt. With the
-// ladder exhausted, space pressure returns errNoFreeBlock unwrapped so each
-// caller can word its own out-of-memory error; everything else returns
-// ready to surface. Caller holds mu with metadata rights on a ready
+// (§5.2); space pressure merges free lists upward (§5.4). It returns
+// retry=true when a rung made progress and the caller should re-attempt.
+// With the ladder exhausted, space pressure returns errNoFreeBlock
+// unwrapped so each caller can word its own out-of-memory error;
+// everything else returns ready to surface. Caller holds mu with metadata rights on a ready
 // sub-heap and must have aborted any half-staged batch.
 func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, error) {
 	var ns *noSlotError
@@ -587,16 +565,6 @@ func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, erro
 		}
 		return false, fmt.Errorf("%w: metadata table full", ErrOutOfMemory)
 	case errors.Is(err, errNoFreeBlock):
-		if !p.drainedRing {
-			p.drainedRing = true
-			n, derr := s.drainRingLocked(0)
-			if derr != nil {
-				return false, derr
-			}
-			if n > 0 {
-				return true, nil
-			}
-		}
 		if !p.defraggedList {
 			p.defraggedList = true
 			progress, derr := s.defragFreeLists(class)
@@ -750,10 +718,6 @@ func (s *subheap) free(blockOff uint64) (err error) {
 	if tdone := s.traceBegin(obs.OpFree, 0); tdone != nil {
 		defer func() { tdone(err) }()
 	}
-	// Local frees are a drain point too ("per N local ops").
-	if err := s.maybeDrainLocked(); err != nil {
-		return err
-	}
 	return s.freeLocked(blockOff)
 }
 
@@ -796,7 +760,7 @@ func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error)
 }
 
 // freeLocked is the body of free — and the exact per-entry logic the
-// remote-free ring drain replays. A block cached in a magazine is a double
+// remote-free ring replay runs. A block cached in a magazine is a double
 // free; a popped one loses its mark, so it cannot also be pushed. Caller
 // holds mu with metadata rights on a ready sub-heap.
 func (s *subheap) freeLocked(blockOff uint64) error {
@@ -835,167 +799,20 @@ func (s *subheap) noteFree(f freedBlock) {
 	}
 }
 
-// drainInterval paces the opportunistic drain: every drainInterval-th
-// operation under mu drains the ring even when it is far from full, so a
-// quiet ring still empties.
-const drainInterval = 64
-
-// remoteFree enqueues a cross-sub-heap free on this sub-heap's remote-free
-// ring without taking its lock: CAS-reserve a ticket, persist the encoded
-// entry with a single flush+fence through the CALLING thread's window, and
-// publish. Reports handled=false when the ring is disarmed or full — the
-// caller then falls back to the locked path, so Free never blocks.
-func (s *subheap) remoteFree(t *Thread, blockOff uint64) (bool, error) {
-	r := s.ring
-	if !r.Armed() || s.isQuarantined() {
-		return false, nil
-	}
-	ticket, ok := r.Reserve()
-	if !ok {
-		s.stats.ringFallbacks.Add(1)
-		return false, nil
-	}
-	word := memblock.EncodeRingEntry(blockOff-s.h.lay.userBase(s.id), uint8(ticket))
-	slotOff := r.SlotOff(ticket)
-	// The ring lives in protected metadata, and the producer is an
-	// application thread: grant it write rights for the one store, and
-	// charge the traffic to the free class.
-	if t.rec != nil {
-		t.rec.SetClass(nvm.ClassFree)
-		defer t.rec.SetClass(nvm.ClassUser)
-	}
-	t.h.grant(t.pkru)
-	err := t.win.PersistU64(slotOff, word)
-	if err != nil {
-		// The entry may or may not have reached the slot; best-effort
-		// zero it so the drain skips it. Publish regardless — an
-		// unpublished ticket would wedge the ring head forever.
-		_ = t.win.WriteU64(slotOff, 0)
-	}
-	t.h.revoke(t.pkru)
-	r.Publish(ticket)
-	if err != nil {
-		return true, err
-	}
-	s.stats.remoteFrees.Add(1)
-	return true, nil
-}
-
-// maybeDrainLocked is the opportunistic drain trigger on the alloc and
-// free paths: a full drain when the ring is at least half full, and every
-// drainInterval-th operation regardless. Caller holds mu with metadata
-// rights on a ready sub-heap.
-func (s *subheap) maybeDrainLocked() error {
-	if !s.ring.Armed() {
-		return nil
-	}
-	s.localOps++
-	if s.ring.Pending() >= memblock.RingSlots/2 || s.localOps%drainInterval == 0 {
-		_, err := s.drainRingLocked(0)
-		return err
-	}
-	return nil
-}
-
-// drainRingLocked consumes published remote-free ring entries in batches:
-// each entry is freed exactly as free would (an entry whose record is
-// already free or unknown is an idempotent no-op feeding the double/
-// invalid-free counters), its slot is cleared, and the batch's cleared
-// slots are made durable with a single trailing fence. Only then are the
-// tickets released to producers: releasing before the clears are durable
-// would let a crash replay an old entry against a block that was
-// re-allocated in the meantime. A published entry that fails its checksum
-// is media corruption (producers persist a slot fully or not at all) — the
-// ring is disarmed and the sub-heap quarantined, degrade-don't-die.
-// limit <= 0 drains everything pending. Caller holds mu with metadata
-// rights on a ready sub-heap.
-func (s *subheap) drainRingLocked(limit int) (int, error) {
-	r := s.ring
-	if !r.Armed() {
-		return 0, nil
-	}
-	// Empty ring: nothing to do, and no OpDrain sample — the histogram
-	// counts real batches, which is what amortization math divides by.
-	if _, ok := r.PeekDrain(0); !ok {
-		return 0, nil
-	}
-	done := s.timeDrain()
-	defer done()
+// replayRingLocked replays the remote-free ring region of an image an
+// older version wrote with rings on: a producer persisted the entry, but
+// the owner never drained it. Each valid entry is freed through freeLocked
+// (a record already free or unknown is a no-op counted in RecoveredNoops:
+// the crash fell between a drain's free commit and its slot clear) and its
+// slot cleared; the clears share one trailing fence. Corrupt and
+// out-of-range words are left in place for the audit to report, unless
+// clearCorrupt is set (Repair: the table they accused has just been
+// rebuilt, and a lost free is a capacity leak, not data loss). Caller
+// holds mu with metadata rights on a ready sub-heap.
+func (s *subheap) replayRingLocked(clearCorrupt bool) error {
 	g := s.mgr.Geometry()
-	drained := 0
-	var err error
-	if tdone := s.traceBegin(obs.OpDrain, 0); tdone != nil {
-		defer func() { tdone(err) }()
-	}
-	for limit <= 0 || drained < limit {
-		ticket, ok := r.PeekDrain(drained)
-		if !ok {
-			break
-		}
-		slotOff := r.SlotOff(ticket)
-		var word uint64
-		if word, err = s.readRetry(slotOff); err != nil {
-			break
-		}
-		if word != 0 { // zero: a producer's failed persist, skip the slot
-			rel, _, okE := memblock.DecodeRingEntry(word)
-			if !okE || rel >= g.UserSize {
-				r.Disarm()
-				s.quarantine(fmt.Sprintf(
-					"remote-free ring slot %d holds corrupt entry %#x", ticket%memblock.RingSlots, word))
-				err = fmt.Errorf("%w: remote-free ring entry %#x", ErrCorruptHeap, word)
-				break
-			}
-			if ferr := s.freeLocked(g.UserBase + rel); ferr != nil &&
-				!errors.Is(ferr, ErrInvalidFree) && !errors.Is(ferr, ErrDoubleFree) {
-				err = ferr
-				break
-			}
-		}
-		if err = s.win.WriteU64(slotOff, 0); err != nil {
-			break
-		}
-		if err = s.win.Flush(slotOff, 8); err != nil {
-			break
-		}
-		drained++
-	}
-	if drained > 0 {
-		s.win.Fence()
-		r.Release(drained)
-		s.stats.remoteDrains.Add(uint64(drained))
-	}
-	return drained, err
-}
-
-// drainRemote is the standalone full drain (Heap.DrainRemoteFrees): one
-// lock acquisition, ring to empty.
-func (s *subheap) drainRemote() error {
-	if !s.ring.Armed() || s.isQuarantined() {
-		return nil
-	}
-	s.lockOp(obs.OpDrain)
-	defer s.unlockOp()
-	if err := s.ensureReady(); err != nil {
-		return err
-	}
-	_, err := s.drainRingLocked(0)
-	return err
-}
-
-// replayRingLocked replays un-drained remote-free ring entries after a
-// restart — the producer persisted its entry, but the owner never drained
-// it. Valid entries are freed idempotently (a record already free or
-// unknown feeds the counters as a no-op: the crash fell between the
-// drain's free commit and its slot clear) and their slots cleared. Corrupt
-// entries are LEFT IN PLACE for the audit to report, and the ring stays
-// disarmed so producers cannot overwrite the evidence — the sub-heap then
-// serves through the locked free path only. Caller holds mu with metadata
-// rights on a ready sub-heap.
-func (s *subheap) replayRingLocked() error {
-	g := s.mgr.Geometry()
-	base := s.ring.Base()
-	corrupt, cleared := 0, 0
+	base := s.h.lay.ringBase(s.id)
+	cleared := false
 	for i := uint64(0); i < memblock.RingSlots; i++ {
 		off := base + i*memblock.RingSlotBytes
 		word, err := s.readRetry(off)
@@ -1005,18 +822,17 @@ func (s *subheap) replayRingLocked() error {
 		if word == 0 {
 			continue
 		}
-		rel, _, ok := memblock.DecodeRingEntry(word)
-		if !ok || rel >= g.UserSize {
-			corrupt++
+		if rel, _, ok := memblock.DecodeRingEntry(word); ok && rel < g.UserSize {
+			switch ferr := s.freeLocked(g.UserBase + rel); {
+			case ferr == nil:
+				s.stats.remoteDrains.Add(1)
+			case errors.Is(ferr, ErrInvalidFree) || errors.Is(ferr, ErrDoubleFree):
+				s.stats.recoveredNoops.Add(1)
+			default:
+				return ferr
+			}
+		} else if !clearCorrupt {
 			continue
-		}
-		switch ferr := s.freeLocked(g.UserBase + rel); {
-		case ferr == nil:
-			s.stats.remoteDrains.Add(1)
-		case errors.Is(ferr, ErrInvalidFree) || errors.Is(ferr, ErrDoubleFree):
-			s.stats.recoveredNoops.Add(1)
-		default:
-			return ferr
 		}
 		if err := s.win.WriteU64(off, 0); err != nil {
 			return err
@@ -1024,33 +840,12 @@ func (s *subheap) replayRingLocked() error {
 		if err := s.win.Flush(off, 8); err != nil {
 			return err
 		}
-		cleared++
+		cleared = true
 	}
-	if cleared > 0 {
+	if cleared {
 		s.win.Fence()
 	}
-	s.ring.Reset()
-	if corrupt == 0 && s.h.opts.RemoteFreeRings {
-		s.ring.Arm()
-	}
 	return nil
-}
-
-// timeDrain retags device traffic as ClassFree (a drain is the deferred
-// half of frees) and returns a closure that restores the previous class
-// and records the batch in the drain latency histogram. A no-op (returning
-// a no-op) without telemetry.
-func (s *subheap) timeDrain() func() {
-	if s.h.tel == nil {
-		return func() {}
-	}
-	start := time.Now()
-	prev := s.rec.Class()
-	s.rec.SetClass(nvm.ClassFree)
-	return func() {
-		s.rec.SetClass(prev)
-		s.h.tel.RecordOn(s.id, obs.OpDrain, time.Since(start))
-	}
 }
 
 // refillMagazine carves up to want blocks of class `class` for a thread
@@ -1081,9 +876,6 @@ func (s *subheap) refillMagazine(class, want int, man plog.Manifest, slot0 uint6
 		return nil, err
 	}
 	s.setClass(nvm.ClassAlloc)
-	if err := s.maybeDrainLocked(); err != nil {
-		return nil, err
-	}
 	done := s.timeRefill()
 	defer done()
 	g := s.mgr.Geometry()
@@ -1092,9 +884,9 @@ func (s *subheap) refillMagazine(class, want int, man plog.Manifest, slot0 uint6
 	}
 	// Same pressure-recovery ladder as the alloc slow path (shared via
 	// relievePressure): hash-table pressure defragments the probe window
-	// then extends the table; space pressure drains the remote ring then
-	// merges free lists. stageCarves aborts its batch before surfacing
-	// either, so the recovery ops run on a clean slate.
+	// then extends the table; space pressure merges free lists.
+	// stageCarves aborts its batch before surfacing either, so the
+	// recovery ops run on a clean slate.
 	var p pressure
 	for {
 		blocks, founds, err := s.stageCarves(class, want)

@@ -289,12 +289,8 @@ func (t *Thread) TxAbandon() error {
 // sub-heap owns it, without a lock or a commit; it returns to its owner
 // when the magazine overflows or the thread closes. Any other
 // cross-sub-heap free contends on the owner's lock, exactly as in the
-// paper (§5.7), or with Options.RemoteFreeRings persists one entry on the
-// owner's remote-free ring and returns without the lock (the owner drains
-// in batches; a full ring falls back to the locked path). Invalid and
-// double frees return an error and leave the heap untouched — except a
-// ring-routed free, which returns before validation and surfaces rejects
-// in the counters at drain time.
+// paper (§5.7). Invalid and double frees return an error and leave the
+// heap untouched.
 //
 // Rejected frees are journalled (EventFreeRejected), not latency-recorded:
 // an error return measures the validation path, and mixing it into the
@@ -338,11 +334,6 @@ func (t *Thread) free(p NVMPtr) error {
 	// free of a block cached in any magazine.
 	if handled, err := t.magFree(p); handled {
 		return err
-	}
-	if s.id != t.shard {
-		if handled, err := s.remoteFree(t, dev); handled {
-			return err
-		}
 	}
 	return s.free(dev)
 }

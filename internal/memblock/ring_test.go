@@ -62,82 +62,3 @@ func TestRingDecodeRejectsZeroBody(t *testing.T) {
 		t.Fatal("zero-body word decoded as valid")
 	}
 }
-
-func TestRingReservePublishDrainWrap(t *testing.T) {
-	r := NewRing(4096)
-	if r.Armed() {
-		t.Fatal("new ring must start disarmed")
-	}
-	r.Arm()
-
-	// Three full generations exercise ticket wrap-around.
-	for gen := 0; gen < 3; gen++ {
-		var tickets []uint64
-		for i := 0; i < RingSlots; i++ {
-			tk, ok := r.Reserve()
-			if !ok {
-				t.Fatalf("gen %d: ring full after %d reservations", gen, i)
-			}
-			tickets = append(tickets, tk)
-		}
-		if _, ok := r.Reserve(); ok {
-			t.Fatalf("gen %d: reservation succeeded on a full ring", gen)
-		}
-		if r.Pending() != RingSlots {
-			t.Fatalf("gen %d: Pending = %d, want %d", gen, r.Pending(), RingSlots)
-		}
-
-		// Publish out of order; the consumer must still drain in order.
-		for i := len(tickets) - 1; i >= 0; i-- {
-			r.Publish(tickets[i])
-		}
-		for i := 0; i < RingSlots; i++ {
-			tk, ok := r.PeekDrain(i)
-			if !ok {
-				t.Fatalf("gen %d: ticket %d not drainable", gen, i)
-			}
-			if tk != tickets[i] {
-				t.Fatalf("gen %d: drain order %d, want %d", gen, tk, tickets[i])
-			}
-			if off := r.SlotOff(tk); off != 4096+tk%RingSlots*RingSlotBytes {
-				t.Fatalf("SlotOff(%d) = %d", tk, off)
-			}
-		}
-		r.Release(RingSlots)
-		if r.Pending() != 0 {
-			t.Fatalf("gen %d: Pending = %d after full release", gen, r.Pending())
-		}
-	}
-}
-
-func TestRingUnpublishedTicketBlocksDrain(t *testing.T) {
-	r := NewRing(0)
-	r.Arm()
-	t0, _ := r.Reserve()
-	t1, _ := r.Reserve()
-	r.Publish(t1) // the older ticket t0 stays unpublished
-	if _, ok := r.PeekDrain(0); ok {
-		t.Fatal("drain must wait for the oldest ticket's publish")
-	}
-	r.Publish(t0)
-	if tk, ok := r.PeekDrain(0); !ok || tk != t0 {
-		t.Fatalf("PeekDrain(0) = %d, %v; want %d, true", tk, ok, t0)
-	}
-	if tk, ok := r.PeekDrain(1); !ok || tk != t1 {
-		t.Fatalf("PeekDrain(1) = %d, %v; want %d, true", tk, ok, t1)
-	}
-}
-
-func TestRingReset(t *testing.T) {
-	r := NewRing(0)
-	r.Arm()
-	tk, _ := r.Reserve()
-	r.Publish(tk)
-	r.Reset()
-	if r.Pending() != 0 {
-		t.Fatalf("Pending = %d after Reset", r.Pending())
-	}
-	if _, ok := r.PeekDrain(0); ok {
-		t.Fatal("stale publish survived Reset")
-	}
-}

@@ -27,7 +27,7 @@ const (
 	OpTxAlloc
 	OpTxFree // recovery rollback free of an uncommitted tx allocation
 	OpDefrag
-	OpDrain    // batched remote-free ring drain by the owning sub-heap
+	opDrain    // remote-free ring drain: no longer recorded; reserved like opRetired
 	OpRefill   // batched magazine refill carve by the owning sub-heap
 	OpRecovery // log replay + lane rollback during Load
 	OpLoad     // whole Load call
@@ -54,11 +54,9 @@ func (o Op) String() string {
 // attrClassOf maps an op to the device-attribution class whose traffic it
 // explains, for per-op amplification ratios. OpLoad maps to no class
 // (NumClasses sentinel): its window is the union of recovery and scrub, and
-// counting it would double-charge those classes' ratios. OpDrain likewise:
-// ring-drain device traffic is deliberately charged to ClassFree (a drain
-// IS the deferred half of frees), which OpFree already explains. OpRefill
-// follows the same rule on the alloc side: refill traffic is charged to
-// ClassAlloc, which OpAlloc already explains. OpRepair charges
+// counting it would double-charge those classes' ratios. OpRefill follows
+// the same rule: refill traffic is charged to ClassAlloc, which OpAlloc
+// already explains. OpRepair charges
 // ClassRecovery, which OpRecovery already explains, so it maps to no class.
 // OpLockWait/OpLockHold are pure contention timings — they explain no device
 // traffic at all — so they map to no class.

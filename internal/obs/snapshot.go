@@ -122,7 +122,7 @@ func (t *Telemetry) Snapshot() *Snapshot {
 
 	opCount := map[nvm.OpClass]uint64{}
 	for op := Op(0); op < NumOps; op++ {
-		if op == opRetired {
+		if op == opRetired || op == opDrain {
 			continue
 		}
 		h := t.hists[op].Snapshot()

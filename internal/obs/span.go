@@ -1,7 +1,7 @@
 package obs
 
 // Sampled op-span tracer: 1-in-N operations (alloc/free/tx/refill/
-// ring-drain/repair/recovery) record a span carrying duration plus the
+// repair/recovery) record a span carrying duration plus the
 // flush/fence/write/retry sub-event counts the operation issued, diffed
 // from the context's nvm.AttrRecorder. Spans land in a fixed ring
 // (newest-wins, like the event journal) and export as Chrome trace-event

@@ -12,7 +12,7 @@ import (
 )
 
 // parallelSweepOptions is the 4-sub-heap configuration the parallel
-// recovery sweep loads with: every recovery surface armed (lanes, rings,
+// recovery sweep loads with: every recovery surface armed (lanes,
 // magazines, scrub). The sweep runs at GOMAXPROCS 4, so the failpoint walks
 // through a 4-way worker pool's genuinely concurrent replay.
 func parallelSweepOptions() core.Options {
@@ -25,15 +25,14 @@ func parallelSweepOptions() core.Options {
 		HeapID:          0x70051D05, // fixed: runs must be byte-identical
 		CrashTracking:   true,
 		ScrubOnLoad:     true,
-		RemoteFreeRings: true,
 		Magazines:       core.MagazineOptions{Capacity: 8, Classes: 4},
 	}
 }
 
 // parallelRecoveryImage builds the crashed image every sweep run recovers:
 // pending rollback work in all four micro-log lanes, populated magazine
-// manifests, undrained remote-free ring entries, and a committed sentinel
-// payload that must survive every recovery. Saved to a file so each sweep
+// manifests, and a committed sentinel payload that must survive every
+// recovery. Saved to a file so each sweep
 // point starts from the identical torn state.
 func parallelRecoveryImage(t *testing.T) (string, core.NVMPtr, []byte) {
 	t.Helper()
@@ -44,7 +43,6 @@ func parallelRecoveryImage(t *testing.T) (string, core.NVMPtr, []byte) {
 	defer h.Close()
 
 	var threads []*core.Thread
-	var bigBlocks []core.NVMPtr
 	for w := 0; w < h.Subheaps(); w++ {
 		th, err := h.ThreadOn(w)
 		if err != nil {
@@ -57,12 +55,6 @@ func parallelRecoveryImage(t *testing.T) (string, core.NVMPtr, []byte) {
 				t.Fatal(err)
 			}
 		}
-		// One large block per shard for the cross-shard ring frees below.
-		p, err := th.Alloc(700)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bigBlocks = append(bigBlocks, p)
 	}
 
 	// The sentinel: committed, persisted, must be byte-identical after
@@ -79,13 +71,6 @@ func parallelRecoveryImage(t *testing.T) (string, core.NVMPtr, []byte) {
 		t.Fatal(err)
 	}
 
-	// Undrained ring entries: shard 0 frees the other shards' big blocks;
-	// the owners never run again before the crash.
-	for w := 1; w < h.Subheaps(); w++ {
-		if err := threads[0].Free(bigBlocks[w]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Open transactions in every lane: rollback work for every worker.
 	for _, th := range threads {
 		if _, err := th.TxAlloc(128, false); err != nil {
@@ -118,8 +103,7 @@ func loadSweepImage(t *testing.T, path string) *nvm.Device {
 
 // TestSweepParallelRecoveryTail walks the device failpoint through every
 // mutating op inside a 4-way parallel Load — lane rollbacks, manifest
-// replays and word clears, ring drains, lane truncations, mirror
-// refreshes — crashes the half-recovered image under each eviction mode,
+// replays and word clears, lane truncations, mirror refreshes — crashes the half-recovered image under each eviction mode,
 // and requires the second Load to heal completely: clean audit, no
 // quarantine (a pure power/device failure must never be mistaken for
 // corruption), no pending transactions, the sentinel payload intact, and
@@ -146,9 +130,6 @@ func TestSweepParallelRecoveryTail(t *testing.T) {
 	}
 	if st.RecoveredCached == 0 {
 		t.Fatal("scenario has no magazine-manifest work")
-	}
-	if st.RemoteDrains == 0 {
-		t.Fatal("scenario has no ring-replay work")
 	}
 	_ = hm.Close()
 	if total == 0 {

@@ -102,12 +102,6 @@ func heapOptions(tel *obs.Telemetry) core.Options {
 		HeapID:          0x70051D04, // fixed: runs must be byte-identical
 		CrashTracking:   true,
 		ScrubOnLoad:     true,
-		// Rings on: the workload's remote-free segment sweeps crash points
-		// through producer persists, owner drains and recovery replays. A
-		// pure power failure must never corrupt a ring entry (slots are
-		// single 8-byte words on their own cachelines), so the quarantine
-		// check below also guards the ring's crash argument.
-		RemoteFreeRings: true,
 		// Small magazines: the workload's magazine segment sweeps crash
 		// points through refill persists, pops, pushes, overflow
 		// flush-backs and the close-time flush-back, and recovery's
@@ -120,7 +114,7 @@ func heapOptions(tel *obs.Telemetry) core.Options {
 
 // runWorkload drives the scripted operation sequence on h: transactional
 // allocation bursts, a root update, the seeded alloc/free mix, one
-// Kruskal iteration, and the remote-free and magazine segments.
+// Kruskal iteration, and the cross-shard free and magazine segments.
 // Deterministic for a given seed. acked records the magazine segment's
 // acknowledged ops (see magazineSegment).
 func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) error {
@@ -158,21 +152,20 @@ func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) 
 	if _, err := workloads.Kruskal(hd, 1, seed+1); err != nil {
 		return err
 	}
-	if err := remoteFreeSegment(h); err != nil {
+	if err := crossShardFreeSegment(h); err != nil {
 		return err
 	}
 	return magazineSegment(h, acked)
 }
 
-// remoteFreeSegment is the scripted (deterministic, single-goroutine)
-// remote-free mix: blocks carved on sub-heap 0's locked path (committed
-// TxAllocs; a magazine-popped block would go into the freeing thread's
-// magazine instead) are freed from a thread pinned to sub-heap 1, so every
-// free rides sub-heap 0's ring. The first batch is drained by the owner;
-// the second stays pending, so crash points falling after it exercise the
-// recovery replay — and points inside the drain sweep the free-commit /
-// slot-clear / release boundaries.
-func remoteFreeSegment(h *core.Heap) error {
+// crossShardFreeSegment is the scripted (deterministic, single-goroutine)
+// cross-shard free mix: blocks carved on sub-heap 0's locked path
+// (committed TxAllocs; a magazine-popped block would go into the freeing
+// thread's magazine instead) are freed from a thread pinned to sub-heap 1,
+// so every free takes sub-heap 0's lock and commits there (§5.7), and
+// crash points land inside those commits. A repeated free of one of them
+// must come back as ErrDoubleFree from the call itself.
+func crossShardFreeSegment(h *core.Heap) error {
 	t0, err := h.ThreadOn(0)
 	if err != nil {
 		return err
@@ -191,21 +184,16 @@ func remoteFreeSegment(h *core.Heap) error {
 			return err
 		}
 	}
-	for _, p := range ptrs[:6] {
+	for _, p := range ptrs {
 		if err := t1.Free(p); err != nil {
 			return err
 		}
 	}
-	if err := h.DrainRemoteFrees(); err != nil {
+	switch err := t1.Free(ptrs[0]); {
+	case err == nil:
+		return errors.New("torture: a cross-shard double free was accepted")
+	case !errors.Is(err, core.ErrDoubleFree):
 		return err
-	}
-	for _, p := range ptrs[6:] {
-		if err := t1.Free(p); err != nil {
-			return err
-		}
-	}
-	if h.Stats().RemoteFrees == 0 {
-		return errors.New("torture: no remote free reached the ring")
 	}
 	return nil
 }

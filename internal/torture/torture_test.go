@@ -47,71 +47,6 @@ func TestSweepSmallAllModes(t *testing.T) {
 	}
 }
 
-// TestSweepRemoteFreeTail is the remote-free crash sweep: the workload's
-// remote-free segment is its final phase, so sweeping the tail of the
-// crash-point range walks the failpoint through every producer persist,
-// every drain free-commit / slot-clear / release boundary, and leaves
-// pending entries for the recovery replay. runPoint's audit is the oracle:
-// the user region must tile exactly (no leaked blocks), no block may be
-// double-freed onto a free list, no ring entry may survive recovery
-// (PendingRemote) and no quarantine may fire on a pure power failure.
-func TestSweepRemoteFreeTail(t *testing.T) {
-	const ops, seed = 4, 99
-	total, err := CountOps(ops, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Measure the segment on a fresh heap to size the tail window. The
-	// fresh heap lazily formats both sub-heaps inside the measurement, so
-	// this overcounts the in-workload cost — a wider window, never a
-	// narrower one.
-	hm, err := core.Create(heapOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const huge = int64(1) << 40
-	hm.Device().FailAfter(huge)
-	// The magazine segment follows the remote-free segment in the workload,
-	// so the tail window must span both to reach the remote boundaries.
-	serr := remoteFreeSegment(hm)
-	if serr == nil {
-		serr = magazineSegment(hm, map[core.NVMPtr]bool{})
-	}
-	segOps := int(huge - hm.Device().FailBudgetRemaining())
-	hm.Device().DisarmFailpoint()
-	_ = hm.Close()
-	if serr != nil {
-		t.Fatalf("segment measurement: %v", serr)
-	}
-	if segOps == 0 {
-		t.Fatal("remote-free segment performed no mutating device ops")
-	}
-	start := total - segOps
-	if start < 0 {
-		start = 0
-	}
-
-	cfg := Config{Ops: ops, Seed: seed}.withDefaults()
-	runs := 0
-	for _, mode := range []nvm.EvictMode{nvm.EvictNone, nvm.EvictAll, nvm.EvictTorn} {
-		for point := start; point < total; point += 2 {
-			_, v, err := runPoint(cfg, mode, point)
-			if err != nil {
-				t.Fatalf("mode=%s point=%d: %v", mode, point, err)
-			}
-			if v != nil {
-				t.Fatalf("violation at mode=%s point=%d: %s\nreproduce: %s",
-					v.Mode, v.Point, v.Detail, v.Reproducer(ops, cfg.Prob))
-			}
-			runs++
-		}
-	}
-	if runs == 0 {
-		t.Fatal("tail sweep covered no crash points")
-	}
-}
-
 // TestSweepMagazineTail is the magazine crash sweep: the workload ends with
 // the magazine segment, so sweeping the tail of the crash-point range walks
 // the failpoint through every refill manifest persist, pop and push,
@@ -129,15 +64,15 @@ func TestSweepMagazineTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Measure the segment with lazy formatting already paid (the remote
-	// segment touches both sub-heaps first), so the window tracks the
-	// magazine segment itself.
+	// Measure the segment with lazy formatting already paid (the
+	// cross-shard segment touches both sub-heaps first), so the window
+	// tracks the magazine segment itself.
 	hm, err := core.Create(heapOptions(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const huge = int64(1) << 40
-	if err := remoteFreeSegment(hm); err != nil {
+	if err := crossShardFreeSegment(hm); err != nil {
 		t.Fatalf("segment warmup: %v", err)
 	}
 	hm.Device().FailAfter(huge)
