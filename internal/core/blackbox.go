@@ -62,9 +62,6 @@ type BlackboxEntry struct {
 // the persistent ring. DRAM-only; see the package comment for the publish
 // discipline.
 func (h *Heap) MirrorEvent(e obs.Event) {
-	if !h.lay.boxArena().Valid() {
-		return
-	}
 	rec := plog.BoxRecord{
 		Type:    plog.BoxEvent,
 		Kind:    uint8(e.Kind),
@@ -186,9 +183,6 @@ func (h *Heap) writeBoxHeaderLocked() {
 // initBlackboxFresh arms the recorder on a just-formatted image: boot epoch
 // 1, generation-1 header. Called single-threaded from Create.
 func (h *Heap) initBlackboxFresh() {
-	if !h.lay.boxArena().Valid() {
-		return
-	}
 	h.bbMu.Lock()
 	defer h.bbMu.Unlock()
 	h.bbEpoch = 1
@@ -204,9 +198,6 @@ func (h *Heap) initBlackboxFresh() {
 // anything — a torn header or ring degrades to exactly one EventBlackboxTorn
 // journal event.
 func (h *Heap) loadBlackbox() {
-	if !h.lay.boxArena().Valid() {
-		return
-	}
 	msg := h.loadBlackboxLocked()
 	if msg != "" {
 		// Outside bbMu: Emit re-enters MirrorEvent.
@@ -237,9 +228,8 @@ func (h *Heap) loadBlackboxLocked() string {
 	if len(recs) > 0 {
 		h.bbSeq = recs[len(recs)-1].Seq + 1
 	}
-	// Without a valid header (fresh pre-recorder arena, or both slots
-	// torn) the epoch restarts but writing resumes after the surviving
-	// records.
+	// Without a valid header (both slots blank or torn) the epoch
+	// restarts but writing resumes after the surviving records.
 	h.bbEpoch, h.bbHdrGen = 1, gen+1
 	if len(hdr) == 16 {
 		h.bbEpoch = binary.LittleEndian.Uint64(hdr) + 1
@@ -269,7 +259,8 @@ func (h *Heap) bbRead(off uint64, buf []byte) error {
 
 // FlushBlackbox publishes every staged record to the persistent ring — the
 // commit point tools call before saving an image, and the watchdog's
-// background pace. No-op (nil) on heaps without an arena.
+// background pace. No-op (nil) while the recorder is off: on an
+// Attach-mode heap, or after Load found the ring unreadable.
 func (h *Heap) FlushBlackbox() error {
 	h.bbMu.Lock()
 	defer h.bbMu.Unlock()
@@ -293,12 +284,9 @@ func (h *Heap) sealBlackbox() {
 // stalls, ascending sequence order) from the persistent ring. On a live
 // heap staged records are published first (best-effort); on an Attach-mode
 // heap (poseidon-fsck, poseidon-inspect) the crashed image is replayed
-// read-only. Returns nil on images without an arena.
+// read-only.
 func (h *Heap) BlackboxTimeline() ([]BlackboxEntry, error) {
 	arena := h.lay.boxArena()
-	if !arena.Valid() {
-		return nil, nil
-	}
 	h.bbMu.Lock()
 	if h.bbOn {
 		_ = h.publishLocked()

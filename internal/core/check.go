@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,7 +23,6 @@ type SubheapReport struct {
 	AllocatedBlocks  uint64
 	FreeBlocks       uint64
 	PendingUndo      uint64
-	PendingRemote    uint64   // un-drained remote-free ring entries
 	Problems         []string `json:",omitempty"`
 }
 
@@ -36,7 +36,6 @@ type CheckReport struct {
 	FreeBlocks       uint64
 	PendingUndo      uint64 // newest commit-record words not yet in place
 	PendingTx        uint64 // micro-log entries of open transactions
-	PendingRemote    uint64 // un-drained remote-free ring entries
 	PendingCached    uint64 // magazine-cached blocks recorded in lane manifests
 	Problems         []string
 	SubheapReports   []SubheapReport
@@ -105,8 +104,8 @@ func (h *Heap) Check() (CheckReport, error) {
 // decode, reference an in-bounds block of an in-range sub-heap, and no
 // block may be cached twice across all lanes (two magazines claiming the
 // same block would double-allocate it). Valid entries are counted, not
-// flagged — like pending ring entries, they are work recovery performs —
-// and returned, keyed by sub-heap<<subheapShift | offset.
+// flagged — they are work recovery performs — and returned, keyed by
+// sub-heap<<subheapShift | offset.
 func (h *Heap) checkManifests(report *CheckReport) map[uint64]string {
 	cached := map[uint64]string{}
 	for i := 0; i < h.lay.laneCount; i++ {
@@ -157,7 +156,6 @@ func (r *CheckReport) merge(sub SubheapReport) {
 	r.AllocatedBlocks += sub.AllocatedBlocks
 	r.FreeBlocks += sub.FreeBlocks
 	r.PendingUndo += sub.PendingUndo
-	r.PendingRemote += sub.PendingRemote
 	for _, p := range sub.Problems {
 		r.Problems = append(r.Problems, fmt.Sprintf("sub-heap %d: %s", sub.ID, p))
 	}
@@ -179,17 +177,17 @@ func (s *subheap) check(cached map[uint64]string) (SubheapReport, error) {
 
 // checkLocked is the audit body; the caller holds s.mu and the metadata
 // grant. full=false is the repair-internal mode: it skips the repair-marker
-// check (the marker is legitimately set mid-repair) and the remote-free ring
-// audit (the ring may still hold pending entries that the repair replays
-// afterwards).
+// check (the marker is legitimately set mid-repair).
 func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapReport, error) {
 	report := SubheapReport{ID: s.id}
 	init, err := s.initializedFlag()
-	if err != nil {
-		return report, err
-	}
-	if !init {
+	if errors.Is(err, ErrCorruptHeap) {
+		report.Formatted = true
+		report.Problems = append(report.Problems, err.Error())
 		return report, nil
+	}
+	if err != nil || !init {
+		return report, err
 	}
 	report.Formatted = true
 	if full {
@@ -293,36 +291,6 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 	for _, b := range blocks {
 		if b.status == memblock.StatusFree && listed[b.off] != 1 {
 			problem("free block %#x appears %d times on free lists", b.off, listed[b.off])
-		}
-	}
-
-	if !full {
-		return report, nil
-	}
-
-	// Remote-free ring region of an older image (replayRingLocked). Non-empty
-	// slots must decode and reference the user region; what the referenced
-	// record's status is depends on when the crash hit (before the free
-	// committed → StatusAllocated, after → the replay is an idempotent
-	// no-op), so pending entries are counted, not flagged. Only corruption
-	// is a problem.
-	ringBase := s.h.lay.ringBase(s.id)
-	for i := uint64(0); i < memblock.RingSlots; i++ {
-		word, err := s.win.ReadU64(ringBase + i*memblock.RingSlotBytes)
-		if err != nil {
-			return report, err
-		}
-		if word == 0 {
-			continue
-		}
-		rel, _, ok := memblock.DecodeRingEntry(word)
-		switch {
-		case !ok:
-			problem("remote-free ring slot %d: corrupt entry %#x", i, word)
-		case rel >= g.UserSize:
-			problem("remote-free ring slot %d: offset %#x outside user region", i, rel)
-		default:
-			report.PendingRemote++
 		}
 	}
 	return report, nil

@@ -29,23 +29,6 @@ func appendLane(t *testing.T, h *Heap, lane int, locs ...uint64) {
 	}
 }
 
-// TestLoadRejectsOverflowingLaneCount loads an image whose lane holds a
-// count-based word so large that 64+count*16 wraps below the lane size:
-// Load must report ErrCorruptHeap instead of sizing a slice by it.
-func TestLoadRejectsOverflowingLaneCount(t *testing.T) {
-	h := newTestHeap(t)
-	if err := h.Device().PersistU64(h.lay.laneBase(0), 0x1000000000000001); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
-		t.Fatal(err)
-	}
-	_ = h.Close()
-	if _, err := Load(h.Device(), testOptions()); !errors.Is(err, ErrCorruptHeap) {
-		t.Fatalf("Load = %v, want ErrCorruptHeap", err)
-	}
-}
-
 // TestRollbackEdgeCases loads images whose lanes name blocks the batched
 // rollback must not free twice: the same block twice in one lane and once
 // more in another, a block already free, a block of a quarantined

@@ -147,8 +147,7 @@ func Create(opts Options) (*Heap, error) {
 		return nil, err
 	}
 	lay, err := computeLayout(opts.Subheaps, opts.SubheapUserSize, opts.SubheapMetaSize,
-		opts.UndoLogSize, opts.MaxThreads, opts.MicroLogLaneSize, opts.magSlots(),
-		defaultProfSize, defaultBoxSize)
+		opts.UndoLogSize, opts.MaxThreads, opts.MicroLogLaneSize, opts.magSlots())
 	if err != nil {
 		return nil, err
 	}
@@ -343,8 +342,9 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		h.magCap = opts.Magazines.Capacity
 		h.magClasses = classes
 	} else {
-		// An old or differently-sized image: run without magazines
-		// rather than fail the open.
+		// An image sized for smaller magazines, or with sub-heaps too wide
+		// for a manifest word: run without magazines rather than fail the
+		// open.
 		h.tel.Emit(obs.EventRecovery, -1, fmt.Sprintf(
 			"magazines disabled: image provisions %d manifest words per lane for %d-byte sub-heaps, sizing needs %d",
 			lay.magSlots, lay.userSize, need))
@@ -419,18 +419,16 @@ func (h *Heap) format() error {
 		{sbLaneSizeOff, h.lay.laneSize},
 		{sbUndoSizeOff, h.lay.undoSize},
 		{sbMagSlotsOff, h.lay.magSlots},
-		{sbProfSizeOff, h.lay.profSize},
-		{sbBoxSizeOff, h.lay.boxSize},
 	}
 	for _, f := range fields {
 		if err := w.WriteU64(f.off, f.val); err != nil {
 			return err
 		}
 	}
-	// Flush every header field (including the magSlots/profSize/boxSize
-	// words past the initialized slot — the initialized word itself is
-	// still zero here) before the commit point below makes them meaningful.
-	if err := w.Flush(0, sbBoxSizeOff+8); err != nil {
+	// Flush every header field (including the magSlots word past the
+	// initialized slot — the initialized word itself is still zero here)
+	// before the commit point below makes them meaningful.
+	if err := w.Flush(0, sbMagSlotsOff+8); err != nil {
 		return err
 	}
 	w.Fence()
@@ -468,7 +466,10 @@ func quarantinable(err error) bool {
 }
 
 // readLayout validates the superblock of an existing image and rebuilds the
-// layout from it.
+// layout from it. Only heapVersion loads: a format change bumps the version
+// and keeps no reader for the one before. Every size word is bounded by the
+// device before any is multiplied, and the geometry must pass the bounds
+// Create enforces.
 func readLayout(dev *nvm.Device) (layout, error) {
 	var ioErr error
 	read := func(off uint64) uint64 {
@@ -494,19 +495,42 @@ func readLayout(dev *nvm.Device) (layout, error) {
 	if read(sbInitializedOff) != 1 {
 		return layout{}, fmt.Errorf("%w: creation never completed", ErrCorruptHeap)
 	}
-	lay, err := computeLayout(
-		int(read(sbSubheapsOff)), read(sbUserSizeOff), read(sbMetaSizeOff),
-		read(sbUndoSizeOff), int(read(sbLaneCountOff)), read(sbLaneSizeOff),
-		read(sbMagSlotsOff), read(sbProfSizeOff), read(sbBoxSizeOff))
+	c := dev.Capacity()
+	word := map[uint64]uint64{}
+	for _, off := range []uint64{sbSubheapsOff, sbUserSizeOff, sbMetaSizeOff, sbUndoSizeOff,
+		sbLaneCountOff, sbLaneSizeOff, sbMagSlotsOff} {
+		if word[off] = read(off); word[off] > c {
+			return layout{}, fmt.Errorf("%w: superblock word +%d is %d, past the %d-byte device",
+				ErrCorruptHeap, off, word[off], c)
+		}
+	}
 	if ioErr != nil {
 		return layout{}, fmt.Errorf("superblock read: %w", ioErr)
 	}
+	geo := Options{
+		Subheaps:        int(word[sbSubheapsOff]),
+		SubheapUserSize: word[sbUserSizeOff],
+		SubheapMetaSize: word[sbMetaSizeOff],
+		UndoLogSize:     word[sbUndoSizeOff],
+		MaxThreads:      int(word[sbLaneCountOff]),
+	}
+	if err := geo.validateGeometry(); err != nil {
+		return layout{}, fmt.Errorf("%w: superblock: %v", ErrCorruptHeap, err)
+	}
+	// Each arena alone must fit the device, so no product below overflows.
+	lanes := uint64(geo.MaxThreads)
+	if word[sbLaneSizeOff] > c/lanes || word[sbMagSlotsOff] > c/(8*lanes) ||
+		geo.SubheapUserSize+geo.SubheapMetaSize > c/uint64(geo.Subheaps) {
+		return layout{}, fmt.Errorf("%w: superblock geometry exceeds the %d-byte device", ErrCorruptHeap, c)
+	}
+	lay, err := computeLayout(geo.Subheaps, geo.SubheapUserSize, geo.SubheapMetaSize,
+		geo.UndoLogSize, geo.MaxThreads, word[sbLaneSizeOff], word[sbMagSlotsOff])
 	if err != nil {
 		return layout{}, fmt.Errorf("%w: %v", ErrCorruptHeap, err)
 	}
-	if lay.capacity > dev.Capacity() {
+	if lay.capacity > c {
 		return layout{}, fmt.Errorf("%w: image needs %d bytes, device has %d",
-			ErrCorruptHeap, lay.capacity, dev.Capacity())
+			ErrCorruptHeap, lay.capacity, c)
 	}
 	return lay, nil
 }
@@ -774,7 +798,6 @@ func (h *Heap) Stats() HeapStats {
 		out.DoubleFrees += s.stats.doubleFrees.Load()
 		out.RecoveredBlocks += s.stats.recoveredBlocks.Load()
 		out.RecoveredNoops += s.stats.recoveredNoops.Load()
-		out.RemoteDrains += s.stats.remoteDrains.Load()
 		out.MagazineHits += s.stats.magazineHits.Load()
 		out.MagazineMisses += s.stats.magazineMisses.Load()
 		out.MagazineRefills += s.stats.magazineRefills.Load()

@@ -16,8 +16,10 @@ import (
 //	  +64 KiB   micro-log lane arena: MaxThreads lanes, one per Thread
 //	  (page-aligned) cache-manifest arena: magSlots words per lane,
 //	             the persistent shadow of per-thread block magazines
+//	  (page-aligned) profile site table, then black-box arena (64 KiB each)
 //	sub-heap 0
-//	  +0        sub-heap header (one page)
+//	  +0        sub-heap header (one page): initialized word, repair
+//	             flag (+64), metadata mirror (+128)
 //	  +4 KiB    commit log (UndoLogSize: two record slots)
 //	  +4K+log   memory-block metadata (free lists + multi-level hash table)
 //	  +metaSize user-data region (MPK key 0, freely writable)
@@ -41,24 +43,9 @@ const (
 	sbInitializedOff = 80
 	sbRootSetOff     = 88
 	// sbMagSlotsOff records the per-lane cache-manifest capacity in 8-byte
-	// words. Images written before magazines existed never stored the
-	// field, so they read zero — no manifest arena, magazines disabled —
-	// and the rest of the layout is byte-identical, so heapVersion stays 1.
+	// words: at least defaultMagSlots, more when the magazine sizing at
+	// Create needs it.
 	sbMagSlotsOff = 96
-	// sbProfSizeOff records the byte size of the profile side-table arena
-	// (the persistent allocation-site table; see internal/plog/sites.go).
-	// The same backward-compat contract as sbMagSlotsOff: images written
-	// before the profiler existed read zero — no arena, profiles run
-	// DRAM-only — and the layout is otherwise byte-identical, so
-	// heapVersion stays 1.
-	sbProfSizeOff = 104
-	// sbBoxSizeOff records the byte size of the black-box flight-recorder
-	// arena (the crash-surviving event/span ring; see
-	// internal/plog/blackbox.go). Same backward-compat contract again:
-	// images written before the recorder existed read zero — no arena, the
-	// journal stays DRAM-only — and the layout is otherwise byte-identical,
-	// so heapVersion stays 1.
-	sbBoxSizeOff = 112
 
 	sbHeaderPages = 1
 	sbUndoOff     = sbHeaderPages * nvm.PageSize
@@ -66,43 +53,36 @@ const (
 	sbLaneArena   = 64 << 10
 
 	heapMagic   uint64 = 0x4e4f444945534f50 // "POSEIDON" little endian
-	heapVersion uint64 = 1
+	heapVersion uint64 = 2
 
 	// Sub-heap header field offsets (relative to the sub-heap base).
+	// shInitializedOff holds 0 until format commits, then shFormatted;
+	// any other value is corruption (initializedFlag).
 	shInitializedOff = 0
 	shHeaderSize     = nvm.PageSize
 
+	// shFormatted is "PSSUBHP2" little endian: no byte of it is zero, so
+	// no single-byte flip reads as the never-formatted 0.
+	shFormatted uint64 = 0x3250484255535350
+
 	// shRepairingOff is the persistent repair-in-progress flag, on its own
-	// cacheline between the initialized word and the ring. It is set
-	// (fenced) before repair mutates any metadata and cleared only after
-	// the repaired metadata is durable, so a crash mid-repair is detected
-	// at the next load and the sub-heap re-quarantined instead of serving
-	// half-rebuilt structures. format() zeroes the header page, so old
-	// images read "no repair in progress".
+	// cacheline after the initialized word. It is set (fenced) before
+	// repair mutates any metadata and cleared only after the repaired
+	// metadata is durable, so a crash mid-repair is detected at the next
+	// load and the sub-heap re-quarantined instead of serving half-rebuilt
+	// structures.
 	shRepairingOff = 64
 
-	// shRingOff is the remote-free ring region, in the spare space of the
-	// sub-heap header page one cacheline past the initialized word. No
-	// free writes it any more; it stays reserved because images written
-	// with rings on may hold undrained entries, which Load and Repair
-	// replay (replayRingLocked) and Check audits. format() zeroes the whole
-	// header page, so a new sub-heap's ring region reads empty.
-	shRingOff = 128
-
-	// The metadata mirror lives in the header page after the ring: a
-	// double-buffered record (plog.Slots) holding the sub-heap's critical
-	// metadata summary (level count + free-list anchors), so a corrupt
-	// primary header can be restored instead of benched. format() zeroes
-	// the page, so old images read "no valid mirror" and fall back to
-	// rebuild-by-walk.
-	shMirrorOff      = shRingOff + memblock.RingBytes
+	// The metadata mirror lives in the header page after the repair flag:
+	// a double-buffered record (plog.Slots) holding the sub-heap's
+	// critical metadata summary (level count + free-list anchors), so a
+	// corrupt primary header can be restored instead of benched.
+	shMirrorOff      = 128
 	shMirrorSlots    = 2
 	shMirrorSlotSize = 832 // 13 cachelines; fits summaries up to 49 size classes
 )
 
-// The ring and the mirror slots must fit the header page (compile-time
-// bounds).
-const _ = uint64(shHeaderSize - shRingOff - memblock.RingBytes)
+// The mirror slots must fit the header page (a compile-time bound).
 const _ = uint64(shHeaderSize - shMirrorOff - shMirrorSlots*shMirrorSlotSize)
 
 // metadataKey is the MPK protection key guarding all heap metadata.
@@ -116,9 +96,7 @@ type layout struct {
 	undoSize    uint64
 	laneCount   int
 	laneSize    uint64
-	magSlots    uint64 // cache-manifest words per lane (0: no manifest arena)
-	profSize    uint64 // profile side-table arena bytes (0: no arena)
-	boxSize     uint64 // black-box flight-recorder arena bytes (0: no arena)
+	magSlots    uint64 // cache-manifest words per lane
 	manifestOff uint64 // device offset of lane 0's cache manifest
 	profOff     uint64 // device offset of the profile side-table arena
 	boxOff      uint64 // device offset of the black-box arena
@@ -127,16 +105,12 @@ type layout struct {
 	capacity    uint64
 }
 
-func computeLayout(subheaps int, userSize, metaSize, undoSize uint64, laneCount int, laneSize, magSlots, profSize, boxSize uint64) (layout, error) {
+func computeLayout(subheaps int, userSize, metaSize, undoSize uint64, laneCount int, laneSize, magSlots uint64) (layout, error) {
 	arena := uint64(laneCount) * laneSize
 	manOff := (sbLaneArena + arena + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
 	profOff := (manOff + uint64(laneCount)*magSlots*8 + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
-	// profSize == 0 (pre-profiler image) leaves boxOff == profOff, and
-	// boxSize == 0 (pre-recorder image) leaves subOff == boxOff: each
-	// zero-sized arena keeps the layout byte-identical to one computed
-	// before that arena existed.
-	boxOff := (profOff + profSize + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
-	subOff := (boxOff + boxSize + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
+	boxOff := (profOff + defaultProfSize + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
+	subOff := (boxOff + defaultBoxSize + nvm.PageSize - 1) &^ (nvm.PageSize - 1)
 	l := layout{
 		subheaps:    subheaps,
 		userSize:    userSize,
@@ -145,8 +119,6 @@ func computeLayout(subheaps int, userSize, metaSize, undoSize uint64, laneCount 
 		laneCount:   laneCount,
 		laneSize:    laneSize,
 		magSlots:    magSlots,
-		profSize:    profSize,
-		boxSize:     boxSize,
 		manifestOff: manOff,
 		profOff:     profOff,
 		boxOff:      boxOff,
@@ -171,11 +143,6 @@ func (l layout) userBase(i int) uint64 {
 	return l.subheapBase(i) + l.metaSize
 }
 
-// ringBase returns the device offset of sub-heap i's remote-free ring region.
-func (l layout) ringBase(i int) uint64 {
-	return l.subheapBase(i) + shRingOff
-}
-
 // undoBase returns the device offset of sub-heap i's commit log.
 func (l layout) undoBase(i int) uint64 {
 	return l.subheapBase(i) + shHeaderSize
@@ -187,22 +154,18 @@ func (l layout) laneBase(i int) uint64 {
 }
 
 // laneManifestBase returns the device offset of lane i's cache manifest.
-// Only meaningful when magSlots > 0.
 func (l layout) laneManifestBase(i int) uint64 {
 	return l.manifestOff + uint64(i)*l.magSlots*8
 }
 
-// profArena returns the profile side-table record. Zero-capacity on images
-// provisioned before the profiler existed.
+// profArena returns the profile side-table record.
 func (l layout) profArena() plog.Slots {
-	return plog.SiteTable(l.profOff, l.profSize)
+	return plog.SiteTable(l.profOff, defaultProfSize)
 }
 
 // boxArena returns the black-box flight-recorder arena geometry.
-// Zero-capacity (Valid() false) on images provisioned before the recorder
-// existed.
 func (l layout) boxArena() plog.BoxArena {
-	return plog.NewBoxArena(l.boxOff, l.boxSize)
+	return plog.NewBoxArena(l.boxOff, defaultBoxSize)
 }
 
 // memblockGeometry computes sub-heap i's metadata layout.

@@ -36,7 +36,6 @@ func (h *Heap) Metrics() *obs.Snapshot {
 		"double_frees":         st.DoubleFrees,
 		"recovered_blocks":     st.RecoveredBlocks,
 		"recovered_noops":      st.RecoveredNoops,
-		"remote_drains":        st.RemoteDrains,
 		"magazine_hits":        st.MagazineHits,
 		"magazine_misses":      st.MagazineMisses,
 		"magazine_refills":     st.MagazineRefills,
@@ -82,16 +81,14 @@ func (h *Heap) Metrics() *obs.Snapshot {
 			FenceMaxNS:       ts.FenceMaxNS,
 		}
 	}
-	if arena := h.lay.boxArena(); arena.Valid() {
-		snap.Blackbox = &obs.BlackboxStats{
-			Enabled:         bbOn,
-			CapacityRecords: arena.Capacity(),
-			Persisted:       h.bbPublished.Load(),
-			Dropped:         h.bbDropped.Load(),
-			Torn:            h.bbTorn.Load(),
-			Epoch:           epoch,
-			NextSeq:         nextSeq,
-		}
+	snap.Blackbox = &obs.BlackboxStats{
+		Enabled:         bbOn,
+		CapacityRecords: h.lay.boxArena().Capacity(),
+		Persisted:       h.bbPublished.Load(),
+		Dropped:         h.bbDropped.Load(),
+		Torn:            h.bbTorn.Load(),
+		Epoch:           epoch,
+		NextSeq:         nextSeq,
 	}
 
 	ds := h.dev.StatsSnapshot()

@@ -65,11 +65,6 @@ func TestMetricsIntegration(t *testing.T) {
 	if opCount["txalloc"] != 2 {
 		t.Fatalf("txalloc count = %d, want 2", opCount["txalloc"])
 	}
-	for _, reserved := range []string{"retired", "drain"} {
-		if _, ok := opCount[reserved]; ok {
-			t.Fatalf("snapshot lists the reserved %s op kind", reserved)
-		}
-	}
 	for _, op := range snap.Ops {
 		if op.Count == 0 {
 			continue

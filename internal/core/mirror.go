@@ -25,10 +25,8 @@ import (
 // behind, and repair audits the restored state before trusting it.
 
 const (
-	// mirrorMagic is "PSMIRRO2" little endian; mirrorLegacyMagic
-	// ("PSMIRROR") marks the parent format's slots, which read as blank.
-	mirrorMagic       uint64 = 0x324f5252494d5350
-	mirrorLegacyMagic uint64 = 0x524f5252494d5350
+	// mirrorMagic is "PSMIRRO2" little endian.
+	mirrorMagic uint64 = 0x324f5252494d5350
 
 	// mirrorInterval paces steady-state mirror refreshes: one update per
 	// this many committed mutations (allocs/frees). Structural changes
@@ -44,7 +42,7 @@ type mirrorImage struct {
 
 // mirror returns the sub-heap's mirror record.
 func (s *subheap) mirror() plog.Slots {
-	return plog.Slots{Base: s.base + shMirrorOff, Size: shMirrorSlotSize, Magic: mirrorMagic, Legacy: mirrorLegacyMagic}
+	return plog.Slots{Base: s.base + shMirrorOff, Size: shMirrorSlotSize, Magic: mirrorMagic}
 }
 
 // mirrorAnchorValid reports whether a free-list anchor read from the live

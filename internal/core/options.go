@@ -191,21 +191,17 @@ const (
 	// image provisions (4 KiB per lane): the default magazine sizing.
 	defaultMagSlots = defaultMagClasses * defaultMagCapacity
 
-	// defaultProfSize is the profile side-table arena every new image
+	// defaultProfSize is the profile side-table arena every image
 	// provisions (two checksummed snapshot slots of ~32 KiB payload each)
 	// even when profiling is off, so profiling can be enabled on an
 	// existing image later by reopening it.
-	// Old images read a zero sbProfSize word: no arena, profiling runs
-	// DRAM-only (samples aggregate but nothing persists).
 	defaultProfSize = 64 << 10
 
-	// defaultBoxSize is the black-box flight-recorder arena every new image
+	// defaultBoxSize is the black-box flight-recorder arena every image
 	// provisions (two header cachelines + ~510 record slots of 128 bytes)
 	// even when no telemetry is attached, so the recorder can start mirroring
 	// the moment a heap is reopened with Telemetry, as with the profile
-	// arena. Old images read a zero sbBoxSize word: no ring,
-	// the journal stays DRAM-only and post-mortem tools report "no black
-	// box" instead of failing.
+	// arena.
 	defaultBoxSize = 64 << 10
 )
 
@@ -273,6 +269,16 @@ func (o Options) withDefaults() Options {
 // validate checks the options Create formats a new image with: the
 // geometry, then everything validateRuntime checks.
 func (o Options) validate() error {
+	if err := o.validateGeometry(); err != nil {
+		return err
+	}
+	return o.validateRuntime()
+}
+
+// validateGeometry checks the fields that shape the image. Create checks
+// the options it formats with; Load and Attach check the superblock's
+// words (readLayout).
+func (o Options) validateGeometry() error {
 	if o.Subheaps < 1 || o.Subheaps > 1<<16 {
 		return fmt.Errorf("poseidon: sub-heap count %d out of range [1, 65536]", o.Subheaps)
 	}
@@ -294,13 +300,13 @@ func (o Options) validate() error {
 	if o.MaxThreads < 1 || o.MaxThreads > 1<<20 {
 		return fmt.Errorf("poseidon: max threads %d out of range", o.MaxThreads)
 	}
-	return o.validateRuntime()
+	return nil
 }
 
 // validateRuntime checks the options that do not shape the image. Create,
 // Load and Attach all run it, so Load and Attach reject every option Create
-// rejects, except the geometry fields, which the image's superblock
-// supplies.
+// rejects; the geometry comes from the image's superblock, which
+// readLayout checks with validateGeometry.
 func (o Options) validateRuntime() error {
 	if o.OnlineScrub.Interval < 0 || o.OnlineScrub.Throttle < 0 {
 		return fmt.Errorf("poseidon: online scrub interval/throttle must not be negative")

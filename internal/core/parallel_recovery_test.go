@@ -31,8 +31,7 @@ func parallelRecoveryOptions() Options {
 
 // messyCrashedImage builds a heap with recovery work pending on every
 // surface — open transactions in several lanes, populated magazines and
-// foreign manifest entries, and crafted remote-free ring entries of the
-// kind an older image may hold — crashes it, and saves the image to a temp
+// foreign manifest entries — crashes it, and saves the image to a temp
 // file so multiple Loads can recover identical copies.
 func messyCrashedImage(t *testing.T) string {
 	t.Helper()
@@ -65,16 +64,6 @@ func messyCrashedImage(t *testing.T) string {
 				}
 			}
 		}
-		// Ring entries for two committed blocks, one of them twice.
-		var words []uint64
-		for i := 0; i < 2; i++ {
-			p, err := th.TxAlloc(512, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			words = append(words, ringWord(p, 0))
-		}
-		writeRingWords(t, h, w, append(words, words[0])...)
 		// Leave a transaction open: its lane entries must roll back.
 		if _, err := th.TxAlloc(128, false); err != nil {
 			t.Fatal(err)
@@ -130,7 +119,6 @@ func recoveryStats(st HeapStats) map[string]uint64 {
 		"doubleFrees":         st.DoubleFrees,
 		"quarantinedSubheaps": st.QuarantinedSubheaps,
 		"quarantinedBytes":    st.QuarantinedBytes,
-		"remoteDrains":        st.RemoteDrains,
 	}
 }
 
@@ -190,9 +178,6 @@ func TestRecoveryImageIndependentOfWidth(t *testing.T) {
 	}
 	if h1.Stats().RecoveredBlocks == 0 {
 		t.Fatal("scenario recovered no tx blocks — the sweep is not exercising lane replay")
-	}
-	if h1.Stats().RemoteDrains == 0 {
-		t.Fatal("scenario replayed no ring entries")
 	}
 
 	b1, b8 := saveBytes(t, h1), saveBytes(t, h8)

@@ -52,11 +52,7 @@ func (h *Heap) loadProfile() {
 	h.profEpoch = 1
 	h.profSeq = 1
 	h.prof.SetEpoch(1)
-	table := h.lay.profArena()
-	if table.Cap() == 0 {
-		return // pre-profiler image: profiles aggregate in DRAM only
-	}
-	gen, blob, torn := table.Read(func(off uint64, b []byte) error {
+	gen, blob, torn := h.lay.profArena().Read(func(off uint64, b []byte) error {
 		return h.retry(func() error { return h.profWin.Read(off, b) })
 	})
 	if torn {
@@ -131,10 +127,9 @@ func siteStatsToRecords(sites []obs.SiteStat) []plog.SiteRecord {
 // PersistProfile writes the profiler's current site table into the image's
 // side-table arena as one snapshot generation. Safe to call at any time; a
 // failed or interrupted write leaves the previous generation intact. No-op
-// on heaps without telemetry, without an arena (pre-profiler image), or in
-// read-only health.
+// on heaps without telemetry or in read-only health.
 func (h *Heap) PersistProfile() error {
-	if h.prof == nil || h.lay.profArena().Cap() == 0 {
+	if h.prof == nil {
 		return nil
 	}
 	if h.writable() != nil {
@@ -152,7 +147,7 @@ func (h *Heap) maybePersistProfile() {
 	if h.profPace.Add(1)%profPersistInterval != 0 {
 		return
 	}
-	if h.lay.profArena().Cap() == 0 || h.writable() != nil {
+	if h.writable() != nil {
 		return
 	}
 	if !h.profMu.TryLock() {

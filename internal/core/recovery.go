@@ -147,7 +147,7 @@ type laneScan struct {
 // recoverFanout is the load tail on par workers: the phase structure
 // documented at the top of this file.
 func (h *Heap) recoverFanout(par int) error {
-	// Phase 1: per-sub-heap commit-record replay, ring replay and reseeding.
+	// Phase 1: per-sub-heap commit-record replay and reseeding.
 	err := h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
 		s := h.subheaps[i]
 		err := h.retry(s.recoverLogs)
@@ -256,9 +256,6 @@ func (h *Heap) scanLane(w *recWorker, lane int, out *laneScan) error {
 	})
 	if err != nil {
 		return wrapLaneErr("micro lane", lane, err)
-	}
-	if h.lay.magSlots == 0 {
-		return nil
 	}
 	err = h.retry(func() error {
 		out.man = out.man[:0]

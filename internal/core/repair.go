@@ -120,10 +120,11 @@ func (h *Heap) RepairAll() (int, error) {
 // gauges, mirror) is fully re-seeded and its metadata has passed the audit.
 func (s *subheap) repairLocked() (mirrored bool, err error) {
 	init, err := s.initializedFlag()
-	if err != nil {
+	corrupt := errors.Is(err, ErrCorruptHeap)
+	if err != nil && !corrupt {
 		return false, err
 	}
-	if !init {
+	if !init && !corrupt {
 		// Never formatted (or a format crashed before its commit point):
 		// there is nothing to rebuild. Clear any stale repair marker and let
 		// ensureReady format lazily on first use.
@@ -135,6 +136,14 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 	// crash leaves the marker set and recoverLogs re-quarantines.
 	if err := s.win.PersistU64(s.base+shRepairingOff, 1); err != nil {
 		return false, err
+	}
+	// A damaged initialized word is rewritten, never read as "unformatted":
+	// the rebuild below treats the sub-heap as formatted, and if it fails
+	// the marker keeps the sub-heap quarantined.
+	if corrupt {
+		if err := s.win.PersistU64(s.base+shInitializedOff, shFormatted); err != nil {
+			return false, err
+		}
 	}
 
 	// The commit log itself may be the corrupt structure. Try a normal
@@ -179,9 +188,6 @@ func (s *subheap) repairLocked() (mirrored bool, err error) {
 		}
 	}
 
-	if err := s.replayRingLocked(true); err != nil {
-		return mirrored, err
-	}
 	if err := s.reseedFreeMask(); err != nil {
 		return mirrored, err
 	}

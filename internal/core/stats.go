@@ -13,7 +13,6 @@ type subheapStats struct {
 	doubleFrees     atomic.Uint64
 	recoveredBlocks atomic.Uint64
 	recoveredNoops  atomic.Uint64
-	remoteDrains    atomic.Uint64
 	magazineHits    atomic.Uint64
 	magazineMisses  atomic.Uint64
 	magazineRefills atomic.Uint64
@@ -32,7 +31,6 @@ type HeapStats struct {
 	RecoveredBlocks     uint64 // uncommitted tx allocations freed at recovery
 	RecoveredNoops      uint64 // rollback entries whose block was already free or unknown
 	RemoteFrees         uint64 // always 0: the remote-free ring path it counted was removed; kept for existing readers
-	RemoteDrains        uint64 // remote-free ring entries of an older image replayed at Load or Repair
 	MagazineHits        uint64 // allocs/frees served lock-free from a thread magazine
 	MagazineMisses      uint64 // magazine-eligible ops that fell back to the locked path
 	MagazineRefills     uint64 // batched magazine refill transactions

@@ -231,23 +231,18 @@ func (s *subheap) setClass(c nvm.OpClass) {
 	}
 }
 
-// initializedFlag reads the persistent formatted marker.
+// initializedFlag reads the persistent formatted marker: 0 is never
+// formatted and shFormatted formatted. Any other value is ErrCorruptHeap,
+// so Load quarantines the sub-heap instead of formatting over its blocks.
 func (s *subheap) initializedFlag() (bool, error) {
-	v, err := s.win.ReadU64(s.base + shInitializedOff)
-	return v == 1, err
-}
-
-// readRetry is a metadata read with the heap's transient-retry policy
-// attached — used on runtime paths (ring replay, repair) where a clearing
-// ECC fault should cost a bounded backoff, not an aborted replay.
-func (s *subheap) readRetry(off uint64) (uint64, error) {
-	var v uint64
-	err := s.h.retry(func() error {
-		var e error
-		v, e = s.win.ReadU64(off)
-		return e
-	})
-	return v, err
+	switch v, err := s.win.ReadU64(s.base + shInitializedOff); {
+	case err != nil || v == 0:
+		return false, err
+	case v == shFormatted:
+		return true, nil
+	default:
+		return false, fmt.Errorf("%w: initialized word %#x", ErrCorruptHeap, v)
+	}
 }
 
 // recoverLogs opens the log of a formatted sub-heap and replays its newest
@@ -285,20 +280,14 @@ func (s *subheap) recoverLogs() error {
 
 // attach opens a formatted sub-heap and rebuilds its DRAM state: the mirror
 // sequence, the free-list mask and the gauges. With replay it also replays
-// the newest commit records and an older image's remote-free ring entries
-// (the load path); without, the image stays untouched (raw Attach: fsck
-// -raw audits the post-crash image as it is). Caller holds the lock with
-// metadata write rights.
+// the newest commit records (the load path); without, the image stays
+// untouched (raw Attach: fsck -raw audits the post-crash image as it is).
+// Caller holds the lock with metadata write rights.
 func (s *subheap) attach(replay bool) error {
 	if err := s.open(replay); err != nil {
 		return err
 	}
 	s.seedMirrorSeq()
-	if replay {
-		if err := s.replayRingLocked(false); err != nil {
-			return err
-		}
-	}
 	if err := s.reseedFreeMask(); err != nil {
 		return err
 	}
@@ -429,7 +418,7 @@ func (s *subheap) format() error {
 		return err
 	}
 	// Commit point.
-	if err := s.win.PersistU64(s.base+shInitializedOff, 1); err != nil {
+	if err := s.win.PersistU64(s.base+shInitializedOff, shFormatted); err != nil {
 		return err
 	}
 	s.freeMask = 1 << uint(g.MaxClass())
@@ -759,8 +748,7 @@ func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error)
 	return class, rec.Size, nil
 }
 
-// freeLocked is the body of free — and the exact per-entry logic the
-// remote-free ring replay runs. A block cached in a magazine is a double
+// freeLocked is the body of free. A block cached in a magazine is a double
 // free; a popped one loses its mark, so it cannot also be pushed. Caller
 // holds mu with metadata rights on a ready sub-heap.
 func (s *subheap) freeLocked(blockOff uint64) error {
@@ -797,55 +785,6 @@ func (s *subheap) noteFree(f freedBlock) {
 		s.gauge.allocBytes.Add(-int64(f.size))
 		s.gauge.freeByClass[f.class].Add(1)
 	}
-}
-
-// replayRingLocked replays the remote-free ring region of an image an
-// older version wrote with rings on: a producer persisted the entry, but
-// the owner never drained it. Each valid entry is freed through freeLocked
-// (a record already free or unknown is a no-op counted in RecoveredNoops:
-// the crash fell between a drain's free commit and its slot clear) and its
-// slot cleared; the clears share one trailing fence. Corrupt and
-// out-of-range words are left in place for the audit to report, unless
-// clearCorrupt is set (Repair: the table they accused has just been
-// rebuilt, and a lost free is a capacity leak, not data loss). Caller
-// holds mu with metadata rights on a ready sub-heap.
-func (s *subheap) replayRingLocked(clearCorrupt bool) error {
-	g := s.mgr.Geometry()
-	base := s.h.lay.ringBase(s.id)
-	cleared := false
-	for i := uint64(0); i < memblock.RingSlots; i++ {
-		off := base + i*memblock.RingSlotBytes
-		word, err := s.readRetry(off)
-		if err != nil {
-			return err
-		}
-		if word == 0 {
-			continue
-		}
-		if rel, _, ok := memblock.DecodeRingEntry(word); ok && rel < g.UserSize {
-			switch ferr := s.freeLocked(g.UserBase + rel); {
-			case ferr == nil:
-				s.stats.remoteDrains.Add(1)
-			case errors.Is(ferr, ErrInvalidFree) || errors.Is(ferr, ErrDoubleFree):
-				s.stats.recoveredNoops.Add(1)
-			default:
-				return ferr
-			}
-		} else if !clearCorrupt {
-			continue
-		}
-		if err := s.win.WriteU64(off, 0); err != nil {
-			return err
-		}
-		if err := s.win.Flush(off, 8); err != nil {
-			return err
-		}
-		cleared = true
-	}
-	if cleared {
-		s.win.Fence()
-	}
-	return nil
 }
 
 // refillMagazine carves up to want blocks of class `class` for a thread

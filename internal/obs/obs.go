@@ -27,21 +27,19 @@ const (
 	OpTxAlloc
 	OpTxFree // recovery rollback free of an uncommitted tx allocation
 	OpDefrag
-	opDrain    // remote-free ring drain: no longer recorded; reserved like opRetired
 	OpRefill   // batched magazine refill carve by the owning sub-heap
 	OpRecovery // log replay + lane rollback during Load
 	OpLoad     // whole Load call
 	OpScrub    // ScrubOnLoad audit / online scrubber slice
 	OpRepair   // quarantine repair of one sub-heap
-	opRetired  // no longer recorded; reserved so persisted span kinds keep their numbers
 	OpLockWait // time spent waiting for a sub-heap lock (watchdog contention layer)
 	OpLockHold // time a locked sub-heap operation held the lock
 	NumOps
 )
 
 var opNames = [NumOps]string{
-	"alloc", "free", "txalloc", "txfree", "defrag", "drain", "refill", "recovery", "load", "scrub",
-	"repair", "retired", "lock_wait", "lock_hold",
+	"alloc", "free", "txalloc", "txfree", "defrag", "refill", "recovery", "load", "scrub",
+	"repair", "lock_wait", "lock_hold",
 }
 
 func (o Op) String() string {
@@ -62,8 +60,8 @@ func (o Op) String() string {
 // traffic at all — so they map to no class.
 var attrClassOf = [NumOps]nvm.OpClass{
 	nvm.ClassAlloc, nvm.ClassFree, nvm.ClassTxAlloc, nvm.ClassTxFree,
-	nvm.ClassDefrag, nvm.NumClasses, nvm.NumClasses, nvm.ClassRecovery, nvm.NumClasses, nvm.ClassScrub,
-	nvm.NumClasses, nvm.NumClasses, nvm.NumClasses, nvm.NumClasses,
+	nvm.ClassDefrag, nvm.NumClasses, nvm.ClassRecovery, nvm.NumClasses, nvm.ClassScrub,
+	nvm.NumClasses, nvm.NumClasses, nvm.NumClasses,
 }
 
 // Options configures a Telemetry instance.

@@ -122,9 +122,6 @@ func (t *Telemetry) Snapshot() *Snapshot {
 
 	opCount := map[nvm.OpClass]uint64{}
 	for op := Op(0); op < NumOps; op++ {
-		if op == opRetired || op == opDrain {
-			continue
-		}
 		h := t.hists[op].Snapshot()
 		snap.Ops = append(snap.Ops, OpStats{
 			Op:      op.String(),

@@ -23,11 +23,8 @@ import (
 // The header only carries boot metadata and is rewritten at open (bumping
 // the epoch) and at clean close.
 const (
-	// boxMagic marks a header slot ("POSBLBX2" little endian);
-	// boxLegacyMagic ("POSBLBOX") marks the parent format's header, which
-	// reads as blank.
-	boxMagic       = 0x3258424c42534f50
-	boxLegacyMagic = 0x584f424c42534f50
+	// boxMagic marks a header slot ("POSBLBX2" little endian).
+	boxMagic = 0x3258424c42534f50
 	// boxHeaderSize is one header slot (a cacheline).
 	boxHeaderSize = 64
 	// BoxRecMagic marks a record slot.
@@ -68,12 +65,8 @@ type BoxArena struct {
 	size uint64
 }
 
-// NewBoxArena wraps a device range. size == 0 yields an invalid arena
-// (images provisioned before the recorder existed).
+// NewBoxArena wraps a device range.
 func NewBoxArena(base, size uint64) BoxArena { return BoxArena{base: base, size: size} }
-
-// Valid reports whether the arena can hold headers plus at least 8 records.
-func (a BoxArena) Valid() bool { return a.Capacity() >= 8 }
 
 // Capacity returns the record-slot count.
 func (a BoxArena) Capacity() uint64 {
@@ -85,7 +78,7 @@ func (a BoxArena) Capacity() uint64 {
 
 // Header returns the double-buffered boot header record.
 func (a BoxArena) Header() Slots {
-	return Slots{Base: a.base, Size: boxHeaderSize, Magic: boxMagic, Legacy: boxLegacyMagic}
+	return Slots{Base: a.base, Size: boxHeaderSize, Magic: boxMagic}
 }
 
 // RecordsOff returns the device offset of record slot 0.

@@ -17,16 +17,14 @@ package plog
 //	bits 33..48  sub-heap index of the cached block
 //	bits 49..63  checksum over bits 0..48
 //
-// Like a remote-free ring slot (memblock.EncodeRingEntry), an entry is
-// confined to a single atomically stored 8-byte word: under torn eviction
-// a word is either its old value or its new value, never a blend, so a
-// pure power failure can only leave zero (empty) or fully valid words. A
-// word that decodes to neither is media corruption by construction and is
-// left in place for the audit. Unlike ring slots, which any freeing thread
-// wrote, manifest words are single-writer (the owning thread, or the
-// recovery path with the heap quiesced), so they pack eight per cacheline
-// instead of one — a whole refill batch persists with a handful of line
-// flushes and one fence.
+// An entry is confined to a single atomically stored 8-byte word: under
+// torn eviction a word is either its old value or its new value, never a
+// blend, so a pure power failure can only leave zero (empty) or fully
+// valid words. A word that decodes to neither is media corruption by
+// construction and is left in place for the audit. Manifest words are
+// single-writer (the owning thread, or the recovery path with the heap
+// quiesced), so they pack eight per cacheline — a whole refill batch
+// persists with a handful of line flushes and one fence.
 const (
 	cacheRelBits   = 33
 	cacheShardBits = 16

@@ -9,8 +9,7 @@ import (
 
 // Micro log persistent layout (offsets relative to the log base):
 //
-//	+0   legacy count u64 — nonzero only in a lane the count-based format
-//	     wrote and recovery has not yet rolled back
+//	+0   unused
 //	+8   epoch u64 — bumped by every Truncate
 //	+64  entry area: 16-byte entries, one per transactional allocation:
 //	     [loc u64][sum u64], loc the block's sub-heap-qualified offset and
@@ -25,8 +24,7 @@ import (
 // Entries validate themselves, so the log is the valid prefix of the entry
 // area, an append is one store, flush and fence, and a torn append reads
 // as absent. Truncate persists a bumped epoch, so no older entry validates
-// again. A lane the count-based format wrote ([offset][size] entries)
-// reads by its count until Truncate zeroes it, converting the lane.
+// again.
 const (
 	microHeaderSize = 64
 	microEntrySize  = 16
@@ -40,7 +38,7 @@ type MicroLog struct {
 	size uint64
 
 	epoch uint64
-	count uint64 // valid entries (or a legacy lane's count)
+	count uint64 // valid entries
 }
 
 // OpenMicroLog attaches to the micro log stored at [base, base+size)
@@ -49,18 +47,11 @@ func OpenMicroLog(w mpk.Window, base, size uint64) (*MicroLog, error) {
 	if size < microHeaderSize+microEntrySize {
 		return nil, fmt.Errorf("plog: micro log region too small (%d bytes)", size)
 	}
-	var hdr [16]byte
-	if err := w.Read(base, hdr[:]); err != nil {
+	epoch, err := w.ReadU64(base + microEpochOff)
+	if err != nil {
 		return nil, err
 	}
-	l := &MicroLog{w: w, base: base, size: size, epoch: binary.LittleEndian.Uint64(hdr[microEpochOff:])}
-	if count := binary.LittleEndian.Uint64(hdr[:]); count != 0 {
-		if count > l.Capacity() {
-			return nil, fmt.Errorf("%w: count %d beyond capacity", errCorrupt, count)
-		}
-		l.count = count
-		return l, nil
-	}
+	l := &MicroLog{w: w, base: base, size: size, epoch: epoch}
 	var e [microEntrySize]byte
 	for ; l.count < l.Capacity(); l.count++ {
 		if err := w.Read(l.entryOff(l.count), e[:]); err != nil {
@@ -130,15 +121,24 @@ func (l *MicroLog) Entries() ([]uint64, error) {
 	return out, nil
 }
 
-// Truncate commits the transaction: it persists a bumped epoch (and a zero
-// legacy count) in one store.
+// Truncate commits the transaction: it persists the next epoch in one
+// store. A nonempty lane's entry 0 validates under this epoch, so under
+// no other; an empty lane's entry 0 holds bytes no append of this epoch
+// wrote, so Truncate reads it first and skips an epoch it validates under.
 func (l *MicroLog) Truncate() error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[microEpochOff:], l.epoch+1)
-	if err := l.w.Persist(l.base, hdr[:]); err != nil {
+	next := l.epoch + 1
+	if l.count == 0 {
+		var e [microEntrySize]byte
+		if err := l.w.Read(l.entryOff(0), e[:]); err != nil {
+			return err
+		}
+		for binary.LittleEndian.Uint64(e[8:]) == microSum(next, 0, binary.LittleEndian.Uint64(e[:])) {
+			next++
+		}
+	}
+	if err := l.w.PersistU64(l.base+microEpochOff, next); err != nil {
 		return err
 	}
-	l.epoch++
-	l.count = 0
+	l.epoch, l.count = next, 0
 	return nil
 }

@@ -1,10 +1,8 @@
 package plog
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"poseidon/internal/mpk"
@@ -25,243 +23,6 @@ func newLogWindow(t *testing.T) mpk.Window {
 	}
 	u := mpk.NewUnit(d.Capacity())
 	return mpk.NewWindow(d, u.NewThread(mpk.RightsRW))
-}
-
-func mustUndo(t *testing.T, w mpk.Window) *UndoLog {
-	t.Helper()
-	l, err := OpenUndoLog(w, logBase, logSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
-func TestUndoLogTooSmall(t *testing.T) {
-	w := newLogWindow(t)
-	if _, err := OpenUndoLog(w, 0, 32); err == nil {
-		t.Fatal("want error for tiny region")
-	}
-}
-
-func TestUndoEmptyOnFreshRegion(t *testing.T) {
-	l := mustUndo(t, newLogWindow(t))
-	if l.Count() != 0 || l.Count() != 0 {
-		t.Fatalf("fresh log: empty=%v count=%d", l.Count() == 0, l.Count())
-	}
-	if err := l.Replay(); err != nil {
-		t.Fatalf("replay of empty log: %v", err)
-	}
-}
-
-func TestUndoProtectsMutation(t *testing.T) {
-	w := newLogWindow(t)
-	u := &legacyUndo{t: t, w: w}
-	orig := []byte("original metadata bytes!")
-	if err := w.Persist(dataBase, orig); err != nil {
-		t.Fatal(err)
-	}
-	u.snapshot(dataBase, uint64(len(orig)))
-	u.seal()
-	// Mutate (and even persist) the target, then "crash" before Truncate.
-	if err := w.Persist(dataBase, []byte("CLOBBERED-CLOBBERED-DATA")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictAll}); err != nil {
-		t.Fatal(err)
-	}
-	// Restart: reopen, replay.
-	l2 := mustUndo(t, w)
-	if l2.Count() == 0 {
-		t.Fatal("committed undo entry lost at crash")
-	}
-	if err := l2.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(orig))
-	if err := w.Read(dataBase, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, orig) {
-		t.Fatalf("after replay: %q, want %q", got, orig)
-	}
-	if l2.Count() != 0 {
-		t.Fatal("replay did not truncate")
-	}
-}
-
-func TestUndoUnsealedEntriesDoNotReplay(t *testing.T) {
-	w := newLogWindow(t)
-	u := &legacyUndo{t: t, w: w}
-	if err := w.Persist(dataBase, []byte("AAAA")); err != nil {
-		t.Fatal(err)
-	}
-	u.snapshot(dataBase, 4)
-	if err := w.Write(logBase+undoHeaderSize, u.entries); err != nil {
-		t.Fatal(err)
-	}
-	// Entries but no seal: crash. The snapshot must be invisible.
-	if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictAll}); err != nil {
-		t.Fatal(err)
-	}
-	l2 := mustUndo(t, w)
-	if l2.Count() != 0 {
-		t.Fatal("unsealed entry became visible after crash")
-	}
-}
-
-func TestUndoMultipleEntriesReplayInReverse(t *testing.T) {
-	w := newLogWindow(t)
-	u := &legacyUndo{t: t, w: w}
-	if err := w.Persist(dataBase, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	// Two snapshots of the same byte at different times: first holds 1,
-	// second holds 2. Reverse replay must leave the oldest value.
-	u.snapshot(dataBase, 1)
-	if err := w.Persist(dataBase, []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	u.snapshot(dataBase, 1)
-	u.seal()
-	if err := w.Persist(dataBase, []byte{3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustUndo(t, w).Replay(); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := w.ReadU8(dataBase)
-	if v != 1 {
-		t.Fatalf("after reverse replay byte = %d, want 1", v)
-	}
-}
-
-func TestUndoTruncateCompletesOperation(t *testing.T) {
-	w := newLogWindow(t)
-	u := &legacyUndo{t: t, w: w}
-	if err := w.Persist(dataBase, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	u.snapshot(dataBase, 3)
-	u.seal()
-	if err := w.Persist(dataBase, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustUndo(t, w).truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
-		t.Fatal(err)
-	}
-	l2 := mustUndo(t, w)
-	if l2.Count() != 0 {
-		t.Fatal("truncated log came back non-empty")
-	}
-	got := make([]byte, 3)
-	if err := w.Read(dataBase, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "new" {
-		t.Fatalf("completed mutation lost: %q", got)
-	}
-}
-
-func TestUndoReplayIsIdempotent(t *testing.T) {
-	w := newLogWindow(t)
-	u := &legacyUndo{t: t, w: w}
-	if err := w.Persist(dataBase, []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	u.snapshot(dataBase, 4)
-	u.seal()
-	l := mustUndo(t, w)
-	if err := w.Persist(dataBase, []byte("lose")); err != nil {
-		t.Fatal(err)
-	}
-	// First recovery crashes right after restoring bytes but before the
-	// truncate persisted: simulate by replaying on a copy, crashing with
-	// EvictNone mid-way. Here we simply replay twice — the second replay of
-	// the (now truncated) log must not disturb anything, and replaying the
-	// same committed log twice from a crash image must converge.
-	if err := l.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Replay(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 4)
-	if err := w.Read(dataBase, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "keep" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-// Random mutation batches crashed at EvictRandom must always recover to the
-// pre-batch state (if not truncated) or the post-batch state (if truncated).
-// Odd seeds write the pre-checksum form.
-func TestUndoCrashRecoveryProperty(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		w := newLogWindow(t)
-		u := &legacyUndo{t: t, w: w, pre: seed%2 == 1}
-
-		region := make([]byte, 512)
-		rng.Read(region)
-		if err := w.Persist(dataBase, region); err != nil {
-			t.Fatal(err)
-		}
-
-		// One protected batch of 1-4 mutations.
-		n := rng.Intn(4) + 1
-		for i := 0; i < n; i++ {
-			off := uint64(rng.Intn(448))
-			length := uint64(rng.Intn(64) + 1)
-			u.snapshot(dataBase+off, length)
-		}
-		u.seal()
-		// Mutate wildly (persisting some, not others).
-		for i := 0; i < n; i++ {
-			off := uint64(rng.Intn(448))
-			garbage := make([]byte, rng.Intn(64)+1)
-			rng.Read(garbage)
-			if err := w.Write(dataBase+off, garbage); err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(2) == 0 {
-				if err := w.Flush(dataBase+off, uint64(len(garbage))); err != nil {
-					t.Fatal(err)
-				}
-				w.Fence()
-			}
-		}
-		// Crash with adversarial eviction.
-		if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictRandom, Prob: 0.5, Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
-		l2 := mustUndo(t, w)
-		if err := l2.Replay(); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 512)
-		if err := w.Read(dataBase, got); err != nil {
-			t.Fatal(err)
-		}
-		// Every byte the snapshots covered must be restored. Bytes outside
-		// any snapshot may differ (callers snapshot everything they touch;
-		// the property holds for the covered ranges, which is what we can
-		// assert without replicating caller discipline).
-		// Here all mutations were over [dataBase, dataBase+512) but only
-		// snapshot-covered ranges are guaranteed; to keep the property
-		// strong, assert replay left the log empty and a second replay is a
-		// no-op.
-		if l2.Count() != 0 {
-			t.Fatal("log not empty after replay")
-		}
-		if err := l2.Replay(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 func TestMicroLogAppendEntriesTruncate(t *testing.T) {
@@ -372,24 +133,6 @@ func TestMicroLogTooSmall(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsCorruptHeaders(t *testing.T) {
-	w := newLogWindow(t)
-	// Undo: cursor beyond capacity.
-	if err := w.WriteU64(logBase+8, logSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenUndoLog(w, logBase, logSize); err == nil {
-		t.Fatal("undo: want corrupt-header error")
-	}
-	// Micro: count beyond capacity.
-	if err := w.WriteU64(32*1024, 1<<40); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMicroLog(w, 32*1024, 4096); err == nil {
-		t.Fatal("micro: want corrupt-header error")
-	}
-}
-
 // microImage builds a lane region of size bytes: epoch, then one entry per
 // loc, each checksummed under sums[i] as its epoch.
 func microImage(size int, epoch uint64, locs, sums []uint64) []byte {
@@ -450,61 +193,16 @@ func TestMicroLogTornAndStaleEntriesReadAbsent(t *testing.T) {
 	}
 }
 
-// TestMicroLogLegacyLaneConverts loads a lane the count-based format wrote:
-// it must read by its count, and Truncate must convert it to an empty lane
-// of the current format.
-func TestMicroLogLegacyLaneConverts(t *testing.T) {
-	w := newLogWindow(t)
-	for i, e := range [][2]uint64{{4096, 64}, {8192, 128}} {
-		if err := w.Persist(logBase+microHeaderSize+uint64(i)*16, append(u64le(e[0]), u64le(e[1])...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.PersistU64(logBase, 2); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenMicroLog(w, logBase, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 4096 || got[1] != 8192 {
-		t.Fatalf("legacy entries = %v", got)
-	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := OpenMicroLog(w, logBase, 4096)
-	if err != nil || l2.Count() != 0 {
-		t.Fatalf("converted lane: %v, %d entries", err, l2.Count())
-	}
-	if err := l2.Append(3 << 12); err != nil {
-		t.Fatal(err)
-	}
-	if l3, err := OpenMicroLog(w, logBase, 4096); err != nil || l3.Count() != 1 {
-		t.Fatalf("append after conversion: %v, %d entries", err, l3.Count())
-	}
-}
-
-func u64le(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-// fuzzLaneSize is the lane region FuzzMicroLogOpen decodes.
 const fuzzLaneSize = 512
 
 // FuzzMicroLogOpen feeds arbitrary bytes as a micro-log lane through
 // OpenMicroLog, Entries and Truncate: each must end in an error or a
 // bounded result, never a panic, and a truncated lane must reopen empty.
-// The seeds are a legacy count whose bound check once overflowed, a torn
-// append and an entry of an earlier epoch.
+// The seeds are a set header word the log does not use, a torn append,
+// an entry of an earlier epoch and, in testdata, an entry of the next
+// epoch in an otherwise empty lane.
 func FuzzMicroLogOpen(f *testing.F) {
-	f.Add(u64le(0x1000000000000001))
+	f.Add(binary.LittleEndian.AppendUint64(nil, 0x1000000000000001))
 	f.Add(microImage(128, 5, []uint64{1 << 12, 2 << 12}, []uint64{5, 0}))
 	f.Add(microImage(128, 3, []uint64{1 << 12, 2 << 12}, []uint64{3, 2}))
 	f.Fuzz(func(t *testing.T, region []byte) {

@@ -1,3 +1,15 @@
+// Package plog implements Poseidon's persistent logs and records over an
+// NVMM window: the commit-record log that makes every metadata mutation
+// failure-atomic (RedoLog; paper §5.2 uses an undo log, see DESIGN.md's
+// known deviations), the micro log that records the allocations of an open
+// transactional allocation (paper §4.5, §5.3, §5.8), and the
+// double-buffered record (Slots) that holds commit records and best-effort
+// state — the sub-heap metadata mirror, the profile site table, the
+// black-box header.
+//
+// The logs live inside the MPK-protected metadata region of a sub-heap (or
+// the superblock), so they are guarded by the same protection discipline as
+// the metadata they protect.
 package plog
 
 import (
@@ -25,16 +37,21 @@ import (
 // is still in its slot then. Replay is idempotent — the values are
 // absolute — and at load writes only words that differ from the device; a
 // commit failing in a running process is settled by rewriting every word
-// (Replay). The generation counter lives in DRAM; Open seeds it.
-//
-// A region neither of whose slot headers carries redoMagic holds a legacy
-// undo log (or nothing): Open(replay) rolls it back and blanks both
-// headers. DESIGN.md, "Redo-record commit", has the full argument.
+// (Replay). The generation counter lives in DRAM; Open seeds it. A slot
+// without redoMagic holds no record, like a torn one. DESIGN.md,
+// "Redo-record commit", has the full argument.
 const redoMagic uint64 = 0x31304f4445525350 // "PSREDO01" little endian
 
-// ErrInDoubt marks a commit that failed after its record reached the slot:
-// the record may be durable and its words not in place until replayed.
-var ErrInDoubt = errors.New("plog: commit in doubt")
+// Common log errors.
+var (
+	ErrLogFull = errors.New("plog: log capacity exceeded")
+	errCorrupt = errors.New("plog: corrupt log header")
+
+	// ErrInDoubt marks a commit that failed after its record reached the
+	// slot: the record may be durable and its words not in place until
+	// replayed.
+	ErrInDoubt = errors.New("plog: commit in doubt")
+)
 
 // Word is one staged metadata word: an 8-byte-aligned device offset and the
 // value a commit gives it.
@@ -46,11 +63,10 @@ type RedoLog struct {
 	w     mpk.Window
 	slots Slots
 
-	gen    uint64 // newest generation on the device, 0 when none
-	legacy uint64 // committed entries of a legacy undo log Open did not replay
-	doubt  bool   // a commit failed after its store and is not yet settled
-	pay    []byte // the last committed payload, for Apply
-	img    []byte // slot-image scratch
+	gen   uint64 // newest generation on the device, 0 when none
+	doubt bool   // a commit failed after its store and is not yet settled
+	pay   []byte // the last committed payload, for Apply
+	img   []byte // slot-image scratch
 
 	commits, bytes atomic.Uint64
 }
@@ -61,45 +77,21 @@ func NewRedoLog(w mpk.Window, base, size uint64) *RedoLog {
 }
 
 // Open attaches to the device region and seeds the generation counter.
-// With replay it also puts the two newest records' words in place, or
-// rolls back a legacy undo log and leaves the region blank; after a commit
-// of this log failed unsettled, it settles it as Replay does. Without
-// replay it writes nothing.
+// With replay it also puts the two newest records' words in place; after
+// a commit of this log failed unsettled, it settles it as Replay does.
+// Without replay it writes nothing.
 func (l *RedoLog) Open(replay bool) error {
-	var hdr [2][SlotHeader]byte
-	for i := range hdr {
-		if err := l.w.Read(l.slots.Off(i), hdr[i][:]); err != nil {
-			return err
-		}
-	}
-	l.gen, l.legacy = 0, 0
-	if binary.LittleEndian.Uint64(hdr[0][:]) == redoMagic || binary.LittleEndian.Uint64(hdr[1][:]) == redoMagic {
-		if replay {
-			_, err := l.walk(true, l.doubt)
-			return err
-		}
-		l.gen, _, _ = l.slots.Read(l.w.Read)
-		return nil
-	}
-	if allZero(hdr[0][:]) && allZero(hdr[1][:]) {
-		return nil
-	}
-	undo, err := OpenUndoLog(l.w, l.slots.Base, 2*l.slots.Size)
-	if err != nil {
+	if replay {
+		_, err := l.walk(true, l.doubt)
 		return err
 	}
-	if !replay {
-		l.legacy = undo.Count()
-		return nil
-	}
-	if err := undo.Replay(); err != nil {
-		return err
-	}
-	var zero [SlotHeader]byte
-	for i := range hdr {
-		if err := l.w.Persist(l.slots.Off(i), zero[:]); err != nil {
+	l.gen = 0
+	for i := range 2 {
+		g, _, _, err := l.slots.readSlot(l.w.Read, i)
+		if err != nil {
 			return err
 		}
+		l.gen = max(l.gen, g)
 	}
 	return nil
 }
@@ -116,14 +108,8 @@ func (l *RedoLog) Replay() error {
 }
 
 // Pending counts the words of the two newest records that differ from the
-// device — 0 after any replay — or, for an unreplayed legacy undo log, its
-// committed entries.
-func (l *RedoLog) Pending() (uint64, error) {
-	if l.legacy != 0 {
-		return l.legacy, nil
-	}
-	return l.walk(false, false)
-}
+// device — 0 after any replay.
+func (l *RedoLog) Pending() (uint64, error) { return l.walk(false, false) }
 
 // walk reads the two newest records and counts the words whose device
 // value differs from the value they give it. With fix it also seeds the

@@ -2,6 +2,7 @@ package plog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -205,50 +206,52 @@ func TestRedoUnreadableSlotFailsReplay(t *testing.T) {
 	checkWords(t, w, redoWords(2, 1, 2))
 }
 
-// TestRedoOpenRollsBackLegacyUndo loads a region holding a dirty undo log
-// of either form: Open(replay) must restore the targets, leave both slot
-// headers blank, and the log must then commit and replay normally.
-func TestRedoOpenRollsBackLegacyUndo(t *testing.T) {
-	for _, pre := range []bool{false, true} {
-		w := newLogWindow(t)
-		u := &legacyUndo{t: t, w: w, pre: pre}
-		orig := []byte("legacy metadata!")
-		if err := w.Persist(dataBase, orig); err != nil {
-			t.Fatal(err)
-		}
-		u.snapshot(dataBase, uint64(len(orig)))
-		u.seal()
-		if err := w.Persist(dataBase, bytes.Repeat([]byte{'X'}, len(orig))); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := mustRedo(t, w, false).Pending(); err != nil || n != 1 {
-			t.Fatalf("pre=%v: unreplayed legacy log pending %d (%v), want 1", pre, n, err)
-		}
-		l := mustRedo(t, w, true)
-		got := make([]byte, len(orig))
-		if err := w.Read(dataBase, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, orig) {
-			t.Fatalf("pre=%v: legacy replay left %q", pre, got)
-		}
-		for i := range 2 {
-			hdr := make([]byte, SlotHeader)
-			if err := w.Read(l.slots.Off(i), hdr); err != nil {
-				t.Fatal(err)
-			}
-			if !allZero(hdr) {
-				t.Fatalf("pre=%v: slot %d header not blank after conversion: %x", pre, i, hdr)
-			}
-		}
-		ws := redoWords(4, 2, 9)
-		if err := l.Commit(ws, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
-			t.Fatal(err)
-		}
-		mustRedo(t, w, true)
-		checkWords(t, w, ws)
+// TestRedoOpenIgnoresForeignHeaders loads a region holding a well-formed
+// undo log of the pre-checksum form — count, cursor, then one entry with
+// the old bytes of a target. No slot header carries the redo magic, so the
+// region holds no record: Pending must read 0, Open(replay) must leave
+// every device byte as it was, and the log must then commit and replay
+// normally.
+func TestRedoOpenIgnoresForeignHeaders(t *testing.T) {
+	w := newLogWindow(t)
+	old := []byte("original bytes!!")
+	undo := binary.LittleEndian.AppendUint64(nil, 1)  // count
+	undo = binary.LittleEndian.AppendUint64(undo, 32) // cursor
+	undo = append(undo, make([]byte, 48)...)          // rest of the header
+	undo = binary.LittleEndian.AppendUint64(undo, dataBase)
+	undo = binary.LittleEndian.AppendUint64(undo, uint64(len(old)))
+	undo = append(undo, old...)
+	if err := w.Persist(logBase, undo); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Persist(dataBase, bytes.Repeat([]byte{'X'}, len(old))); err != nil {
+		t.Fatal(err)
+	}
+	image := func() []byte {
+		b := make([]byte, w.Device().Capacity())
+		if err := w.Read(0, b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := image()
+	if n, err := mustRedo(t, w, false).Pending(); err != nil || n != 0 {
+		t.Fatalf("foreign region pending %d (%v), want 0", n, err)
+	}
+	l := mustRedo(t, w, true)
+	if l.gen != 0 {
+		t.Fatalf("foreign region opened at generation %d, want 0", l.gen)
+	}
+	if !bytes.Equal(image(), before) {
+		t.Fatal("Open(replay) changed the device")
+	}
+	ws := redoWords(4, 2, 9)
+	if err := l.Commit(ws, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	mustRedo(t, w, true)
+	checkWords(t, w, ws)
 }

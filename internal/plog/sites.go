@@ -36,11 +36,8 @@ import (
 )
 
 const (
-	// siteMagic marks a side-table slot ("POSSITE2" little endian);
-	// siteLegacyMagic ("POSSITES") marks the parent format's header, which
-	// reads as blank.
-	siteMagic       = 0x3245544953534F50
-	siteLegacyMagic = 0x5345544953534F50
+	// siteMagic marks a side-table slot ("POSSITE2" little endian).
+	siteMagic = 0x3245544953534F50
 
 	// siteMaxFrames bounds the frames persisted per site; deeper stacks
 	// are truncated (the leading application frames are what identify a
@@ -55,7 +52,7 @@ const (
 // base+size): two line-aligned halves. An arena too small for a snapshot
 // yields a record with zero capacity.
 func SiteTable(base, size uint64) Slots {
-	return Slots{Base: base, Size: size / 2 &^ 63, Magic: siteMagic, Legacy: siteLegacyMagic}
+	return Slots{Base: base, Size: size / 2 &^ 63, Magic: siteMagic}
 }
 
 // SiteFrame is one symbolized frame of a persisted allocation site.

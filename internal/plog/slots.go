@@ -29,22 +29,17 @@ import (
 // its checksum, and the other slot is untouched. A reader sees the previous
 // generation or the new one, never a mix.
 //
-// A slot whose header is all zero is blank. A slot holding the record's
-// parent-format magic is legacy and reads as blank too. Read reports a
-// record torn when no slot validates and some slot is neither blank nor
-// legacy, counting an unreadable slot as written. A record with a legacy
-// slot is never torn: until its first write in this format completes, its
-// other slot holds the parent format's bytes or that write's torn image,
-// and neither is damage.
+// A slot whose header is all zero is blank; any other slot is written,
+// whatever its magic, and so is an unreadable one. Read reports a record
+// torn when no slot validates and some slot is written.
 const SlotHeader = 32
 
 // Slots is a double-buffered record occupying [Base, Base+2*Size). Like
 // Manifest it carries no I/O handle; callers pass their own window.
 type Slots struct {
-	Base   uint64 // device offset of slot 0; slot 1 follows at Base+Size
-	Size   uint64 // bytes per slot, header included
-	Magic  uint64 // marks a slot written in this format
-	Legacy uint64 // the parent format's magic; such a slot reads as blank
+	Base  uint64 // device offset of slot 0; slot 1 follows at Base+Size
+	Size  uint64 // bytes per slot, header included
+	Magic uint64 // marks a slot written in this format
 }
 
 // Cap returns the largest payload one slot holds.
@@ -98,53 +93,42 @@ func (s Slots) encode(gen uint64, payload, buf []byte) []byte {
 // policy: first the header, then only the bytes its length names. torn
 // follows the rules above.
 func (s Slots) Read(read func(off uint64, b []byte) error) (gen uint64, payload []byte, torn bool) {
-	written, legacy := false, false
+	written := false
 	for i := range 2 {
-		g, p, st, _ := s.readSlot(read, i)
-		written = written || st == slotWritten
-		legacy = legacy || st == slotLegacy
+		g, p, w, _ := s.readSlot(read, i)
+		written = written || w
 		if g > gen {
 			gen, payload = g, p
 		}
 	}
-	return gen, payload, gen == 0 && written && !legacy
+	return gen, payload, gen == 0 && written
 }
 
-// Slot states readSlot reports besides a valid generation.
-const (
-	slotBlank = iota
-	slotLegacy
-	slotWritten // anything else: valid, torn or unreadable
-)
-
 // readSlot returns slot i's generation and payload if it holds a valid
-// image (gen 0 otherwise), its state, and the error of a failed read.
-func (s Slots) readSlot(read func(off uint64, b []byte) error, i int) (gen uint64, payload []byte, state int, err error) {
+// image (gen 0 otherwise), whether the slot is written rather than blank,
+// and the error of a failed read.
+func (s Slots) readSlot(read func(off uint64, b []byte) error, i int) (gen uint64, payload []byte, written bool, err error) {
 	var hdr [SlotHeader]byte
 	if err := read(s.Off(i), hdr[:]); err != nil {
-		return 0, nil, slotWritten, err
+		return 0, nil, true, err
 	}
-	magic := binary.LittleEndian.Uint64(hdr[0:])
-	switch {
-	case allZero(hdr[:]):
-		return 0, nil, slotBlank, nil
-	case magic == s.Legacy:
-		return 0, nil, slotLegacy, nil
+	if allZero(hdr[:]) {
+		return 0, nil, false, nil
 	}
 	g, n := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
-	if magic != s.Magic || g == 0 || g&1 != uint64(i) || n > uint64(s.Cap()) {
-		return 0, nil, slotWritten, nil
+	if binary.LittleEndian.Uint64(hdr[0:]) != s.Magic || g == 0 || g&1 != uint64(i) || n > uint64(s.Cap()) {
+		return 0, nil, true, nil
 	}
 	p := make([]byte, (n+7)&^7)
 	if len(p) > 0 {
 		if err := read(s.Off(i)+SlotHeader, p); err != nil {
-			return 0, nil, slotWritten, err
+			return 0, nil, true, err
 		}
 	}
 	if sealSum(sumWords(sumSeed, p), g, n) != binary.LittleEndian.Uint64(hdr[24:]) {
-		return 0, nil, slotWritten, nil
+		return 0, nil, true, nil
 	}
-	return g, p[:n:n], slotWritten, nil
+	return g, p[:n:n], true, nil
 }
 
 // Checksum constants: a nonzero seed and the xxHash64 primes.

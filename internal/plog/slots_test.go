@@ -11,7 +11,7 @@ import (
 
 // testSlots is a line-aligned record with room for a several-line payload.
 func testSlots() Slots {
-	return Slots{Base: 4096, Size: 512, Magic: siteMagic, Legacy: siteLegacyMagic}
+	return Slots{Base: 4096, Size: 512, Magic: siteMagic}
 }
 
 // genPayload is generation gen's n-byte payload: every byte differs from
@@ -137,9 +137,12 @@ func TestSlotsReadRules(t *testing.T) {
 	if gen, _, torn := read(); gen != 0 || !torn {
 		t.Fatalf("two torn slots: gen %d, torn %v", gen, torn)
 	}
-	corrupt(1, 0, rec.Legacy)
-	if gen, _, torn := read(); gen != 0 || torn {
-		t.Fatalf("torn slot beside a legacy slot: gen %d, torn %v", gen, torn)
+	if err := w.Zero(rec.Base, 2*rec.Size); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(0, 0, 0x5345544953534F50) // "POSSITES", version 1's site-table magic
+	if gen, _, torn := read(); gen != 0 || !torn {
+		t.Fatalf("foreign magic beside a blank slot: gen %d, torn %v", gen, torn)
 	}
 	if err := w.Zero(rec.Base, 2*rec.Size); err != nil {
 		t.Fatal(err)
@@ -170,8 +173,8 @@ func TestSlotsReadRules(t *testing.T) {
 // FuzzSlotsRead decodes arbitrary bytes as a two-slot record. Read must
 // never panic, never read outside the record and never return more than
 // Cap() bytes; an accepted payload must re-encode to the slot's bytes. The
-// seed corpus holds a valid pair, blank slots, a torn newer slot, a legacy
-// magic, a length over capacity and an image in the wrong slot.
+// seed corpus holds a valid pair, blank slots, a torn newer slot, a
+// version-1 magic, a length over capacity and an image in the wrong slot.
 func FuzzSlotsRead(f *testing.F) {
 	rec := SiteTable(0, 256)
 	f.Fuzz(func(t *testing.T, region []byte) {

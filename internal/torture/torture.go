@@ -395,10 +395,9 @@ func runPoint(cfg Config, mode nvm.EvictMode, point int) (nvm.CrashReport, *Viol
 		// never fire on a pure power failure.
 		return fail(report, "recovery quarantined %d sub-heaps: %+v",
 			check.Quarantined, check.SubheapReports)
-	case check.PendingUndo != 0 || check.PendingTx != 0 || check.PendingRemote != 0 ||
-		check.PendingCached != 0:
-		return fail(report, "recovery left pending work: undo=%d tx=%d remote=%d cached=%d",
-			check.PendingUndo, check.PendingTx, check.PendingRemote, check.PendingCached)
+	case check.PendingUndo != 0 || check.PendingTx != 0 || check.PendingCached != 0:
+		return fail(report, "recovery left pending work: undo=%d tx=%d cached=%d",
+			check.PendingUndo, check.PendingTx, check.PendingCached)
 	}
 
 	// The recovered heap must still serve: allocate and free a block.
