@@ -54,10 +54,11 @@ func (r CheckReport) Healthy() bool { return r.OK() && r.Quarantined == 0 }
 
 // Check audits the whole heap: every formatted sub-heap's blocks must tile
 // its user region exactly (no gaps, no overlaps, power-of-two sizes,
-// size-aligned offsets), free lists and the hash table must agree, and log
-// headers must be sane. It is the engine of cmd/poseidon-fsck and the
-// invariant oracle of the crash-injection tests. Quarantined sub-heaps are
-// reported but not audited — their metadata is already known bad.
+// size-aligned offsets), free lists and the hash table must agree, log
+// headers must be sane, and the root record must decode. It is the engine
+// of cmd/poseidon-fsck and the invariant oracle of the crash-injection
+// tests. Quarantined sub-heaps are reported but not audited — their
+// metadata is already known bad.
 // AllocatedBlocks leaves out the blocks the magazines cache: every pop and
 // push persists its manifest word, so in a running process the census is
 // exactly the blocks the application holds.
@@ -97,6 +98,13 @@ func (h *Heap) Check() (CheckReport, error) {
 	}
 	report.PendingCached = man.PendingCached
 	report.Problems = append(report.Problems, man.Problems...)
+	switch _, err := h.Root(); {
+	case err == nil:
+	case quarantinable(err):
+		report.Problems = append(report.Problems, fmt.Sprintf("superblock: %v", err))
+	default:
+		return report, err
+	}
 	return report, nil
 }
 

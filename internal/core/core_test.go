@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,7 @@ import (
 	"poseidon/internal/mpk"
 	"poseidon/internal/nvm"
 	"poseidon/internal/obs"
+	"poseidon/internal/plog"
 )
 
 // testOptions is a small, fast heap with crash tracking on.
@@ -657,9 +659,19 @@ func TestRootPointer(t *testing.T) {
 	}
 }
 
+// TestRootSurvivesRestart sets the root twice and restarts: Root must
+// return the second pointer and its data. Then one byte of the root slot
+// holding the newest generation is flipped, which must leave Root
+// unchanged (the other slot holds the same value), and the same byte of
+// the other slot, which must make Root fail with ErrCorruptHeap, Check
+// list one Problem and Inspect print it.
 func TestRootSurvivesRestart(t *testing.T) {
 	h := newTestHeap(t)
 	th := newThread(t, h)
+	first, err := th.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := th.Alloc(128)
 	if err != nil {
 		t.Fatal(err)
@@ -667,8 +679,10 @@ func TestRootSurvivesRestart(t *testing.T) {
 	if err := th.Persist(p, 0, []byte("root data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.SetRoot(p); err != nil {
-		t.Fatal(err)
+	for _, r := range []NVMPtr{first, p} {
+		if err := h.SetRoot(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	th.Close()
 
@@ -688,6 +702,36 @@ func TestRootSurvivesRestart(t *testing.T) {
 	}
 	if string(got) != "root data" {
 		t.Fatalf("root data = %q", got)
+	}
+
+	// Damage the slot of the newest generation first, then the other.
+	gen, _, _ := rootRecord.Read(h2.Device().Read)
+	newest := int(gen & 1)
+	flip := func(slot int) {
+		t.Helper()
+		off := rootRecord.Off(slot) + plog.SlotHeader
+		v, err := h2.Device().ReadU8(off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h2.Device().Persist(off, []byte{v ^ 0x10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip(newest)
+	if root, err := h2.Root(); err != nil || root != p {
+		t.Fatalf("root with its newest slot damaged = %v, %v; want %v", root, err, p)
+	}
+	flip(1 - newest)
+	if root, err := h2.Root(); !errors.Is(err, ErrCorruptHeap) {
+		t.Fatalf("root with both slots damaged = %v, %v; want ErrCorruptHeap", root, err)
+	}
+	if rep := checkHeap(t, h2); len(rep.Problems) != 1 {
+		t.Fatalf("Check with both root slots damaged: problems %q, want one", rep.Problems)
+	}
+	var out bytes.Buffer
+	if err := h2.Inspect(&out); err != nil || !strings.Contains(out.String(), "root record has no valid slot") {
+		t.Fatalf("Inspect with both root slots damaged = %v:\n%s", err, out.String())
 	}
 }
 

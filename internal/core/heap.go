@@ -10,6 +10,7 @@
 package core
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -23,7 +24,6 @@ import (
 	"poseidon/internal/nvm"
 	"poseidon/internal/obs"
 	"poseidon/internal/plog"
-	"poseidon/internal/txn"
 )
 
 // Heap is a Poseidon persistent heap on one NVMM device.
@@ -39,11 +39,9 @@ type Heap struct {
 	// and only these grant/revoke paths can switch permissions.
 	authority *mpk.Authority
 
-	sbMu     sync.Mutex // guards superblock metadata (root pointer)
+	sbMu     sync.Mutex // guards the root record
 	sbThread *mpk.Thread
 	sbWin    mpk.Window
-	sbLog    *plog.RedoLog
-	sbBatch  *txn.Batch
 
 	subheaps []*subheap
 
@@ -84,11 +82,8 @@ type Heap struct {
 	scrubDone chan struct{}
 
 	// tel is the optional telemetry registry (Options.Telemetry); nil when
-	// the heap runs uninstrumented. sbRec attributes superblock-window
-	// device traffic; it is retagged under sbMu (or during single-threaded
-	// format/recovery).
-	tel   *obs.Telemetry
-	sbRec *nvm.AttrRecorder
+	// the heap runs uninstrumented.
+	tel *obs.Telemetry
 
 	// prof is the allocation-site heap profiler (created whenever
 	// telemetry is on, so recovered profiles render even with sampling
@@ -182,15 +177,7 @@ func Create(opts Options) (*Heap, error) {
 // Load attaches to an existing heap image on dev (e.g. after nvm.LoadFile,
 // or in-process after a simulated crash) and runs crash recovery.
 func Load(dev *nvm.Device, opts Options) (*Heap, error) {
-	opts = opts.withDefaults()
-	lay, err := readLayout(dev)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.validateRuntime(); err != nil {
-		return nil, err
-	}
-	h, err := assemble(dev, lay, opts)
+	h, err := openImage(dev, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +214,15 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 // the raw post-crash view poseidon-fsck -raw audits. Allocator operations
 // on an un-recovered heap are unsafe; use Load for normal operation.
 func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
+	return openImage(dev, opts, true)
+}
+
+// openImage wires a heap over an existing image from its superblock — the
+// part of Load and Attach that writes nothing — and counts the superblock
+// reads' transient retries. raw marks an Attach.
+func openImage(dev *nvm.Device, opts Options, raw bool) (*Heap, error) {
 	opts = opts.withDefaults()
-	lay, err := readLayout(dev)
+	lay, heapID, retries, err := readLayout(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -239,17 +233,8 @@ func Attach(dev *nvm.Device, opts Options) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.rawAttach = true
-	h.heapID, err = dev.ReadU64(sbHeapIDOff)
-	if err != nil {
-		return nil, err
-	}
-	h.grant(h.sbThread)
-	err = h.sbLog.Open(false)
-	h.revoke(h.sbThread)
-	if err != nil {
-		return nil, fmt.Errorf("%w: superblock log: %v", ErrCorruptHeap, err)
-	}
+	h.heapID, h.rawAttach = heapID, raw
+	h.noteRetries(retries)
 	return h, nil
 }
 
@@ -279,8 +264,7 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 	h.sbThread = unit.NewThread(defaultRights(opts))
 	h.sbWin = mpk.NewWindow(dev, h.sbThread)
 	if h.tel != nil {
-		h.sbRec = nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassRoot)
-		h.sbWin = h.sbWin.WithRecorder(h.sbRec)
+		h.sbWin = h.sbWin.WithRecorder(nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassRoot))
 		// The profiler exists whenever telemetry does (rate 0 = sampling
 		// off but recovered site tables still load and render); the tracer
 		// only when a trace rate was requested.
@@ -297,8 +281,6 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		h.profWin = mpk.NewWindow(dev, h.profThread).
 			WithRecorder(nvm.NewAttrRecorder(h.tel.Attribution(), nvm.ClassProfile))
 	}
-	h.sbLog = plog.NewRedoLog(h.sbWin, sbUndoOff, sbUndoSize)
-	h.sbBatch = txn.NewBatch(h.sbWin, h.sbLog)
 	// The black-box window exists even without telemetry: Attach-mode tools
 	// (poseidon-fsck, poseidon-inspect) replay the persistent ring from a
 	// crashed image with no registry wired.
@@ -389,7 +371,9 @@ func (h *Heap) revoke(t *mpk.Thread) {
 	}
 }
 
-// format writes the initial persistent image.
+// format writes the initial persistent image: magic and version, the null
+// root, then the geometry record, whose first valid slot is the creation
+// commit point. Sub-heaps format on first use.
 func (h *Heap) format() error {
 	heapID := h.opts.HeapID
 	if heapID == 0 {
@@ -404,39 +388,36 @@ func (h *Heap) format() error {
 	h.grant(h.sbThread)
 	defer h.revoke(h.sbThread)
 	w := h.sbWin
-	fields := []struct {
-		off uint64
-		val uint64
-	}{
-		{sbMagicOff, heapMagic},
-		{sbVersionOff, heapVersion},
-		{sbHeapIDOff, heapID},
-		{sbSubheapsOff, uint64(h.lay.subheaps)},
-		{sbUserSizeOff, h.lay.userSize},
-		{sbMetaSizeOff, h.lay.metaSize},
-		{sbRootLocOff, 0},
-		{sbLaneCountOff, uint64(h.lay.laneCount)},
-		{sbLaneSizeOff, h.lay.laneSize},
-		{sbUndoSizeOff, h.lay.undoSize},
-		{sbMagSlotsOff, h.lay.magSlots},
+	if err := w.PersistU64(sbMagicOff, heapMagic); err != nil {
+		return err
 	}
-	for _, f := range fields {
-		if err := w.WriteU64(f.off, f.val); err != nil {
+	if err := w.PersistU64(sbVersionOff, heapVersion); err != nil {
+		return err
+	}
+	if err := writeBoth(w, rootRecord, 0, nil); err != nil {
+		return err
+	}
+	l := h.lay
+	var geo []byte
+	for _, v := range []uint64{heapID, uint64(l.subheaps), l.userSize, l.metaSize,
+		l.undoSize, uint64(l.laneCount), l.laneSize, l.magSlots} {
+		geo = binary.LittleEndian.AppendUint64(geo, v)
+	}
+	return writeBoth(w, geometryRecord, 0, geo)
+}
+
+// writeBoth writes payload as generations gen+1 and gen+2 of r, so both
+// slots hold it. One damaged slot then never changes the value read, and a
+// crash between the two writes leaves the new value in one slot and the
+// old one in the other.
+func writeBoth(w mpk.Window, r plog.Slots, gen uint64, payload []byte) error {
+	var buf []byte
+	for g := gen + 1; g <= gen+2; g++ {
+		if err := r.Write(w, g, payload, &buf); err != nil {
 			return err
 		}
 	}
-	// Flush every header field (including the magSlots word past the
-	// initialized slot — the initialized word itself is still zero here)
-	// before the commit point below makes them meaningful.
-	if err := w.Flush(0, sbMagSlotsOff+8); err != nil {
-		return err
-	}
-	w.Fence()
-	// The initialized word is the creation commit point.
-	if err := w.PersistU64(sbInitializedOff, 1); err != nil {
-		return err
-	}
-	return h.sbLog.Open(false)
+	return nil
 }
 
 // retry is nvm.Retry with the heap's stats counter and journal attached.
@@ -445,13 +426,22 @@ func (h *Heap) format() error {
 // instead of turning a survivable blip into an unavailable heap.
 func (h *Heap) retry(fn func() error) error {
 	n, err := nvm.Retry(fn)
-	if n > 0 && err == nil {
-		h.transientRetries.Add(uint64(n))
-		h.tel.Emit(obs.EventTransientRetry, -1,
-			fmt.Sprintf("device I/O succeeded after %d transient retries", n))
-		h.recomputeHealth()
+	if err == nil {
+		h.noteRetries(n)
 	}
 	return err
+}
+
+// noteRetries counts, journals and weighs n transient retries that ended
+// in a successful device op.
+func (h *Heap) noteRetries(n int) {
+	if n == 0 {
+		return
+	}
+	h.transientRetries.Add(uint64(n))
+	h.tel.Emit(obs.EventTransientRetry, -1,
+		fmt.Sprintf("device I/O succeeded after %d transient retries", n))
+	h.recomputeHealth()
 }
 
 // quarantinable classifies a recovery error: corruption-class failures are
@@ -465,121 +455,98 @@ func quarantinable(err error) bool {
 		!errors.Is(err, nvm.ErrOutOfRange)
 }
 
-// readLayout validates the superblock of an existing image and rebuilds the
-// layout from it. Only heapVersion loads: a format change bumps the version
-// and keeps no reader for the one before. Every size word is bounded by the
-// device before any is multiplied, and the geometry must pass the bounds
-// Create enforces.
-func readLayout(dev *nvm.Device) (layout, error) {
+// readLayout validates the superblock of an existing image and returns
+// the layout and heap id its geometry record holds, and how many transient
+// retries its reads took. Only heapVersion loads: a format change bumps the
+// version and keeps no reader for the one before. Every size is bounded by
+// the device before any is multiplied, and the geometry must pass the
+// bounds Create enforces.
+func readLayout(dev *nvm.Device) (lay layout, heapID uint64, retries int, err error) {
 	var ioErr error
-	read := func(off uint64) uint64 {
-		var v uint64
-		_, err := nvm.Retry(func() error {
-			var e error
-			v, e = dev.ReadU64(off)
-			return e
-		})
-		if err != nil && ioErr == nil {
-			ioErr = err
-		}
-		return v
+	read := func(off uint64, b []byte) error {
+		n, err := nvm.Retry(func() error { return dev.Read(off, b) })
+		retries += n
+		ioErr = cmp.Or(ioErr, err)
+		return err
 	}
-	if v := read(sbMagicOff); ioErr != nil {
-		return layout{}, fmt.Errorf("superblock read: %w", ioErr)
-	} else if v != heapMagic {
-		return layout{}, fmt.Errorf("%w: bad magic", ErrCorruptHeap)
+	var hdr [16]byte
+	if read(sbMagicOff, hdr[:]) != nil {
+		return layout{}, 0, 0, fmt.Errorf("superblock read: %w", ioErr)
 	}
-	if v := read(sbVersionOff); v != heapVersion {
-		return layout{}, fmt.Errorf("%w: version %d (want %d)", ErrCorruptHeap, v, heapVersion)
+	if binary.LittleEndian.Uint64(hdr[sbMagicOff:]) != heapMagic {
+		return layout{}, 0, 0, fmt.Errorf("%w: bad magic", ErrCorruptHeap)
 	}
-	if read(sbInitializedOff) != 1 {
-		return layout{}, fmt.Errorf("%w: creation never completed", ErrCorruptHeap)
+	if v := binary.LittleEndian.Uint64(hdr[sbVersionOff:]); v != heapVersion {
+		return layout{}, 0, 0, fmt.Errorf("%w: version %d (want %d)", ErrCorruptHeap, v, heapVersion)
+	}
+	// The words format writes; all but the heap id are sizes and counts.
+	var word [8]uint64
+	gen, p, torn := geometryRecord.Read(read)
+	switch {
+	case ioErr != nil:
+		return layout{}, 0, 0, fmt.Errorf("superblock read: %w", ioErr)
+	case torn:
+		return layout{}, 0, 0, fmt.Errorf("%w: geometry record has no valid slot", ErrCorruptHeap)
+	case gen == 0:
+		return layout{}, 0, 0, fmt.Errorf("%w: creation never completed", ErrCorruptHeap)
+	case len(p) != 8*len(word):
+		return layout{}, 0, 0, fmt.Errorf("%w: geometry record holds %d bytes", ErrCorruptHeap, len(p))
 	}
 	c := dev.Capacity()
-	word := map[uint64]uint64{}
-	for _, off := range []uint64{sbSubheapsOff, sbUserSizeOff, sbMetaSizeOff, sbUndoSizeOff,
-		sbLaneCountOff, sbLaneSizeOff, sbMagSlotsOff} {
-		if word[off] = read(off); word[off] > c {
-			return layout{}, fmt.Errorf("%w: superblock word +%d is %d, past the %d-byte device",
-				ErrCorruptHeap, off, word[off], c)
+	for i := range word {
+		if word[i] = binary.LittleEndian.Uint64(p[8*i:]); i > 0 && word[i] > c {
+			return layout{}, 0, 0, fmt.Errorf("%w: geometry word %d is %d, past the %d-byte device",
+				ErrCorruptHeap, i, word[i], c)
 		}
 	}
-	if ioErr != nil {
-		return layout{}, fmt.Errorf("superblock read: %w", ioErr)
-	}
+	heapID, laneSize, magSlots := word[0], word[6], word[7]
 	geo := Options{
-		Subheaps:        int(word[sbSubheapsOff]),
-		SubheapUserSize: word[sbUserSizeOff],
-		SubheapMetaSize: word[sbMetaSizeOff],
-		UndoLogSize:     word[sbUndoSizeOff],
-		MaxThreads:      int(word[sbLaneCountOff]),
+		Subheaps:        int(word[1]),
+		SubheapUserSize: word[2],
+		SubheapMetaSize: word[3],
+		UndoLogSize:     word[4],
+		MaxThreads:      int(word[5]),
 	}
 	if err := geo.validateGeometry(); err != nil {
-		return layout{}, fmt.Errorf("%w: superblock: %v", ErrCorruptHeap, err)
+		return layout{}, 0, 0, fmt.Errorf("%w: superblock: %v", ErrCorruptHeap, err)
 	}
 	// Each arena alone must fit the device, so no product below overflows.
 	lanes := uint64(geo.MaxThreads)
-	if word[sbLaneSizeOff] > c/lanes || word[sbMagSlotsOff] > c/(8*lanes) ||
+	if laneSize > c/lanes || magSlots > c/(8*lanes) ||
 		geo.SubheapUserSize+geo.SubheapMetaSize > c/uint64(geo.Subheaps) {
-		return layout{}, fmt.Errorf("%w: superblock geometry exceeds the %d-byte device", ErrCorruptHeap, c)
+		return layout{}, 0, 0, fmt.Errorf("%w: superblock geometry exceeds the %d-byte device", ErrCorruptHeap, c)
 	}
-	lay, err := computeLayout(geo.Subheaps, geo.SubheapUserSize, geo.SubheapMetaSize,
-		geo.UndoLogSize, geo.MaxThreads, word[sbLaneSizeOff], word[sbMagSlotsOff])
+	lay, err = computeLayout(geo.Subheaps, geo.SubheapUserSize, geo.SubheapMetaSize,
+		geo.UndoLogSize, geo.MaxThreads, laneSize, magSlots)
 	if err != nil {
-		return layout{}, fmt.Errorf("%w: %v", ErrCorruptHeap, err)
+		return layout{}, 0, 0, fmt.Errorf("%w: %v", ErrCorruptHeap, err)
 	}
 	if lay.capacity > c {
-		return layout{}, fmt.Errorf("%w: image needs %d bytes, device has %d",
+		return layout{}, 0, 0, fmt.Errorf("%w: image needs %d bytes, device has %d",
 			ErrCorruptHeap, lay.capacity, c)
 	}
-	return lay, nil
+	return lay, heapID, retries, nil
 }
 
-// recover replays all logs after a restart (paper §5.1, §5.8): first the
-// superblock's and every sub-heap's newest commit records restore metadata
-// consistency, then the micro-log lanes roll back uncommitted
-// transactional allocations.
+// recover replays all logs after a restart (paper §5.1, §5.8): first every
+// sub-heap's newest commit records restore metadata consistency, then the
+// micro-log lanes roll back uncommitted transactional allocations. The
+// superblock has no log: readLayout has already read its geometry record.
 //
 // Recovery degrades instead of dying: transient device errors are retried
 // with bounded backoff, and a sub-heap whose metadata proves corrupt — log
 // recovery fails, or (with ScrubOnLoad) the audit finds problems — is
-// quarantined, leaving the rest of the heap fully usable. Only superblock
-// corruption or device-level failure aborts the load.
+// quarantined, leaving the rest of the heap fully usable. Only
+// device-level failure aborts it.
 //
-// Everything after the superblock replay is per-sub-heap independent, so
-// it fans out over runtime.GOMAXPROCS(0) workers (recovery.go); the
-// recovered image is the same at every width.
+// All of it is per-sub-heap independent, so it fans out over
+// runtime.GOMAXPROCS(0) workers (recovery.go); the recovered image is the
+// same at every width.
 func (h *Heap) recover() error {
 	var phaseStart time.Time
 	if h.tel != nil {
 		phaseStart = time.Now()
-		h.sbRec.SetClass(nvm.ClassRecovery)
-		defer h.sbRec.SetClass(nvm.ClassRoot)
 	}
-	var v uint64
-	if err := h.retry(func() error {
-		var e error
-		v, e = h.dev.ReadU64(sbHeapIDOff)
-		return e
-	}); err != nil {
-		return err
-	}
-	h.heapID = v
-
-	// The superblock log protects the root pointer; there is no smaller
-	// unit to quarantine, so failure here is fatal.
-	err := h.retry(func() error {
-		h.grant(h.sbThread)
-		defer h.revoke(h.sbThread)
-		return h.sbLog.Open(true)
-	})
-	if err != nil {
-		if !quarantinable(err) {
-			return fmt.Errorf("superblock log: %w", err)
-		}
-		return fmt.Errorf("%w: superblock log: %v", ErrCorruptHeap, err)
-	}
-
 	par := runtime.GOMAXPROCS(0)
 	if err := h.recoverFanout(par); err != nil {
 		return err
@@ -605,8 +572,8 @@ func (h *Heap) recover() error {
 		// the mutation-paced refresh catches up: a stale mirror only costs
 		// repair its cheap path, a corrupt one would poison it. The mirror
 		// refresh runs on this goroutine after the full fan-out has joined,
-		// so ordering (superblock, then replay, then audit, then mirrors)
-		// is identical at every width.
+		// so ordering (replay, then audit, then mirrors) is identical at
+		// every width.
 		h.syncMirrors()
 	}
 	return nil
@@ -666,25 +633,39 @@ func (h *Heap) Unit() *mpk.Unit { return h.unit }
 func (h *Heap) Subheaps() int { return h.lay.subheaps }
 
 // Root returns the root pointer (paper §4.6), or the null pointer if unset.
+// A root record with no valid slot is ErrCorruptHeap.
 func (h *Heap) Root() (NVMPtr, error) {
 	h.sbMu.Lock()
 	defer h.sbMu.Unlock()
-	set, err := h.sbWin.ReadU64(sbRootSetOff)
-	if err != nil {
-		return NVMPtr{}, err
-	}
-	if set == 0 {
-		return NVMPtr{}, nil
-	}
-	loc, err := h.sbWin.ReadU64(sbRootLocOff)
-	if err != nil {
-		return NVMPtr{}, err
-	}
-	return ptrFromWords(h.heapID, loc), nil
+	_, root, err := h.readRoot()
+	return root, err
 }
 
-// SetRoot durably stores the root pointer. The location and validity words
-// update failure-atomically through the superblock's commit log.
+// readRoot decodes the root record's newest valid generation: no payload
+// is the null root, one word a location. Caller holds sbMu.
+func (h *Heap) readRoot() (gen uint64, root NVMPtr, err error) {
+	var ioErr error
+	gen, p, _ := rootRecord.Read(func(off uint64, b []byte) error {
+		err := h.sbWin.Read(off, b)
+		ioErr = cmp.Or(ioErr, err)
+		return err
+	})
+	switch {
+	case ioErr != nil:
+		return 0, NVMPtr{}, ioErr
+	case gen == 0:
+		return 0, NVMPtr{}, fmt.Errorf("%w: root record has no valid slot", ErrCorruptHeap)
+	case len(p) == 0:
+		return gen, NVMPtr{}, nil
+	case len(p) != 8:
+		return gen, NVMPtr{}, fmt.Errorf("%w: root record holds %d bytes", ErrCorruptHeap, len(p))
+	}
+	return gen, ptrFromWords(h.heapID, binary.LittleEndian.Uint64(p)), nil
+}
+
+// SetRoot durably stores the root pointer as the next two generations of
+// the root record (writeBoth). A record with no valid slot is rewritten
+// whole.
 func (h *Heap) SetRoot(p NVMPtr) error {
 	if err := h.writable(); err != nil {
 		return err
@@ -692,28 +673,19 @@ func (h *Heap) SetRoot(p NVMPtr) error {
 	if !p.IsNull() && p.HeapID != h.heapID {
 		return fmt.Errorf("%w: root from heap %#x", ErrBadPointer, p.HeapID)
 	}
+	var payload []byte
+	if !p.IsNull() {
+		payload = binary.LittleEndian.AppendUint64(nil, p.Loc())
+	}
 	h.sbMu.Lock()
 	defer h.sbMu.Unlock()
+	gen, _, err := h.readRoot()
+	if err != nil && !errors.Is(err, ErrCorruptHeap) {
+		return err
+	}
 	h.grant(h.sbThread)
 	defer h.revoke(h.sbThread)
-	var set uint64
-	if !p.IsNull() {
-		set = 1
-	}
-	b := h.sbBatch
-	if err := b.WriteU64(sbRootLocOff, p.Loc()); err != nil {
-		b.Abort()
-		return err
-	}
-	if err := b.WriteU64(sbRootSetOff, set); err != nil {
-		b.Abort()
-		return err
-	}
-	if err := b.Commit(); err != nil {
-		b.Abort()
-		return err
-	}
-	return nil
+	return writeBoth(h.sbWin, rootRecord, gen, payload)
 }
 
 // RawOffset translates a persistent pointer to its device offset — the
@@ -811,9 +783,6 @@ func (h *Heap) Stats() HeapStats {
 			out.QuarantinedBytes += h.lay.userSize
 		}
 	}
-	n, b := h.sbLog.Commits()
-	out.Commits += n
-	out.CommitBytes += b
 	out.PermissionSwitches = h.unit.Switches()
 	out.TransientRetries = h.transientRetries.Load()
 	out.RepairedSubheaps = h.repairedSubheaps.Load()

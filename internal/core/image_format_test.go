@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"poseidon/internal/mpk"
 	"poseidon/internal/nvm"
+	"poseidon/internal/plog"
 )
 
 // liveImage is a crashed image with committed blocks in both sub-heaps.
@@ -52,20 +55,22 @@ func newLiveImage(t *testing.T) liveImage {
 }
 
 // deviceWith loads img into a fresh device and XORs mask into the byte at
-// device offset off.
-func deviceWith(t *testing.T, img []byte, off uint64, mask byte) *nvm.Device {
+// each device offset in offs.
+func deviceWith(t *testing.T, img []byte, mask byte, offs ...uint64) *nvm.Device {
 	t.Helper()
 	dev, err := nvm.LoadFrom(bytes.NewReader(img), nvm.Options{CrashTracking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b [1]byte
-	if err := dev.Read(off, b[:]); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= mask
-	if err := dev.Persist(off, b[:]); err != nil {
-		t.Fatal(err)
+	for _, off := range offs {
+		var b [1]byte
+		if err := dev.Read(off, b[:]); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= mask
+		if err := dev.Persist(off, b[:]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dev
 }
@@ -85,39 +90,107 @@ func openNoPanic(open func(*nvm.Device, Options) (*Heap, error), dev *nvm.Device
 	return open(dev, opts)
 }
 
-// TestLoadRejectsVersion1 rewrites a fresh image's version word to 1: Load
-// and Attach must both fail with ErrCorruptHeap and name the version.
+// flipMasks are the XOR masks the flip tests apply to each byte.
+var flipMasks = []byte{0x01, 0x10, 0x30, 0x80}
+
+// TestLoadRejectsVersion1 rewrites a fresh image's version word to 1 and
+// to 2: Load and Attach must both fail with ErrCorruptHeap and name the
+// version.
 func TestLoadRejectsVersion1(t *testing.T) {
-	h := newTestHeap(t)
-	if err := h.Device().PersistU64(sbVersionOff, 1); err != nil {
-		t.Fatal(err)
-	}
-	_ = h.Close()
-	for name, open := range openers {
-		_, err := open(h.Device(), testOptions())
-		if !errors.Is(err, ErrCorruptHeap) || !strings.Contains(err.Error(), "version 1") {
-			t.Errorf("%s of a version-1 image = %v, want ErrCorruptHeap naming version 1", name, err)
+	for _, v := range []uint64{1, 2} {
+		h := newTestHeap(t)
+		if err := h.Device().PersistU64(sbVersionOff, v); err != nil {
+			t.Fatal(err)
+		}
+		_ = h.Close()
+		for name, open := range openers {
+			_, err := open(h.Device(), testOptions())
+			if want := fmt.Sprintf("version %d", v); !errors.Is(err, ErrCorruptHeap) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s of a version-%d image = %v, want ErrCorruptHeap naming %s", name, v, err, want)
+			}
 		}
 	}
 }
 
-// TestLoadRejectsOverflowingLaneCount flips each byte of the superblock's
-// sub-heap count and lane count words under four masks. No input may
-// panic Load or Attach; each must load or fail with ErrCorruptHeap, and a
-// flip in either word's two high bytes, which puts the count past the
-// device, must fail.
-func TestLoadRejectsOverflowingLaneCount(t *testing.T) {
-	img := newLiveImage(t).img
-	for _, word := range []uint64{sbSubheapsOff, sbLaneCountOff} {
-		for b := range uint64(8) {
-			for _, mask := range []byte{0x01, 0x10, 0x30, 0x80} {
+// TestGeometryRecordFlips damages the geometry record of a crashed image
+// with live blocks. Each byte of the newer slot XORed with each of
+// flipMasks must still open, through Attach and then Load, to the same
+// heap id and layout with every live block answering BlockSize: the older
+// slot holds the same value. The same byte of the slot image flipped in
+// both slots must fail with ErrCorruptHeap, and so must a record
+// rewritten, checksum and all, with a high byte of its sub-heap or lane
+// count flipped: those counts lie past the device, and once panicked in
+// assemble. A failed open writes nothing, and neither does an Attach, so
+// those inputs share a device.
+func TestGeometryRecordFlips(t *testing.T) {
+	li := newLiveImage(t)
+	opts := testOptions()
+	dev := deviceWith(t, li.img, 0)
+	if gen, _, _ := geometryRecord.Read(dev.Read); gen != 2 {
+		t.Fatalf("geometry record at generation %d, want 2: Create writes both slots", gen)
+	}
+	newer, older := geometryRecord.Off(0), geometryRecord.Off(1) // generations 2 and 1
+	for b := range geometryRecord.Size {
+		for _, mask := range flipMasks {
+			flipped := deviceWith(t, li.img, mask, newer+b)
+			for _, name := range []string{"Attach", "Load"} {
+				h, err := openNoPanic(openers[name], flipped, opts)
+				if err != nil {
+					t.Errorf("%s with newer-slot byte %d ^ %#x = %v, want the older slot", name, b, mask, err)
+					continue
+				}
+				if h.HeapID() != opts.HeapID || h.lay != li.lay {
+					t.Errorf("%s with newer-slot byte %d ^ %#x: heap %#x, layout %+v; want %#x, %+v",
+						name, b, mask, h.HeapID(), h.lay, opts.HeapID, li.lay)
+				}
+				th := newThread(t, h)
+				for i, p := range li.live {
+					if got, err := th.BlockSize(p); err != nil || got < li.sizes[i] {
+						t.Errorf("%s with newer-slot byte %d ^ %#x: live block %v: size %d (%v), want at least %d",
+							name, b, mask, p, got, err, li.sizes[i])
+						break
+					}
+				}
+				th.Close()
+				_ = h.Close()
+			}
+		}
+	}
+	_, geo, _ := geometryRecord.Read(dev.Read)
+	for b := range plog.SlotHeader + uint64(len(geo)) {
+		for _, mask := range flipMasks {
+			flip := func() {
+				for _, off := range []uint64{newer + b, older + b} {
+					v, err := dev.ReadU8(off)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := dev.Persist(off, []byte{v ^ mask}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			flip()
+			for name, open := range openers {
+				if _, err := openNoPanic(open, dev, opts); !errors.Is(err, ErrCorruptHeap) {
+					t.Errorf("%s with byte %d ^ %#x in both slots = %v, want ErrCorruptHeap", name, b, mask, err)
+				}
+			}
+			flip()
+		}
+	}
+	w := mpk.NewWindow(dev, mpk.NewUnit(dev.Capacity()).NewThread(mpk.RightsRW))
+	for _, word := range []int{1, 5} { // the sub-heap and lane counts
+		for _, b := range []int{6, 7} {
+			for _, mask := range flipMasks {
+				p := slices.Clone(geo)
+				p[8*word+b] ^= mask
+				if err := writeBoth(w, geometryRecord, 0, p); err != nil {
+					t.Fatal(err)
+				}
 				for name, open := range openers {
-					h, err := openNoPanic(open, deviceWith(t, img, word+b, mask), testOptions())
-					switch {
-					case err == nil && b < 6:
-						_ = h.Close()
-					case !errors.Is(err, ErrCorruptHeap):
-						t.Errorf("%s with word +%d byte %d ^ %#x = %v, want ErrCorruptHeap", name, word, b, mask, err)
+					if _, err := openNoPanic(open, dev, opts); !errors.Is(err, ErrCorruptHeap) {
+						t.Errorf("%s with geometry word %d byte %d ^ %#x = %v, want ErrCorruptHeap", name, word, b, mask, err)
 					}
 				}
 			}
@@ -135,9 +208,9 @@ func TestInitializedWordFlipQuarantines(t *testing.T) {
 	opts := testOptions()
 	opts.ScrubOnLoad = true
 	for b := range uint64(8) {
-		for _, mask := range []byte{0x01, 0x10, 0x30, 0x80} {
+		for _, mask := range flipMasks {
 			t.Run(fmt.Sprintf("byte%d^%#x", b, mask), func(t *testing.T) {
-				h, err := Load(deviceWith(t, li.img, li.lay.subheapBase(0)+shInitializedOff+b, mask), opts)
+				h, err := Load(deviceWith(t, li.img, mask, li.lay.subheapBase(0)+shInitializedOff+b), opts)
 				if err != nil {
 					t.Fatalf("Load: %v", err)
 				}

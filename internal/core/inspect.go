@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -97,11 +98,14 @@ func (h *Heap) Inspect(w io.Writer) error {
 	fmt.Fprintf(w, "  micro-log lanes:  %d × %d B\n", h.lay.laneCount, h.lay.laneSize)
 	fmt.Fprintf(w, "  device capacity:  %d\n", h.dev.Capacity())
 	fmt.Fprintf(w, "  device resident:  %d\n", h.dev.ResidentBytes())
-	root, err := h.Root()
-	if err != nil {
+	switch root, err := h.Root(); {
+	case errors.Is(err, ErrCorruptHeap):
+		fmt.Fprintf(w, "  root:             %v\n", err)
+	case err != nil:
 		return err
+	default:
+		fmt.Fprintf(w, "  root:             %v\n", root)
 	}
-	fmt.Fprintf(w, "  root:             %v\n", root)
 	for i := range h.subheaps {
 		info, err := h.InspectSubheap(i)
 		if err != nil {

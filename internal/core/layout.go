@@ -11,9 +11,9 @@ import (
 // Persistent heap layout (paper Figure 4):
 //
 //	superblock region (MPK-protected)
-//	  +0        superblock header (one page)
-//	  +4 KiB    superblock commit log (root-pointer updates)
-//	  +64 KiB   micro-log lane arena: MaxThreads lanes, one per Thread
+//	  +0        superblock header (one page): magic, version (+8),
+//	             geometry record (+64), root record (+320)
+//	  +4 KiB    micro-log lane arena: MaxThreads lanes, one per Thread
 //	  (page-aligned) cache-manifest arena: magSlots words per lane,
 //	             the persistent shadow of per-thread block magazines
 //	  (page-aligned) profile site table, then black-box arena (64 KiB each)
@@ -28,32 +28,16 @@ import (
 // Everything before each sub-heap's user region carries the metadata
 // protection key; user regions carry key 0.
 
-// Superblock header field offsets.
+// Superblock header page: magic and version are loose words, read first,
+// so an image of another format fails by name; the rest of the header is
+// geometryRecord and rootRecord.
 const (
-	sbMagicOff       = 0
-	sbVersionOff     = 8
-	sbHeapIDOff      = 16
-	sbSubheapsOff    = 24
-	sbUserSizeOff    = 32
-	sbMetaSizeOff    = 40
-	sbRootLocOff     = 48
-	sbLaneCountOff   = 56
-	sbLaneSizeOff    = 64
-	sbUndoSizeOff    = 72
-	sbInitializedOff = 80
-	sbRootSetOff     = 88
-	// sbMagSlotsOff records the per-lane cache-manifest capacity in 8-byte
-	// words: at least defaultMagSlots, more when the magazine sizing at
-	// Create needs it.
-	sbMagSlotsOff = 96
-
-	sbHeaderPages = 1
-	sbUndoOff     = sbHeaderPages * nvm.PageSize
-	sbUndoSize    = 60 << 10
-	sbLaneArena   = 64 << 10
+	sbMagicOff   = 0
+	sbVersionOff = 8
+	sbLaneArena  = nvm.PageSize
 
 	heapMagic   uint64 = 0x4e4f444945534f50 // "POSEIDON" little endian
-	heapVersion uint64 = 2
+	heapVersion uint64 = 3
 
 	// Sub-heap header field offsets (relative to the sub-heap base).
 	// shInitializedOff holds 0 until format commits, then shFormatted;
@@ -84,6 +68,18 @@ const (
 
 // The mirror slots must fit the header page (a compile-time bound).
 const _ = uint64(shHeaderSize - shMirrorOff - shMirrorSlots*shMirrorSlotSize)
+
+// The superblock's records (plog.Slots), each of whose values is written
+// into both slots (writeBoth), so one damaged slot never changes the value
+// read. The geometry record holds the heap id, the sub-heap count, the
+// user, metadata and commit-log sizes, the lane count, the lane size and
+// the manifest words per lane, one u64 each; Create writes it last, so its
+// first valid slot is the creation commit point. The root record holds
+// the root pointer's location word, or nothing for the null root.
+var (
+	geometryRecord = plog.Slots{Base: 64, Size: 128, Magic: 0x33304d4f45475350} // "PSGEOM03"
+	rootRecord     = plog.Slots{Base: 320, Size: 64, Magic: 0x3330544f4f525350} // "PSROOT03"
+)
 
 // metadataKey is the MPK protection key guarding all heap metadata.
 const metadataKey = 1

@@ -277,7 +277,7 @@ func (o Options) validate() error {
 
 // validateGeometry checks the fields that shape the image. Create checks
 // the options it formats with; Load and Attach check the superblock's
-// words (readLayout).
+// geometry record (readLayout).
 func (o Options) validateGeometry() error {
 	if o.Subheaps < 1 || o.Subheaps > 1<<16 {
 		return fmt.Errorf("poseidon: sub-heap count %d out of range [1, 65536]", o.Subheaps)

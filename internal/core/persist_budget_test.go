@@ -95,3 +95,35 @@ func TestLockedOpPersistBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSetRootPersistBudget pins a warm SetRoot exactly: it writes the root
+// record's two slots, each a one-line image flushed and fenced on its own,
+// so 2 flushes and 2 fences.
+func TestSetRootPersistBudget(t *testing.T) {
+	opts := testOptions()
+	opts.DeviceStats = true
+	h, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	th := newThread(t, h)
+	defer th.Close()
+	var ptrs [2]NVMPtr
+	for i := range ptrs {
+		if ptrs[i], err = th.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.SetRoot(ptrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := h.Device().StatsSnapshot()
+	if err := h.SetRoot(ptrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	after := h.Device().StatsSnapshot()
+	if f, n := after.Flushes-before.Flushes, after.Fences-before.Fences; f != 2 || n != 2 {
+		t.Errorf("SetRoot: %d flushes, %d fences; want 2 and 2", f, n)
+	}
+}

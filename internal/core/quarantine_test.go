@@ -243,36 +243,41 @@ func TestThreadRoutesAroundQuarantine(t *testing.T) {
 }
 
 // TestLoadSurvivesTransientReadFaults exercises the bounded-retry path:
-// transient read errors scoped to the superblock heap-ID word are armed for
-// a couple of faults; Load must retry through them and count the retries.
+// two transient read faults on the superblock's magic word, then on the
+// header of the newer geometry slot (generation 2 lives in slot 0); Load
+// must retry through them and count the retries.
 func TestLoadSurvivesTransientReadFaults(t *testing.T) {
-	h := newTestHeap(t)
-	th := newThread(t, h)
-	if _, err := th.Alloc(128); err != nil {
-		t.Fatal(err)
-	}
-	th.Close()
-	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
-		t.Fatal(err)
-	}
-	_ = h.Close()
+	for name, off := range map[string]uint64{"magic": sbMagicOff, "geometry": geometryRecord.Off(0)} {
+		t.Run(name, func(t *testing.T) {
+			h := newTestHeap(t)
+			th := newThread(t, h)
+			if _, err := th.Alloc(128); err != nil {
+				t.Fatal(err)
+			}
+			th.Close()
+			if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+				t.Fatal(err)
+			}
+			_ = h.Close()
 
-	h.Device().ArmTransientFaults(nvm.TransientFaults{
-		Off:       sbHeapIDOff,
-		Len:       8,
-		Reads:     true,
-		MaxFaults: 2,
-		Seed:      1,
-	})
-	h2, err := Load(h.Device(), testOptions())
-	h.Device().DisarmTransientFaults()
-	if err != nil {
-		t.Fatalf("Load must survive transient faults: %v", err)
+			h.Device().ArmTransientFaults(nvm.TransientFaults{
+				Off:       off,
+				Len:       8,
+				Reads:     true,
+				MaxFaults: 2,
+				Seed:      1,
+			})
+			h2, err := Load(h.Device(), testOptions())
+			h.Device().DisarmTransientFaults()
+			if err != nil {
+				t.Fatalf("Load must survive transient faults: %v", err)
+			}
+			if got := h2.Stats().TransientRetries; got != 2 {
+				t.Fatalf("TransientRetries = %d, want 2", got)
+			}
+			auditHeap(t, h2)
+		})
 	}
-	if got := h2.Stats().TransientRetries; got != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", got)
-	}
-	auditHeap(t, h2)
 }
 
 // TestLoadFailsWhenTransientFaultsPersist pins the bound: a fault that
@@ -285,7 +290,7 @@ func TestLoadFailsWhenTransientFaultsPersist(t *testing.T) {
 	_ = h.Close()
 
 	h.Device().ArmTransientFaults(nvm.TransientFaults{
-		Off:   sbHeapIDOff,
+		Off:   sbMagicOff,
 		Len:   8,
 		Reads: true,
 		Seed:  1,

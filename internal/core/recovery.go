@@ -1,9 +1,10 @@
-// Crash recovery (paper §5.8): everything Load does after the superblock
-// log has replayed is per-sub-heap independent — each sub-heap's commit log,
-// the micro-log rollbacks and cache-manifest frees targeting it, and its
-// fsck audit touch only that sub-heap's metadata region — so the load tail
-// fans out over a worker pool as wide as runtime.GOMAXPROCS(0). It is the
-// only load path: a single-core process runs the same phases on one worker.
+// Crash recovery (paper §5.8): everything Load does after reading the
+// superblock's geometry record is per-sub-heap independent — each
+// sub-heap's commit log, the micro-log rollbacks and cache-manifest frees
+// targeting it, and its fsck audit touch only that sub-heap's metadata
+// region — so the load tail fans out over a worker pool as wide as
+// runtime.GOMAXPROCS(0). It is the only load path: a single-core process
+// runs the same phases on one worker.
 //
 // The recovered image does not depend on the width (the differential suite
 // in internal/alloctest checks it image-for-image at widths 1, 2 and 8, and

@@ -44,6 +44,6 @@ type HeapStats struct {
 	RepairedSubheaps    uint64 // quarantined sub-heaps returned to service by Repair
 	RepairedBytes       uint64 // user capacity returned to service by Repair
 	MirrorRestores      uint64 // repairs whose header came back from the metadata mirror
-	Commits             uint64 // commit records written, sub-heaps and superblock
+	Commits             uint64 // commit records written by the sub-heaps
 	CommitBytes         uint64 // payload bytes of those records
 }

@@ -64,8 +64,20 @@ func runScript(t *testing.T, budget, seed int64) (survived bool, h *Heap) {
 	}
 
 	h.Device().FailAfter(budget)
+	// rootAcked is the last root whose SetRoot returned, rootInFlight the
+	// one being set when the device failed (else rootAcked).
+	var rootAcked, rootInFlight NVMPtr
+	setRoot := func(p NVMPtr) error {
+		rootInFlight = p
+		if err := h.SetRoot(p); err != nil {
+			return err
+		}
+		rootAcked = p
+		return nil
+	}
 	// The script: singleton allocs of mixed sizes, frees, a transactional
-	// burst with commit, one without, and a root update.
+	// burst with commit, one without, and two root updates, so crash
+	// points land in writes to both root slots.
 	script := func() error {
 		var ptrs []NVMPtr
 		for _, size := range []uint64{64, 300, 4096, 64} {
@@ -84,10 +96,13 @@ func runScript(t *testing.T, budget, seed int64) (survived bool, h *Heap) {
 		if _, err := th.TxAlloc(128, true); err != nil {
 			return err
 		}
-		if err := h.SetRoot(ptrs[0]); err != nil {
+		if err := setRoot(ptrs[0]); err != nil {
 			return err
 		}
 		if _, err := th.TxAlloc(256, false); err != nil { // left open
+			return err
+		}
+		if err := setRoot(ptrs[2]); err != nil {
 			return err
 		}
 		return th.Free(ptrs[3])
@@ -130,6 +145,17 @@ func runScript(t *testing.T, budget, seed int64) (survived bool, h *Heap) {
 	th2, err := h2.Thread()
 	if err != nil {
 		t.Fatal(err)
+	}
+	switch root, err := h2.Root(); {
+	case err != nil:
+		t.Fatalf("budget %d: Root after recovery: %v", budget, err)
+	case root != rootAcked && root != rootInFlight:
+		t.Fatalf("budget %d: root %v after recovery, want %v or the in-flight %v",
+			budget, root, rootAcked, rootInFlight)
+	case !root.IsNull():
+		if _, err := th2.BlockSize(root); err != nil {
+			t.Fatalf("budget %d: root %v: %v", budget, root, err)
+		}
 	}
 	p, err := th2.Alloc(64)
 	if err != nil {

@@ -1,6 +1,7 @@
 package plog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,4 +112,39 @@ func TestReplayBoxWrapAndTorn(t *testing.T) {
 	if len(records) != capRecords-1 || records[len(records)-1].Seq != 11 {
 		t.Fatalf("post-tear replay = %d records, last %+v", len(records), records[len(records)-1])
 	}
+}
+
+// FuzzReplayBox replays arbitrary bytes as a record region of
+// len/BoxRecordSize slots. It must not panic; records must come back in
+// ascending sequence, each decoding from slot Seq % capacity, and records
+// plus torn slots must not exceed the capacity. Seeds: a valid record, a
+// record in the wrong slot, a torn record, a blank region.
+func FuzzReplayBox(f *testing.F) {
+	rec := func(seq uint64) []byte {
+		b := EncodeBoxRecord(BoxRecord{Seq: seq, Type: BoxEvent, Kind: 1, Subheap: -1, Lane: -1, Detail: "seed"})
+		return b[:]
+	}
+	blank := make([]byte, BoxRecordSize)
+	tornRec := rec(1)
+	tornRec[70] ^= 0x40
+	f.Add(slices.Concat(blank, rec(1)))
+	f.Add(slices.Concat(rec(1), blank))
+	f.Add(slices.Concat(blank, tornRec))
+	f.Add(slices.Concat(blank, blank))
+	f.Fuzz(func(t *testing.T, region []byte) {
+		capacity := uint64(len(region) / BoxRecordSize)
+		records, torn := ReplayBox(region, capacity)
+		if uint64(len(records)+torn) > capacity {
+			t.Fatalf("%d records and %d torn slots in %d slots", len(records), torn, capacity)
+		}
+		for i, r := range records {
+			if i > 0 && r.Seq <= records[i-1].Seq {
+				t.Fatalf("record %d has sequence %d after %d", i, r.Seq, records[i-1].Seq)
+			}
+			slot := r.Seq % capacity
+			if got, ok := DecodeBoxRecord(region[slot*BoxRecordSize:]); !ok || got != r {
+				t.Fatalf("record %+v does not decode from its slot %d", r, slot)
+			}
+		}
+	})
 }

@@ -3,13 +3,13 @@
 // failure-atomic (RedoLog; paper §5.2 uses an undo log, see DESIGN.md's
 // known deviations), the micro log that records the allocations of an open
 // transactional allocation (paper §4.5, §5.3, §5.8), and the
-// double-buffered record (Slots) that holds commit records and best-effort
-// state — the sub-heap metadata mirror, the profile site table, the
-// black-box header.
+// double-buffered record (Slots) that holds commit records, the
+// superblock's geometry and root records, and best-effort state — the
+// sub-heap metadata mirror, the profile site table, the black-box header.
 //
-// The logs live inside the MPK-protected metadata region of a sub-heap (or
-// the superblock), so they are guarded by the same protection discipline as
-// the metadata they protect.
+// A commit-record log lives inside its sub-heap's MPK-protected metadata
+// region and the micro logs inside the superblock's, so they are guarded by
+// the same protection discipline as the metadata they protect.
 package plog
 
 import (
@@ -23,10 +23,10 @@ import (
 	"poseidon/internal/nvm"
 )
 
-// Redo record log: every metadata commit of a sub-heap (or the superblock)
-// is one record — the new value of each word it changes, as runs of
-// consecutive words [target u64][len u64][values] — written as the next
-// generation of a two-slot record (Slots) splitting the log region.
+// Redo record log: every metadata commit of a sub-heap is one record — the
+// new value of each word it changes, as runs of consecutive words
+// [target u64][len u64][values] — written as the next generation of a
+// two-slot record (Slots) splitting the log region.
 //
 // Commit stores the record, flushes its lines and fences once: the commit
 // point. Apply then stores the words in place and flushes them without a
@@ -100,8 +100,7 @@ func (l *RedoLog) Open(replay bool) error {
 // persists the newest record, then rewrites and flushes every word of the
 // two newest, even one whose cached value matches — its line may never
 // have been flushed. The older record needs no flush: a sub-heap settles
-// each commit before its next, and every superblock record gives the same
-// words, so a newer one supersedes it whole.
+// each commit before its next.
 func (l *RedoLog) Replay() error {
 	_, err := l.walk(true, true)
 	return err

@@ -8,10 +8,10 @@ import (
 	"poseidon/internal/mpk"
 )
 
-// Double-buffered record: a value (a commit record, a sub-heap's metadata
-// mirror, the profile site table, the black-box boot header) kept in two
-// fixed-size slots, so a crash during an update always leaves a complete
-// earlier value behind.
+// Double-buffered record: a value (a commit record, the superblock's
+// geometry or root record, a sub-heap's metadata mirror, the profile site
+// table, the black-box boot header) kept in two fixed-size slots, so a
+// crash during an update always leaves a complete earlier value behind.
 //
 // Slot image (little-endian u64 words, then the payload):
 //

@@ -112,12 +112,20 @@ func heapOptions(tel *obs.Telemetry) core.Options {
 	}
 }
 
+// rootOp records the workload's SetRoot: the block it sets, once the call
+// is made, and whether the call returned.
+type rootOp struct {
+	block    core.NVMPtr
+	returned bool
+}
+
 // runWorkload drives the scripted operation sequence on h: transactional
 // allocation bursts, a root update, the seeded alloc/free mix, one
 // Kruskal iteration, and the cross-shard free and magazine segments.
-// Deterministic for a given seed. acked records the magazine segment's
-// acknowledged ops (see magazineSegment).
-func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) error {
+// Deterministic for a given seed. acked records the root block's Alloc and
+// the magazine segment's acknowledged ops (see magazineSegment), and root
+// the root update.
+func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool, root *rootOp) error {
 	th, err := h.Thread()
 	if err != nil {
 		return err
@@ -130,15 +138,16 @@ func runWorkload(h *core.Heap, ops int, seed int64, acked map[core.NVMPtr]bool) 
 			}
 		}
 	}
-	root, err := th.Alloc(64)
-	if err != nil {
+	if root.block, err = th.Alloc(64); err != nil {
 		th.Close()
 		return err
 	}
-	if err := h.SetRoot(root); err != nil {
+	acked[root.block] = true
+	if err := h.SetRoot(root.block); err != nil {
 		th.Close()
 		return err
 	}
+	root.returned = true
 	th.Close()
 
 	hd, err := alloc.WrapPoseidon(h).Thread(0)
@@ -312,7 +321,7 @@ func CountOps(ops int, seed int64) (int, error) {
 	defer h.Close()
 	const huge = int64(1) << 40
 	h.Device().FailAfter(huge)
-	err = runWorkload(h, ops, seed, map[core.NVMPtr]bool{})
+	err = runWorkload(h, ops, seed, map[core.NVMPtr]bool{}, &rootOp{})
 	consumed := huge - h.Device().FailBudgetRemaining()
 	h.Device().DisarmFailpoint()
 	if err != nil {
@@ -352,7 +361,8 @@ func runPoint(cfg Config, mode nvm.EvictMode, point int) (nvm.CrashReport, *Viol
 	dev := h.Device()
 	dev.FailAfter(int64(point))
 	acked := map[core.NVMPtr]bool{}
-	werr := runWorkload(h, cfg.Ops, cfg.Seed, acked)
+	var root rootOp
+	werr := runWorkload(h, cfg.Ops, cfg.Seed, acked, &root)
 	tripped := dev.FailBudgetRemaining() < 0
 	dev.DisarmFailpoint()
 	if !tripped {
@@ -413,6 +423,12 @@ func runPoint(cfg Config, mode nvm.EvictMode, point int) (nvm.CrashReport, *Viol
 			return fail(report, "acknowledged magazine op on %v undone: allocated=%v after recovery (%v)",
 				p, err == nil, err)
 		}
+	}
+	// The root is its block once SetRoot returned, null before the call,
+	// and either while it was in flight (the block is in acked).
+	if got, err := h2.Root(); err != nil || got != root.block && (root.returned || !got.IsNull()) {
+		return fail(report, "root %v (%v) after recovery, want %v (SetRoot returned: %v)",
+			got, err, root.block, root.returned)
 	}
 	p, err := th.Alloc(128)
 	if err != nil {
