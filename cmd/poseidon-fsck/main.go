@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"poseidon/internal/core"
 	"poseidon/internal/nvm"
@@ -92,7 +91,7 @@ func main() {
 	}
 	printReport(rep)
 	if *timeline {
-		printTimeline(rep.Timeline)
+		core.WriteTimeline(os.Stdout, rep.Timeline)
 	}
 	os.Exit(code)
 }
@@ -130,22 +129,6 @@ func printReport(rep report) {
 	fmt.Printf("%d PROBLEMS:\n", len(r.Problems))
 	for _, p := range r.Problems {
 		fmt.Println("  -", p)
-	}
-}
-
-func printTimeline(tl []core.BlackboxEntry) {
-	fmt.Printf("black-box timeline: %d entries\n", len(tl))
-	for _, e := range tl {
-		fmt.Printf("  %6d %s %-5s %-14s sub=%-3d", e.Seq,
-			e.Time.Format("15:04:05.000000"), e.Type, e.Kind, e.Subheap)
-		if e.Type == "span" {
-			fmt.Printf(" lane=%-3d dur=%s flushes=%d fences=%d",
-				e.Lane, time.Duration(e.DurNS), e.Flushes, e.Fences)
-		}
-		if e.Detail != "" {
-			fmt.Printf("  %s", e.Detail)
-		}
-		fmt.Println()
 	}
 }
 

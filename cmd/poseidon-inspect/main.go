@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"poseidon/internal/core"
 	"poseidon/internal/nvm"
@@ -118,19 +117,7 @@ func dumpTimeline(out io.Writer, asJSON bool, journal []obs.Event, tl []core.Bla
 				e.At.Format("15:04:05.000000"), e.KindStr, e.Subheap, e.Detail)
 		}
 	}
-	fmt.Fprintf(out, "black-box timeline: %d entries\n", len(tl))
-	for _, e := range tl {
-		fmt.Fprintf(out, "  %6d %s %-5s %-14s sub=%-3d", e.Seq,
-			e.Time.Format("15:04:05.000000"), e.Type, e.Kind, e.Subheap)
-		if e.Type == "span" {
-			fmt.Fprintf(out, " lane=%-3d dur=%s flushes=%d fences=%d",
-				e.Lane, time.Duration(e.DurNS), e.Flushes, e.Fences)
-		}
-		if e.Detail != "" {
-			fmt.Fprintf(out, "  %s", e.Detail)
-		}
-		fmt.Fprintln(out)
-	}
+	core.WriteTimeline(out, tl)
 	return nil
 }
 

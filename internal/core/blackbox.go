@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"poseidon/internal/nvm"
@@ -221,7 +222,6 @@ func (h *Heap) loadBlackboxLocked() string {
 		return fmt.Sprintf("black-box ring unreadable: %v; recorder disabled this boot", err)
 	}
 	recs, torn := plog.ReplayBox(region, arena.Capacity())
-	h.bbRecovered = recs
 	h.bbTorn.Add(uint64(torn))
 
 	h.bbSeq = 0
@@ -303,6 +303,24 @@ func (h *Heap) BlackboxTimeline() ([]BlackboxEntry, error) {
 		out = append(out, boxEntry(r))
 	}
 	return out, nil
+}
+
+// WriteTimeline prints tl as text, the form poseidon-fsck and
+// poseidon-inspect share: a count line, then one line per entry.
+func WriteTimeline(w io.Writer, tl []BlackboxEntry) {
+	fmt.Fprintf(w, "black-box timeline: %d entries\n", len(tl))
+	for _, e := range tl {
+		fmt.Fprintf(w, "  %6d %s %-5s %-14s sub=%-3d", e.Seq,
+			e.Time.Format("15:04:05.000000"), e.Type, e.Kind, e.Subheap)
+		if e.Type == "span" {
+			fmt.Fprintf(w, " lane=%-3d dur=%s flushes=%d fences=%d",
+				e.Lane, time.Duration(e.DurNS), e.Flushes, e.Fences)
+		}
+		if e.Detail != "" {
+			fmt.Fprintf(w, "  %s", e.Detail)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // BlackboxJSON renders the timeline as JSON — the /debug/blackbox payload.

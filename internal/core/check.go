@@ -3,10 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"poseidon/internal/memblock"
-	"poseidon/internal/plog"
 )
 
 // SubheapReport is the audit result of one sub-heap, the classification
@@ -35,8 +35,8 @@ type CheckReport struct {
 	AllocatedBlocks  uint64 // allocated blocks no lane manifest names: the application's
 	FreeBlocks       uint64
 	PendingUndo      uint64 // newest commit-record words not yet in place
-	PendingTx        uint64 // micro-log entries of open transactions
-	PendingCached    uint64 // magazine-cached blocks recorded in lane manifests
+	PendingTx        uint64 // valid micro-log entries of open transactions: the blocks Load rolls back
+	PendingCached    uint64 // blocks valid lane manifest words name, each once: the blocks Load returns
 	Problems         []string
 	SubheapReports   []SubheapReport
 }
@@ -64,8 +64,10 @@ func (r CheckReport) Healthy() bool { return r.OK() && r.Quarantined == 0 }
 // exactly the blocks the application holds.
 func (h *Heap) Check() (CheckReport, error) {
 	report := CheckReport{Subheaps: len(h.subheaps)}
-	var man CheckReport
-	cached := h.checkManifests(&man)
+	cached, err := h.checkLanes(&report)
+	if err != nil {
+		return report, err
+	}
 	for _, s := range h.subheaps {
 		if s.isQuarantined() {
 			report.Quarantined++
@@ -83,21 +85,6 @@ func (h *Heap) Check() (CheckReport, error) {
 		}
 		report.merge(sub)
 	}
-	// Micro-log lanes.
-	h.grant(h.sbThread)
-	defer h.revoke(h.sbThread)
-	for i := 0; i < h.lay.laneCount; i++ {
-		switch lane, err := plog.OpenMicroLog(h.sbWin, h.lay.laneBase(i), h.lay.laneSize); {
-		case err == nil:
-			report.PendingTx += lane.Count()
-		case quarantinable(err):
-			report.Problems = append(report.Problems, fmt.Sprintf("micro lane %d: %v", i, err))
-		default:
-			return report, err
-		}
-	}
-	report.PendingCached = man.PendingCached
-	report.Problems = append(report.Problems, man.Problems...)
 	switch _, err := h.Root(); {
 	case err == nil:
 	case quarantinable(err):
@@ -108,51 +95,38 @@ func (h *Heap) Check() (CheckReport, error) {
 	return report, nil
 }
 
-// checkManifests audits every lane's cache manifest: non-zero words must
-// decode, reference an in-bounds block of an in-range sub-heap, and no
-// block may be cached twice across all lanes (two magazines claiming the
-// same block would double-allocate it). Valid entries are counted, not
-// flagged — they are work recovery performs — and returned, keyed by
-// sub-heap<<subheapShift | offset.
-func (h *Heap) checkManifests(report *CheckReport) map[uint64]string {
+// checkLanes audits every lane through the lane scan (scanLane): each
+// invalid micro-log entry and manifest word is a problem, and no block may
+// be cached twice across all lanes (two magazines claiming the same block
+// would double-allocate it). Valid entries are counted, not flagged — they
+// are the work Load performs — and the cached blocks are returned, keyed
+// by device offset.
+func (h *Heap) checkLanes(report *CheckReport) (map[uint64]string, error) {
 	cached := map[uint64]string{}
-	for i := 0; i < h.lay.laneCount; i++ {
-		base := h.lay.laneManifestBase(i)
-		for k := uint64(0); k < h.lay.magSlots; k++ {
-			word, err := h.sbWin.ReadU64(base + k*8)
-			if err != nil {
-				report.Problems = append(report.Problems,
-					fmt.Sprintf("lane %d manifest slot %d: read failed: %v", i, k, err))
+	buf := make([]byte, 8*h.lay.magSlots)
+	for i := range h.lay.laneCount {
+		sc, err := h.scanLane(h.sbWin, i, buf)
+		switch {
+		case quarantinable(err):
+			report.Problems = append(report.Problems, err.Error())
+			continue
+		case err != nil:
+			return nil, err
+		}
+		report.Problems = append(report.Problems, slices.Concat(sc.badTx, sc.badMan)...)
+		report.PendingTx += uint64(len(sc.tx))
+		for _, it := range sc.man {
+			at := fmt.Sprintf("lane %d slot %d", i, it.slot)
+			if prev, dup := cached[it.dev]; dup {
+				report.Problems = append(report.Problems, fmt.Sprintf("%s: block sub=%d off=%#x already cached at %s",
+					at, it.sub, it.dev-h.lay.userBase(it.sub), prev))
 				continue
 			}
-			if word == 0 {
-				continue
-			}
-			rel, shard, ok := plog.DecodeCacheEntry(word)
-			switch {
-			case !ok:
-				report.Problems = append(report.Problems,
-					fmt.Sprintf("lane %d manifest slot %d: corrupt entry %#x", i, k, word))
-			case int(shard) >= h.lay.subheaps:
-				report.Problems = append(report.Problems,
-					fmt.Sprintf("lane %d manifest slot %d: sub-heap %d out of range", i, k, shard))
-			case rel >= h.lay.userSize:
-				report.Problems = append(report.Problems,
-					fmt.Sprintf("lane %d manifest slot %d: offset %#x outside user region", i, k, rel))
-			default:
-				key := uint64(shard)<<subheapShift | rel
-				at := fmt.Sprintf("lane %d slot %d", i, k)
-				if prev, dup := cached[key]; dup {
-					report.Problems = append(report.Problems, fmt.Sprintf(
-						"%s: block sub=%d off=%#x already cached at %s", at, shard, rel, prev))
-					continue
-				}
-				cached[key] = at
-				report.PendingCached++
-			}
+			cached[it.dev] = at
+			report.PendingCached++
 		}
 	}
-	return cached
+	return cached, nil
 }
 
 // merge folds one sub-heap's report into the heap-wide aggregate.
@@ -170,8 +144,8 @@ func (r *CheckReport) merge(sub SubheapReport) {
 }
 
 // check audits one sub-heap and returns its classified report, leaving
-// the allocated blocks cached names (checkManifests' keys) out of the
-// census. Errors are I/O-level failures (the audit could not run), not
+// the allocated blocks cached names (checkLanes' device offsets) out of
+// the census. Errors are I/O-level failures (the audit could not run), not
 // inconsistencies — those land in the report's Problems.
 func (s *subheap) check(cached map[uint64]string) (SubheapReport, error) {
 	s.mu.Lock()
@@ -234,7 +208,7 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 		}
 		switch rec.Status {
 		case memblock.StatusAllocated:
-			if _, ok := cached[uint64(s.id)<<subheapShift|(rec.BlockOff-g.UserBase)]; !ok {
+			if _, ok := cached[rec.BlockOff]; !ok {
 				report.AllocatedBlocks++
 			}
 		case memblock.StatusFree:

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
 )
 
 func TestCheckCleanHeap(t *testing.T) {
@@ -109,6 +111,49 @@ func TestCheckRawSeesPendingWork(t *testing.T) {
 	}
 	if !report2.OK() {
 		t.Fatalf("problems after recovery: %v", report2.Problems)
+	}
+}
+
+// TestOutOfRangeLaneEntry gives an open transaction, after its valid
+// entry, an entry with a valid checksum whose location names a sub-heap
+// the heap does not have. Check must report it and count only the valid
+// entry as pending; Load must journal it, roll back only the valid entry's
+// block and leave a clean heap.
+func TestOutOfRangeLaneEntry(t *testing.T) {
+	h := newTestHeap(t)
+	th := newThread(t, h)
+	if _, err := th.TxAlloc(64, false); err != nil {
+		t.Fatal(err)
+	}
+	bad := makePtr(0, uint16(h.lay.subheaps), 0).Loc()
+	appendLane(t, h, th.laneI, bad)
+	if _, err := h.Device().Crash(nvm.CrashPolicy{Mode: nvm.EvictNone}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := Attach(h.Device(), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := checkHeap(t, raw); rep.OK() || rep.PendingTx != 1 {
+		t.Fatalf("raw audit: %d pending tx, problems %v; want 1 and the out-of-range entry", rep.PendingTx, rep.Problems)
+	}
+	opts := testOptions()
+	opts.Telemetry = obs.New()
+	h2, err := Load(h.Device(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	journaled := false
+	for _, e := range opts.Telemetry.DrainEvents() {
+		journaled = journaled || e.Kind == obs.EventScrubFinding && strings.Contains(e.Detail, "entry 1")
+	}
+	if st := h2.Stats(); !journaled || st.RecoveredBlocks != 1 || st.RecoveredNoops != 0 || st.Frees != 1 {
+		t.Fatalf("Load: journaled %v, %d rolled back, %d no-ops, %d frees; want true, 1, 0, 1",
+			journaled, st.RecoveredBlocks, st.RecoveredNoops, st.Frees)
+	}
+	if rep := checkHeap(t, h2); !rep.OK() || rep.PendingTx != 0 || rep.AllocatedBlocks != 0 {
+		t.Fatalf("after Load: %d pending tx, %d allocated, problems %v", rep.PendingTx, rep.AllocatedBlocks, rep.Problems)
 	}
 }
 

@@ -546,7 +546,7 @@ func TestMinimumLogSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	man := plog.NewManifest(h4.lay.laneManifestBase(th4.laneI), h4.lay.magSlots)
+	man := plog.NewManifest(h4.lay.laneManifestBase(th4.laneI))
 	blocks, err := h4.subheaps[0].refillMagazine(1, 128, man, 0)
 	if err != nil || len(blocks) == 0 || len(blocks) >= 128 {
 		t.Fatalf("refill of 128 blocks at an 8 KiB log: %d blocks, %v; want a halved batch", len(blocks), err)
@@ -700,7 +700,7 @@ func TestInDoubtFlushBackClearsManifest(t *testing.T) {
 			}
 			continue
 		}
-		man := plog.NewManifest(h.lay.laneManifestBase(th.laneI), h.lay.magSlots)
+		man := plog.NewManifest(h.lay.laneManifestBase(th.laneI))
 		for k := uint64(0); k < 8; k++ {
 			if w, _ := h.Device().ReadU64(man.WordOff(k)); w != 0 {
 				t.Fatalf("manifest word %d = %#x after an in-doubt flush-back, want cleared", k, w)

@@ -94,7 +94,7 @@ func TestConcurrentCrash(t *testing.T) {
 // and the earlier transaction entries remain intact.
 func TestTxTooLargeRollsBack(t *testing.T) {
 	opts := testOptions()
-	opts.MicroLogLaneSize = 256 // 64 B header + 12 entries
+	opts.MicroLogLaneSize = 256 // 16 B header + 15 entries
 	h, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestTxTooLargeRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer th.Close()
-	capacity := (opts.MicroLogLaneSize - 64) / 16
+	capacity := (opts.MicroLogLaneSize - 16) / 16
 	var ok []NVMPtr
 	for i := uint64(0); i < capacity; i++ {
 		p, err := th.TxAlloc(64, false)

@@ -108,8 +108,6 @@ type Heap struct {
 	// publishes staged event/span records into the persistent ring under
 	// bbMu; bbEpoch is the boot epoch (monotone across restarts), bbSeq the
 	// next record sequence, bbHdrGen the next header generation.
-	// bbRecovered holds the timeline replayed from the image at load for
-	// post-mortem rendering.
 	bbMu        sync.Mutex
 	bbThread    *mpk.Thread
 	bbWin       mpk.Window
@@ -119,7 +117,6 @@ type Heap struct {
 	bbHdrGen    uint64
 	bbStaged    []plog.BoxRecord
 	bbSpanSeq   uint64 // tracer sequence high-water already mirrored
-	bbRecovered []plog.BoxRecord
 	bbPublished atomic.Uint64
 	bbDropped   atomic.Uint64
 	bbTorn      atomic.Uint64
@@ -131,8 +128,7 @@ type Heap struct {
 	stallsTotal atomic.Uint64
 	openedAt    time.Time
 
-	closed bool
-	mu     sync.Mutex // guards closed
+	closed atomic.Bool
 }
 
 // Create formats a new heap on a fresh device.
@@ -588,35 +584,15 @@ func (h *Heap) recover() error {
 // independently.
 func (h *Heap) scrub(par int) error {
 	return h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
-		return h.scrubOne(h.subheaps[i])
-	})
-}
-
-// scrubOne audits a single sub-heap and quarantines it on failure; only
-// device-level errors are returned (and abort the load).
-func (h *Heap) scrubOne(s *subheap) error {
-	if s.isQuarantined() {
+		s := h.subheaps[i]
+		if s.isQuarantined() {
+			return nil
+		}
+		if _, err := h.auditSubheap(s); err != nil {
+			return fmt.Errorf("sub-heap %d scrub: %w", s.id, err)
+		}
 		return nil
-	}
-	var sub SubheapReport
-	err := h.retry(func() error {
-		var e error
-		sub, e = s.check(nil)
-		return e
 	})
-	switch {
-	case err == nil && len(sub.Problems) == 0:
-	case err == nil:
-		h.tel.Emit(obs.EventScrubFinding, s.id, fmt.Sprintf(
-			"%d problems, first: %s", len(sub.Problems), sub.Problems[0]))
-		s.quarantine(fmt.Sprintf("audit failed: %s (%d problems)",
-			sub.Problems[0], len(sub.Problems)))
-	case quarantinable(err):
-		s.quarantine(fmt.Sprintf("audit aborted: %v", err))
-	default:
-		return fmt.Errorf("sub-heap %d scrub: %w", s.id, err)
-	}
-	return nil
 }
 
 // HeapID returns the heap's persistent identity.
@@ -725,8 +701,9 @@ func (h *Heap) PtrAt(deviceOff uint64) (NVMPtr, error) {
 func (h *Heap) SaveFile(path string) error { return h.dev.SaveFile(path) }
 
 // Close marks the heap unusable and stops the online scrubber (waiting for
-// an in-flight slice to finish). It does not save; call SaveFile first if
-// durability across process restarts is wanted.
+// an in-flight slice to finish); only the call that marks it stops the
+// scrubber, so a second Close is harmless. It does not save; call SaveFile
+// first if durability across process restarts is wanted.
 func (h *Heap) Close() error {
 	// Persist the final profile snapshot and seal the black-box ring while
 	// the heap is still open (both best-effort: a failed write leaves the
@@ -740,22 +717,11 @@ func (h *Heap) Close() error {
 		// closed heap.
 		h.tel.SetMirror(nil)
 	}
-	h.mu.Lock()
-	h.closed = true
-	stop := h.scrubStop
-	h.scrubStop = nil
-	h.mu.Unlock()
-	if stop != nil {
-		close(stop)
+	if h.closed.CompareAndSwap(false, true) && h.scrubStop != nil {
+		close(h.scrubStop)
 		<-h.scrubDone
 	}
 	return nil
-}
-
-func (h *Heap) isClosed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
 }
 
 // Stats aggregates per-sub-heap counters.

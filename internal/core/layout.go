@@ -13,7 +13,8 @@ import (
 //	superblock region (MPK-protected)
 //	  +0        superblock header (one page): magic, version (+8),
 //	             geometry record (+64), root record (+320)
-//	  +4 KiB    micro-log lane arena: MaxThreads lanes, one per Thread
+//	  +4 KiB    micro-log lane arena: MaxThreads lanes, one per Thread,
+//	             each an epoch word (+8) and 16-byte entries from +16
 //	  (page-aligned) cache-manifest arena: magSlots words per lane,
 //	             the persistent shadow of per-thread block magazines
 //	  (page-aligned) profile site table, then black-box arena (64 KiB each)
@@ -37,7 +38,7 @@ const (
 	sbLaneArena  = nvm.PageSize
 
 	heapMagic   uint64 = 0x4e4f444945534f50 // "POSEIDON" little endian
-	heapVersion uint64 = 3
+	heapVersion uint64 = 4
 
 	// Sub-heap header field offsets (relative to the sub-heap base).
 	// shInitializedOff holds 0 until format commits, then shFormatted;

@@ -155,7 +155,7 @@ func (s *subheap) noteMirrorMutation() {
 // deterministic commit point for tests and for callers about to snapshot
 // the device.
 func (h *Heap) SyncMirrors() error {
-	if h.isClosed() {
+	if h.closed.Load() {
 		return ErrClosed
 	}
 	return h.syncMirrors()

@@ -36,7 +36,7 @@ import (
 // load instead of serving half-rebuilt metadata. User data in allocated
 // blocks is never touched.
 func (h *Heap) Repair(subheap int) error {
-	if h.isClosed() {
+	if h.closed.Load() {
 		return ErrClosed
 	}
 	if subheap < 0 || subheap >= len(h.subheaps) {
@@ -87,7 +87,7 @@ func (h *Heap) Repair(subheap int) error {
 // lock, so the repairs run on the recovery worker pool, runtime.GOMAXPROCS(0)
 // wide like Load's.
 func (h *Heap) RepairAll() (int, error) {
-	if h.isClosed() {
+	if h.closed.Load() {
 		return 0, ErrClosed
 	}
 	var repaired atomic.Int64

@@ -72,7 +72,7 @@ func (h *Heap) scrubLoop(stop <-chan struct{}, done chan<- struct{}) {
 // Returns the first device-level error; audit findings quarantine (and
 // auto-repair) without failing the pass.
 func (h *Heap) ScrubPass() error {
-	if h.isClosed() {
+	if h.closed.Load() {
 		return ErrClosed
 	}
 	for _, s := range h.subheaps {
@@ -95,30 +95,41 @@ func (h *Heap) scrubSubheap(s *subheap) error {
 	if h.tel != nil {
 		start = time.Now()
 	}
-	var sub SubheapReport
-	err := h.retry(func() error {
-		var e error
-		sub, e = s.check(nil)
-		return e
-	})
+	quarantined, err := h.auditSubheap(s)
 	if h.tel != nil {
 		h.tel.RecordOn(s.id, obs.OpScrub, time.Since(start))
 	}
+	if quarantined {
+		// Self-heal: the repair emits its own journal events and, on
+		// failure, leaves the sub-heap quarantined with the audit's reason
+		// intact.
+		_ = h.Repair(s.id)
+	}
+	return err
+}
+
+// auditSubheap audits one in-service sub-heap with the fsck engine and
+// quarantines it when the audit fails or cannot finish, reporting whether
+// it did: the one audit step of ScrubOnLoad, ScrubPass and the online
+// scrubber. Only device-level errors are returned.
+func (h *Heap) auditSubheap(s *subheap) (quarantined bool, err error) {
+	var sub SubheapReport
+	err = h.retry(func() (e error) {
+		sub, e = s.check(nil)
+		return e
+	})
 	switch {
 	case err == nil && len(sub.Problems) == 0:
-		return nil
+		return false, nil
 	case err == nil:
 		h.tel.Emit(obs.EventScrubFinding, s.id, fmt.Sprintf(
 			"%d problems, first: %s", len(sub.Problems), sub.Problems[0]))
-		s.quarantine(fmt.Sprintf("online audit failed: %s (%d problems)",
+		s.quarantine(fmt.Sprintf("audit failed: %s (%d problems)",
 			sub.Problems[0], len(sub.Problems)))
 	case quarantinable(err):
-		s.quarantine(fmt.Sprintf("online audit aborted: %v", err))
+		s.quarantine(fmt.Sprintf("audit aborted: %v", err))
 	default:
-		return err
+		return false, err
 	}
-	// Self-heal: the repair emits its own journal events and, on failure,
-	// leaves the sub-heap quarantined with the audit's reason intact.
-	_ = h.Repair(s.id)
-	return nil
+	return true, nil
 }

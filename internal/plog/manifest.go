@@ -68,21 +68,17 @@ func DecodeCacheEntry(word uint64) (rel uint64, shard uint16, ok bool) {
 	return body&cacheRelMask - 1, uint16(body >> cacheRelBits), true
 }
 
-// Manifest is the geometry of one lane's cache-manifest arena: slots
-// 8-byte words at consecutive device offsets. It carries no I/O handle —
-// the thread, the sub-heap refill path and recovery each read and write
-// the words through their own protection windows.
+// Manifest is the geometry of one lane's cache-manifest arena: 8-byte
+// words at consecutive device offsets. It carries no I/O handle — the
+// thread and the sub-heap refill path write the words through their own
+// protection windows, and recovery, lane adoption and the audit read the
+// whole arena with one device read.
 type Manifest struct {
-	base  uint64
-	slots uint64
+	base uint64
 }
 
-// NewManifest describes the manifest arena at device offset base holding
-// slots words.
-func NewManifest(base, slots uint64) Manifest { return Manifest{base: base, slots: slots} }
-
-// Slots returns the word capacity.
-func (m Manifest) Slots() uint64 { return m.slots }
+// NewManifest describes the manifest arena at device offset base.
+func NewManifest(base uint64) Manifest { return Manifest{base: base} }
 
 // WordOff returns the device offset of word i.
 func (m Manifest) WordOff(i uint64) uint64 { return m.base + i*8 }

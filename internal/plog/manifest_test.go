@@ -42,10 +42,7 @@ func TestCacheEntryBitFlipDetected(t *testing.T) {
 }
 
 func TestManifestGeometry(t *testing.T) {
-	m := NewManifest(4096, 512)
-	if m.Slots() != 512 {
-		t.Fatalf("Slots = %d", m.Slots())
-	}
+	m := NewManifest(4096)
 	if got := m.WordOff(0); got != 4096 {
 		t.Fatalf("WordOff(0) = %d", got)
 	}
