@@ -674,6 +674,47 @@ func TestMagazineAdoptionDisablesOnCorruption(t *testing.T) {
 	}
 }
 
+// TestThreadOnLaneReadFaults arms read faults that outlast the retries.
+// Over a lane's cache manifest, ThreadOn must still succeed on that lane,
+// with its magazine latched off. Over its micro log, every ThreadOn must
+// fail and give the lane back: more failures than the heap has lanes must
+// leave it to the first ThreadOn after the faults end.
+func TestThreadOnLaneReadFaults(t *testing.T) {
+	h := newMagHeap(t, magOptions())
+	th, err := h.ThreadOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := th.laneI
+	th.Close()
+
+	h.Device().ArmTransientFaults(nvm.TransientFaults{Off: h.lay.laneManifestBase(lane), Len: 8 * h.lay.magSlots, Reads: true})
+	th, err = h.ThreadOn(0)
+	h.Device().DisarmTransientFaults()
+	if err != nil {
+		t.Fatalf("manifest unreadable: ThreadOn: %v", err)
+	}
+	if th.laneI != lane || th.mag == nil || !th.mag.disabled {
+		t.Fatalf("manifest unreadable: ThreadOn took lane %d (want %d), magazine %+v; want it disabled", th.laneI, lane, th.mag)
+	}
+	th.Close()
+
+	h.Device().ArmTransientFaults(nvm.TransientFaults{Off: h.lay.laneBase(lane), Len: h.lay.laneSize, Reads: true})
+	for i := range h.lay.laneCount + 1 {
+		if th, err := h.ThreadOn(0); err == nil {
+			t.Fatalf("micro log unreadable: ThreadOn %d succeeded on lane %d; the lane was not given back", i, th.laneI)
+		}
+	}
+	h.Device().DisarmTransientFaults()
+	if th, err = h.ThreadOn(0); err != nil {
+		t.Fatalf("after the faults: ThreadOn: %v", err)
+	}
+	if th.laneI != lane {
+		t.Fatalf("after the faults: ThreadOn took lane %d, want %d", th.laneI, lane)
+	}
+	th.Close()
+}
+
 // TestMagazineGeometryTooBigDisables: an image provisioned with the default
 // manifest arena cannot host a larger-than-provisioned magazine geometry —
 // the heap opens fine with magazines off.
