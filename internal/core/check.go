@@ -198,13 +198,8 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 	var blocks []blk
 	err = s.mgr.ForEachRecord(s.win, func(rec memblock.Record) error {
 		blocks = append(blocks, blk{rec.BlockOff, rec.Size, rec.Status})
-		switch {
-		case rec.BlockOff < g.UserBase || rec.BlockOff+rec.Size > g.UserBase+g.UserSize:
-			problem("block [%#x,%#x) outside user region", rec.BlockOff, rec.BlockOff+rec.Size)
-		case rec.Size < g.ClassSize(0) || rec.Size&(rec.Size-1) != 0:
-			problem("block %#x has non-class size %d", rec.BlockOff, rec.Size)
-		case (rec.BlockOff-g.UserBase)%rec.Size != 0:
-			problem("block %#x not aligned to its size %d", rec.BlockOff, rec.Size)
+		if err := checkRecord(g, rec); err != nil {
+			problem("%v", err)
 		}
 		switch rec.Status {
 		case memblock.StatusAllocated:
@@ -213,8 +208,6 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 			}
 		case memblock.StatusFree:
 			report.FreeBlocks++
-		default:
-			problem("block %#x has status %d", rec.BlockOff, rec.Status)
 		}
 		return nil
 	})
@@ -276,4 +269,22 @@ func (s *subheap) checkLocked(full bool, cached map[uint64]string) (SubheapRepor
 		}
 	}
 	return report, nil
+}
+
+// checkRecord is the one record validator of Check, Repair's rebuild and
+// the free path: a block must lie in the user region, have a class size,
+// be aligned to it and have a known status. It reads nothing.
+func checkRecord(g memblock.Geometry, rec memblock.Record) error {
+	end := g.UserBase + g.UserSize
+	switch {
+	case rec.BlockOff < g.UserBase || rec.BlockOff >= end || rec.Size > end-rec.BlockOff:
+		return fmt.Errorf("block [%#x,%#x) outside user region", rec.BlockOff, rec.BlockOff+rec.Size)
+	case rec.Size < g.ClassSize(0) || rec.Size&(rec.Size-1) != 0:
+		return fmt.Errorf("block %#x has non-class size %d", rec.BlockOff, rec.Size)
+	case (rec.BlockOff-g.UserBase)&(rec.Size-1) != 0:
+		return fmt.Errorf("block %#x not aligned to its size %d", rec.BlockOff, rec.Size)
+	case rec.Status != memblock.StatusFree && rec.Status != memblock.StatusAllocated:
+		return fmt.Errorf("block %#x has status %d", rec.BlockOff, rec.Status)
+	}
+	return nil
 }

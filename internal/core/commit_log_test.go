@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
 	"poseidon/internal/plog"
 )
 
@@ -546,10 +547,9 @@ func TestMinimumLogSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	man := plog.NewManifest(h4.lay.laneManifestBase(th4.laneI))
-	blocks, err := h4.subheaps[0].refillMagazine(1, 128, man, 0)
-	if err != nil || len(blocks) == 0 || len(blocks) >= 128 {
-		t.Fatalf("refill of 128 blocks at an 8 KiB log: %d blocks, %v; want a halved batch", len(blocks), err)
+	blocks, err := h4.subheaps[0].carve(obs.OpRefill, nvm.ClassAlloc, 1, make([]carved, 128), nil, nil)
+	if err != nil || blocks == 0 || blocks >= 128 {
+		t.Fatalf("refill of 128 blocks at an 8 KiB log: %d blocks, %v; want a halved batch", blocks, err)
 	}
 }
 

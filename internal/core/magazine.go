@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"poseidon/internal/memblock"
@@ -90,9 +92,10 @@ func newBlockMarks(userSize uint64) *blockMarks {
 }
 
 // word returns the word and bit shift holding rel's mark; ok is false for
-// an offset that is not granule-aligned, which no block starts at.
+// an offset that is not granule-aligned, which no block starts at, and on
+// nil marks (no refill yet), so every block reads markNone.
 func (m *blockMarks) word(rel uint64) (w *atomic.Uint64, shift uint, ok bool) {
-	if rel&(1<<memblock.MinClassLog-1) != 0 {
+	if m == nil || rel&(1<<memblock.MinClassLog-1) != 0 {
 		return nil, 0, false
 	}
 	g := rel >> memblock.MinClassLog
@@ -208,18 +211,44 @@ func (t *Thread) magAlloc(size uint64) (_ NVMPtr, handled bool, _ error) {
 	return p, true, nil
 }
 
-// magRefill fills class to capacity from the sub-heap: one lock
-// acquisition, one commit, one flush+fence for the whole batch of
-// manifest entries.
+// magRefill fills class to capacity from the sub-heap in one carve: one
+// lock acquisition, one commit. The carve's hook names the blocks before
+// its record is written: it marks them cached and persists their manifest
+// entries, at words class*cap… of the thread's manifest, with one
+// flush+fence for the whole batch.
 func (t *Thread) magRefill(s *subheap, class int) error {
 	m := t.mag
-	blocks, err := s.refillMagazine(class, m.cap, m.man, uint64(class*m.cap))
+	base := t.h.lay.userBase(s.id)
+	out := make([]carved, m.cap)
+	entries := make([]byte, 8*m.cap)
+	at := m.man.WordOff(uint64(class * m.cap))
+	name := func(n int) error {
+		marks := s.marks.Load()
+		if marks == nil {
+			marks = newBlockMarks(t.h.lay.userSize)
+			s.marks.Store(marks)
+		}
+		for i, c := range out[:n] {
+			marks.set(c.off-base, markCached)
+			binary.LittleEndian.PutUint64(entries[8*i:], plog.EncodeCacheEntry(c.off-base, uint16(s.id)))
+		}
+		return s.win.Persist(at, entries[:8*n])
+	}
+	unname := func(n int) error {
+		marks := s.marks.Load()
+		for _, c := range out[:n] {
+			marks.set(c.off-base, markNone)
+		}
+		clear(entries)
+		return s.win.Persist(at, entries[:8*n])
+	}
+	n, err := s.carve(obs.OpRefill, nvm.ClassAlloc, class, out, name, unname)
 	if err != nil {
 		return err
 	}
-	base := t.h.lay.userBase(t.shard)
-	for _, dev := range blocks {
-		m.blocks[class] = append(m.blocks[class], makePtr(0, uint16(t.shard), dev-base).Loc())
+	s.stats.magazineRefills.Add(1)
+	for _, c := range out[:n] {
+		m.blocks[class] = append(m.blocks[class], makePtr(0, uint16(s.id), c.off-base).Loc())
 	}
 	return nil
 }
@@ -238,9 +267,6 @@ func (t *Thread) magFree(p NVMPtr) (handled bool, err error) {
 	}
 	owner := t.h.subheaps[p.Subheap()]
 	marks := owner.marks.Load()
-	if marks == nil {
-		return false, nil
-	}
 	rel := p.Offset()
 	mark := marks.get(rel)
 	s := t.h.subheaps[t.shard]
@@ -360,14 +386,24 @@ func (t *Thread) magAdopt() {
 	_, _ = t.magReturn(locs, words)
 }
 
-// magReturn returns cached blocks to their owners' free lists: locs[i] is
+// magReturn returns cached blocks to their owners' free lists (overflow,
+// thread close, an alloc out of space, lane-manifest adoption): locs[i] is
 // a block's location word and words[i] the manifest word naming it. Each
-// owner's blocks go back in one flushCached call, owners in shard order,
-// so at most one sub-heap lock is held at a time. A failed group may have
-// freed some of its blocks, so it latches the magazine off; the blocks
-// not yet freed stay recorded in the manifest, and the next Load or lane
-// adopter reclaims them. Reports how many blocks were freed, also on
-// error.
+// owner's blocks go back in one locked free, owners in shard order, so at
+// most one sub-heap lock is held at a time. A block unknown or already
+// free is a no-op — a state a crashed predecessor leaves.
+//
+// Each commit's words and marks are cleared (the words flushed and fenced)
+// after it and under the owner's lock: before the commit point a crash
+// leaves the blocks allocated, so their entries must survive or the blocks
+// would leak; after unlock the blocks can be re-carved, and a surviving
+// entry would let recovery free them under their new owner. A crash in
+// between leaves stale, no-op entries. A commit left in doubt clears its
+// words too, since its settling frees the blocks; a crash that loses it
+// leaks them. A failed group may have freed some of its blocks, so it
+// latches the magazine off; the blocks not yet freed stay recorded in the
+// manifest, and the next Load or lane adopter reclaims them. Reports how
+// many blocks were freed, also on error.
 func (t *Thread) magReturn(locs, words []uint64) (n int, err error) {
 	devs := make([][]uint64, len(t.h.subheaps))
 	slots := make([][]uint64, len(t.h.subheaps))
@@ -381,8 +417,36 @@ func (t *Thread) magReturn(locs, words []uint64) (n int, err error) {
 		if len(d) == 0 {
 			continue
 		}
-		k, err := t.h.subheaps[sh].flushCached(d, t.mag.man, slots[sh])
-		n += k
+		s, base := t.h.subheaps[sh], t.h.lay.userBase(sh)
+		done := 0 // blocks whose words are cleared
+		_, err := s.free(obs.OpFree, nvm.ClassFree, d, func(freed, upto int) error {
+			if freed > 0 {
+				n += freed
+				s.stats.magazineFlushes.Add(1)
+			}
+			marks := s.marks.Load()
+			for _, dev := range d[done:upto] {
+				marks.set(dev-base, markNone)
+			}
+			clr := slots[sh][done:upto]
+			done = upto
+			if len(clr) == 0 {
+				return nil
+			}
+			for _, w := range clr {
+				if err := s.win.WriteU64(t.mag.man.WordOff(w), 0); err != nil {
+					return err
+				}
+			}
+			// One flush over the covering range: every pop and push persisted
+			// the words between, so flushing them again changes nothing.
+			lo, hi := slices.Min(clr), slices.Max(clr)
+			if err := s.win.Flush(t.mag.man.WordOff(lo), (hi-lo+1)*8); err != nil {
+				return err
+			}
+			s.win.Fence()
+			return nil
+		})
 		if err != nil {
 			t.mag.disabled = true
 			return n, err

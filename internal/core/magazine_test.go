@@ -410,8 +410,9 @@ func TestMagazineOverflowFlush(t *testing.T) {
 }
 
 // TestMagazineDoubleFreeDetected: freeing a block that is currently cached
-// in this thread's magazine is the thread's own double free — rejected
-// synchronously without touching the device.
+// in this thread's magazine, pushed by a Free or put there by a refill, is
+// the thread's own double free — rejected synchronously without touching
+// the device.
 func TestMagazineDoubleFreeDetected(t *testing.T) {
 	h := newMagHeap(t, magOptions())
 	th, err := h.ThreadOn(0)
@@ -430,8 +431,13 @@ func TestMagazineDoubleFreeDetected(t *testing.T) {
 	if err := th.Free(p); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("second Free = %v, want ErrDoubleFree", err)
 	}
-	if st := h.Stats(); st.DoubleFrees != 1 {
-		t.Fatalf("DoubleFrees = %d, want 1", st.DoubleFrees)
+	// A block the refill cached and no pop handed out is cached as well.
+	q := ptrFromWords(h.heapID, th.mag.blocks[0][0])
+	if err := th.Free(q); !errors.Is(err, ErrDoubleFree) {
+		t.Fatalf("Free of a block only the refill cached = %v, want ErrDoubleFree", err)
+	}
+	if st := h.Stats(); st.DoubleFrees != 2 {
+		t.Fatalf("DoubleFrees = %d, want 2", st.DoubleFrees)
 	}
 	auditHeap(t, h)
 }

@@ -127,3 +127,40 @@ func TestSetRootPersistBudget(t *testing.T) {
 		t.Errorf("SetRoot: %d flushes, %d fences; want 2 and 2", f, n)
 	}
 }
+
+// TestWarmPathsAllocateNothing pins zero Go heap allocations on the warm
+// paths, with magazines stopping below 256 B as in
+// TestLockedOpPersistBudget: a locked Alloc(256) and its Free, a
+// TxAlloc(256, true) and its Free, and a magazine Alloc(64) and its Free.
+func TestWarmPathsAllocateNothing(t *testing.T) {
+	opts := testOptions()
+	opts.Magazines = MagazineOptions{Classes: 2}
+	h, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	th := newThread(t, h)
+	defer th.Close()
+	for _, c := range []struct {
+		name  string
+		alloc func() (NVMPtr, error)
+	}{
+		{"Alloc(256)", func() (NVMPtr, error) { return th.Alloc(256) }},
+		{"TxAlloc(256, true)", func() (NVMPtr, error) { return th.TxAlloc(256, true) }},
+		{"magazine Alloc(64)", func() (NVMPtr, error) { return th.Alloc(64) }},
+	} {
+		pair := func() {
+			p, err := c.alloc()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if err := th.Free(p); err != nil {
+				t.Fatalf("%s: Free: %v", c.name, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, pair); n != 0 {
+			t.Errorf("%s and Free: %.2f allocations per pair, want 0", c.name, n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -298,5 +299,88 @@ func TestLoadFailsWhenTransientFaultsPersist(t *testing.T) {
 	defer h.Device().DisarmTransientFaults()
 	if _, err := Load(h.Device(), testOptions()); !errors.Is(err, nvm.ErrTransient) {
 		t.Fatalf("Load = %v, want ErrTransient", err)
+	}
+}
+
+// twoBlocks allocates p and q, two 128 KiB blocks of sub-heap 0 at user
+// offsets 0 and 0x20000, p with alloc and q with a plain Alloc, and
+// persists a pattern into q.
+func twoBlocks(t *testing.T, h *Heap, alloc func(*Thread) (NVMPtr, error)) (th *Thread, p, q NVMPtr, data []byte) {
+	t.Helper()
+	th, err := h.ThreadOn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err = alloc(th); err != nil {
+		t.Fatal(err)
+	}
+	if q, err = th.Alloc(128 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if p.Offset() != 0 || q.Offset() != 0x20000 {
+		t.Fatalf("blocks at %#x and %#x, want 0 and 0x20000", p.Offset(), q.Offset())
+	}
+	data = bytes.Repeat([]byte("live q "), 512)
+	if err := th.Persist(q, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	return th, p, q, data
+}
+
+// TestFreeRefusesCorruptRecord flips p's record size to 131,073, which no
+// class has. Free(p) must refuse the record and change nothing: filed on
+// the 256 KiB list, p would come back from the next Alloc(256 KiB)
+// overlapping q.
+func TestFreeRefusesCorruptRecord(t *testing.T) {
+	h := newTestHeap(t)
+	defer h.Close()
+	th, p, q, _ := twoBlocks(t, h, func(th *Thread) (NVMPtr, error) { return th.Alloc(128 << 10) })
+	defer th.Close()
+	flipSizeBit(t, h, p)
+	if err := th.Free(p); !errors.Is(err, ErrCorruptHeap) {
+		t.Fatalf("Free of a record of size 131073: %v, want ErrCorruptHeap", err)
+	}
+	for {
+		r, err := th.Alloc(256 << 10)
+		if errors.Is(err, ErrOutOfMemory) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Offset() < q.Offset()+128<<10 && q.Offset() < r.Offset()+256<<10 {
+			t.Fatalf("Alloc(256 KiB) returned %#x, overlapping live q at %#x", r.Offset(), q.Offset())
+		}
+	}
+	if size, err := th.BlockSize(q); err != nil || size != 128<<10 {
+		t.Fatalf("q: BlockSize %d, %v; want 128 KiB", size, err)
+	}
+}
+
+// TestRollbackQuarantinesCorruptRecord rolls back an open TxAlloc whose
+// record size was flipped to 131,073. Load, without ScrubOnLoad, must
+// quarantine sub-heap 0 instead of filing the record or failing, and
+// Repair must return it to service with q's size and bytes intact.
+func TestRollbackQuarantinesCorruptRecord(t *testing.T) {
+	h := newTestHeap(t)
+	_, p, q, data := twoBlocks(t, h, func(th *Thread) (NVMPtr, error) { return th.TxAlloc(128<<10, false) })
+	flipSizeBit(t, h, p)
+	h2 := reload(t, h, nvm.CrashPolicy{Mode: nvm.EvictNone})
+	defer h2.Close()
+	if !h2.subheaps[0].isQuarantined() {
+		t.Fatal("rollback of a corrupt record did not quarantine sub-heap 0")
+	}
+	if err := h2.Repair(0); err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	auditHeap(t, h2)
+	th := newThread(t, h2)
+	defer th.Close()
+	if size, err := th.BlockSize(q); err != nil || size != 128<<10 {
+		t.Fatalf("q after Repair: BlockSize %d, %v; want 128 KiB", size, err)
+	}
+	got := make([]byte, len(data))
+	if err := th.Read(q, 0, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("q after Repair: %v, bytes intact %v", err, bytes.Equal(got, data))
 	}
 }

@@ -21,8 +21,9 @@
 //     in exactly that order — lanes ascending, positions ascending — from a
 //     single worker yields the same image at every width. Replaying lanes
 //     concurrently instead would interleave frees from different lanes into
-//     the same free list nondeterministically. Micro-log rollbacks free in
-//     as few commits as fit one record (rollbackTx).
+//     the same free list nondeterministically. Rollbacks and manifest frees
+//     go through the one locked free, in as few commits as fit one record
+//     (subheap.replay).
 //   - Phase 4 truncates replayed lanes and clears processed manifest words,
 //     one worker per lane, after every free from phase 3 is durable, so a
 //     crash at any interior point re-recovers idempotently (surviving
@@ -36,7 +37,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -269,7 +269,7 @@ func (h *Heap) recoverFanout(par int) error {
 	// exactly one sub-heap, so the marks are disjoint writes.
 	err = h.forEachRecovery(len(h.subheaps), par, func(_, i int) error {
 		return h.retry(func() error {
-			return h.replaySubheap(h.subheaps[i], txBy[i], manBy[i], clears)
+			return h.subheaps[i].replay(txBy[i], manBy[i], clears)
 		})
 	})
 	if err != nil {
@@ -286,153 +286,61 @@ func (h *Heap) recoverFanout(par int) error {
 	})
 }
 
-// replaySubheap applies one sub-heap's bucketed replay work in order:
-// micro-log rollbacks first, manifest frees second, marking the manifest
-// words phase 4 may clear.
-func (h *Heap) replaySubheap(s *subheap, tx, man []laneItem, clears [][]bool) error {
-	if err := s.rollbackTx(tx); err != nil {
-		return wrapLaneErr("micro-log rollback in sub-heap", s.id, err)
-	}
-	if err := s.replayCached(man, clears); err != nil {
-		return fmt.Errorf("cache manifest replay in sub-heap %d: %w", s.id, err)
-	}
-	return nil
-}
-
-// replayCached returns the blocks of surviving manifest entries to their
-// free lists under one lock hold, in as few commits as fit one record
-// each, and marks the words of each committed chunk for phase 4 to clear.
-// An entry whose block is unknown or already free (the push never became
-// durable, or a flush-back already returned it) counts as a
-// RecoveredNoop and clears too. Entries naming a quarantined sub-heap stay
-// in place for the audit; corruption found here quarantines the sub-heap.
-func (s *subheap) replayCached(items []laneItem, clears [][]bool) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if s.isQuarantined() {
-		s.stats.recoveredNoops.Add(uint64(len(items)))
-		return nil
-	}
-	s.lockOp(obs.OpFree)
-	defer s.unlockOp()
-	var noops atomic.Uint64
-	freed, done := 0, 0
-	err := s.ensureReady()
-	if err == nil {
-		s.setClass(nvm.ClassRecovery)
+// replay frees one sub-heap's bucketed replay work under its lock, in as
+// few commits as fit one record each: the blocks of open transactions
+// first (the micro-log rollback, charged to txfree), then the blocks cache
+// manifests name, marking the manifest words of each committed chunk for
+// phase 4 to clear. An entry whose block is unknown or already free (the
+// push never became durable, or a flush-back already returned it) counts
+// as a RecoveredNoop, and its word clears too. One policy covers both: a
+// corrupt record, or a sub-heap already quarantined, quarantines the
+// sub-heap, counts its remaining entries as no-ops and leaves their words
+// in place for the audit, and Load goes on; a device error is fatal. Each
+// rolled-back entry gets an OpTxFree latency sample on its lane, an even
+// share of the whole rollback.
+func (s *subheap) replay(tx, man []laneItem, clears [][]bool) error {
+	run := func(what string, op obs.Op, cls nvm.OpClass, items []laneItem, recovered *atomic.Uint64, words [][]bool) error {
+		if len(items) == 0 {
+			return nil
+		}
 		devs := make([]uint64, len(items))
 		for i, it := range items {
 			devs[i] = it.dev
 		}
-		err = s.freeChunked(devs, &noops, func(n, upto int) error {
+		freed, done := 0, 0
+		noops, err := s.free(op, cls, devs, func(n, upto int) error {
 			freed += n
-			for _, it := range items[done:upto] {
-				clears[it.lane][it.slot] = true
+			if words != nil {
+				for _, it := range items[done:upto] {
+					words[it.lane][it.slot] = true
+				}
 			}
 			done = upto
 			return nil
 		})
-	}
-	s.stats.frees.Add(uint64(freed))
-	s.stats.recoveredCached.Add(uint64(freed))
-	if quarantinable(err) {
-		s.quarantine(fmt.Sprintf("cache manifest replay failed: %v", err))
-		noops.Store(uint64(len(items) - freed))
-		err = nil
-	}
-	s.stats.recoveredNoops.Add(noops.Load())
-	return err
-}
-
-// stageFreeSlack is the most words one staged free adds to a batch
-// (memblock.PushFreeTail stages five).
-const stageFreeSlack = 8
-
-// freeChunked frees the blocks at devs, committing whenever the next free
-// might not fit one record; staging through the batch frees a block named
-// twice once. A block unknown or already free is skipped and counted in
-// noops, if given. After each commit, after gets how many blocks it freed
-// and the index of the first dev it did not cover — also after a commit
-// left in doubt, with none counted: settling it frees them. Caller holds
-// mu with metadata rights on a ready sub-heap.
-func (s *subheap) freeChunked(devs []uint64, noops *atomic.Uint64, after func(freed, upto int) error) error {
-	var staged []freedBlock
-	for i := 0; ; i++ {
-		if i == len(devs) || s.batch.Len() > s.log.MaxWords()-stageFreeSlack {
-			n := len(staged)
-			if n > 0 {
-				err := s.commit(nil)
-				if errors.Is(err, plog.ErrInDoubt) {
-					return errors.Join(err, after(0, i))
-				}
-				if err != nil {
-					return err
-				}
-				for _, f := range staged {
-					s.noteFree(f)
-				}
-				s.noteMirrorMutation()
-				staged = staged[:0]
-			}
-			if err := after(n, i); err != nil || i == len(devs) {
-				return err
-			}
+		s.stats.frees.Add(uint64(freed))
+		recovered.Add(uint64(freed))
+		if quarantinable(err) {
+			s.quarantine(fmt.Sprintf("%s failed: %v", what, err))
+			noops, err = len(items)-freed, nil
 		}
-		class, size, err := s.stageFree(devs[i])
-		switch {
-		case errors.Is(err, ErrInvalidFree) || errors.Is(err, ErrDoubleFree):
-			if noops != nil {
-				noops.Add(1)
-			}
-		case err != nil:
-			s.batch.Abort()
-			return err
-		default:
-			staged = append(staged, freedBlock{class, size})
+		s.stats.recoveredNoops.Add(uint64(noops))
+		if err != nil {
+			return fmt.Errorf("%s in sub-heap %d: %w", what, s.id, err)
 		}
-	}
-}
-
-// rollbackTx frees the blocks of uncommitted transactional allocations
-// under one lock hold, in as few commits as fit one record each. An entry
-// whose block is unknown or already free, or whose sub-heap is
-// quarantined, counts as a RecoveredNoop. Each entry gets an OpTxFree
-// latency sample on its lane, an even share of the whole rollback.
-func (s *subheap) rollbackTx(items []laneItem) error {
-	if len(items) == 0 {
-		return nil
-	}
-	if s.isQuarantined() {
-		s.stats.recoveredNoops.Add(uint64(len(items)))
 		return nil
 	}
 	start := time.Now()
-	s.lockOp(obs.OpTxFree)
-	defer s.unlockOp()
-	if err := s.ensureReady(); err != nil {
+	if err := run("micro-log rollback", obs.OpTxFree, nvm.ClassTxFree, tx, &s.stats.recoveredBlocks, nil); err != nil {
 		return err
 	}
-	s.setClass(nvm.ClassTxFree)
-	devs := make([]uint64, len(items))
-	for i, it := range items {
-		devs[i] = it.dev
-	}
-	err := s.freeChunked(devs, &s.stats.recoveredNoops, func(freed, _ int) error {
-		s.stats.frees.Add(uint64(freed))
-		s.stats.recoveredBlocks.Add(uint64(freed))
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if s.h.tel != nil {
-		d := time.Since(start) / time.Duration(len(items))
-		for _, it := range items {
+	if s.h.tel != nil && len(tx) > 0 {
+		d := time.Since(start) / time.Duration(len(tx))
+		for _, it := range tx {
 			s.h.tel.RecordOn(it.lane, obs.OpTxFree, d)
 		}
 	}
-	return nil
+	return run("cache manifest replay", obs.OpFree, nvm.ClassRecovery, man, &s.stats.recoveredCached, clears)
 }
 
 // finalizeLane truncates lane's replayed micro log, as phase 2 read it and

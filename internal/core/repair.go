@@ -280,13 +280,7 @@ func (s *subheap) rebuildLocked() error {
 		if err != nil {
 			return err
 		}
-		valid := rec.BlockOff >= g.UserBase &&
-			rec.Size >= g.ClassSize(0) && rec.Size <= g.UserSize &&
-			rec.Size&(rec.Size-1) == 0 &&
-			rec.BlockOff+rec.Size <= end &&
-			(rec.BlockOff-g.UserBase)%rec.Size == 0 &&
-			(rec.Status == memblock.StatusFree || rec.Status == memblock.StatusAllocated)
-		if !valid {
+		if checkRecord(g, rec) != nil {
 			if err := s.mgr.Delete(b, slot); err != nil {
 				return err
 			}

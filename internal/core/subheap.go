@@ -1,11 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -463,62 +461,81 @@ func (s *subheap) traceBegin(op obs.Op, bytes uint64) func(error) {
 	}
 }
 
-// alloc carves a block of at least size bytes out of this sub-heap and
-// returns its device offset (paper §5.2). If lane is non-nil the allocation
-// is transactional: its address is persisted to the micro-log lane before
-// the commit record is written (§5.3).
-func (s *subheap) alloc(size uint64, lane *plog.MicroLog) (devOff uint64, err error) {
+// quarantinedErr is the error of an op on a quarantined sub-heap.
+func (s *subheap) quarantinedErr() error {
+	return fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
+}
+
+// begin is the prologue of every locked carve and free: it refuses a
+// quarantined sub-heap, takes the lock with metadata rights (lockOp),
+// readies the sub-heap and tags its device traffic cls. Once begin
+// succeeds the caller must unlockOp.
+func (s *subheap) begin(op obs.Op, cls nvm.OpClass) error {
 	if s.isQuarantined() {
-		return 0, fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
-	}
-	op := obs.OpAlloc
-	if lane != nil {
-		op = obs.OpTxAlloc
+		return s.quarantinedErr()
 	}
 	s.lockOp(op)
-	defer s.unlockOp()
 	if err := s.ensureReady(); err != nil {
-		return 0, err
+		s.unlockOp()
+		return err
 	}
 	// Tag after ensureReady so lazy formatting stays charged to ClassFormat.
-	if lane != nil {
-		s.setClass(nvm.ClassTxAlloc)
-	} else {
-		s.setClass(nvm.ClassAlloc)
+	s.setClass(cls)
+	return nil
+}
+
+// timeOp retags device traffic cls and returns a closure that restores the
+// previous class and records op's latency on this sub-heap: a magazine
+// refill's carve or a defragmentation pass. A no-op (returning a no-op)
+// without telemetry.
+func (s *subheap) timeOp(op obs.Op, cls nvm.OpClass) func() {
+	if s.h.tel == nil {
+		return func() {}
 	}
-	if tdone := s.traceBegin(op, size); tdone != nil {
-		defer func() { tdone(err) }()
+	start := time.Now()
+	prev := s.rec.Class()
+	s.rec.SetClass(cls)
+	return func() {
+		s.rec.SetClass(prev)
+		s.h.tel.RecordOn(s.id, op, time.Since(start))
 	}
+}
+
+// alloc carves one block of at least size bytes out of this sub-heap and
+// returns its device offset (paper §5.2). If lane is non-nil the allocation
+// is transactional: the carve's hook persists the block's address to the
+// micro-log lane before the commit record is written (§5.3), and a commit
+// that fails before its record cuts the entry again.
+func (s *subheap) alloc(size uint64, lane *plog.MicroLog) (uint64, error) {
 	g := s.mgr.Geometry()
 	class, err := g.ClassOf(size)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadSize, err)
 	}
-	var p pressure
-	for {
-		off, err := s.tryAlloc(class, lane)
-		if err == nil {
-			if lane != nil {
-				s.stats.txAllocs.Add(1)
-			} else {
-				s.stats.allocs.Add(1)
-			}
-			return off, nil
+	var out [1]carved
+	op, cls := obs.OpAlloc, nvm.ClassAlloc
+	var name, unname func(int) error
+	if lane != nil {
+		op, cls = obs.OpTxAlloc, nvm.ClassTxAlloc
+		n0 := lane.Count()
+		name = func(int) error {
+			return lane.Append(uint64(s.id)<<subheapShift | (out[0].off - g.UserBase))
 		}
-		retry, err := s.relievePressure(&p, class, err)
-		if retry {
-			continue
-		}
-		if errors.Is(err, errNoFreeBlock) {
-			return 0, fmt.Errorf("%w: %d bytes requested", ErrOutOfMemory, size)
-		}
+		unname = func(int) error { return lane.Cut(n0) }
+	}
+	if _, err := s.carve(op, cls, class, out[:], name, unname); err != nil {
 		return 0, err
 	}
+	if lane != nil {
+		s.stats.txAllocs.Add(1)
+	} else {
+		s.stats.allocs.Add(1)
+	}
+	return out[0].off, nil
 }
 
 // pressure tracks which one-shot recovery rungs of the allocation pressure
-// ladder have fired. One instance spans all retries of one logical
-// operation (alloc or magazine refill).
+// ladder have fired. One instance spans all retries of one carve.
 type pressure struct {
 	defraggedList, defraggedProbe, extended bool
 }
@@ -528,9 +545,10 @@ type pressure struct {
 // (§5.2); space pressure merges free lists upward (§5.4). It returns
 // retry=true when a rung made progress and the caller should re-attempt.
 // With the ladder exhausted, space pressure returns errNoFreeBlock
-// unwrapped so each caller can word its own out-of-memory error;
-// everything else returns ready to surface. Caller holds mu with metadata rights on a ready
-// sub-heap and must have aborted any half-staged batch.
+// unwrapped, which carve words as out of memory without halving its
+// batch; everything else returns ready to surface. Caller holds mu with
+// metadata rights on a ready sub-heap and must have aborted any
+// half-staged batch.
 func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, error) {
 	var ns *noSlotError
 	switch {
@@ -577,7 +595,7 @@ func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, erro
 // block's device offset and the class it was carved from (for gauge
 // accounting). Nothing is committed; on error the caller must abort the
 // batch. The find phase stages no writes, so errNoFreeBlock leaves the
-// batch exactly as it was — refill relies on that to commit a partial
+// batch exactly as it was — carve relies on that to commit a partial
 // batch.
 func (s *subheap) carveOne(class int) (blockOff uint64, found int, err error) {
 	g := s.mgr.Geometry()
@@ -640,83 +658,114 @@ func (s *subheap) carveOne(class int) (blockOff uint64, found int, err error) {
 	return blockOff, found, nil
 }
 
-// tryAlloc is one allocation attempt inside a single failure-atomic batch.
-func (s *subheap) tryAlloc(class int, lane *plog.MicroLog) (blockOff uint64, err error) {
-	g := s.mgr.Geometry()
-	b := s.batch
-	committed := false
-	defer func() {
-		if !committed {
-			b.Abort()
-		}
-	}()
-
-	blockOff, found, err := s.carveOne(class)
-	if err != nil {
-		return 0, err
-	}
-
-	var hook func() error
-	var n0 uint64
-	if lane != nil {
-		loc := uint64(s.id)<<subheapShift | (blockOff - g.UserBase)
-		n0 = lane.Count()
-		hook = func() error { return lane.Append(loc) }
-	}
-	if cerr := s.commit(hook); cerr != nil {
-		if lane != nil && !errors.Is(cerr, plog.ErrInDoubt) {
-			// Retract the entry before the lock lets anyone else carve
-			// the block: a later rollback would free it under them.
-			if rerr := s.h.retry(func() error { return lane.Cut(n0) }); rerr != nil {
-				return 0, errors.Join(cerr, rerr)
-			}
-		}
-		if errors.Is(cerr, plog.ErrLogFull) {
-			return 0, ErrTxTooLarge
-		}
-		return 0, cerr
-	}
-	committed = true
-	s.noteMirrorMutation()
-	if s.gauge != nil {
-		s.gauge.allocBlocks.Add(1)
-		s.gauge.allocBytes.Add(int64(g.ClassSize(class)))
-		s.gauge.freeByClass[found].Add(-1)
-		// Splitting left one free buddy at every class between the request
-		// and the block we carved.
-		for cc := class; cc < found; cc++ {
-			s.gauge.freeByClass[cc].Add(1)
-		}
-	}
-	return blockOff, nil
+// carved is one block a carve staged: its device offset and the class it
+// was split from (for the gauges).
+type carved struct {
+	off   uint64
+	found int
 }
 
-// free returns the block at device offset blockOff to its free list
-// (paper §5.5). Invalid and double frees are detected via the hash table
-// and rejected.
-func (s *subheap) free(blockOff uint64) (err error) {
-	if s.isQuarantined() {
-		return fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
+// carve carves up to len(out) blocks of class under one lock hold and one
+// commit (paper §5.2), fills out with them and returns how many: Alloc and
+// TxAlloc carve one, a magazine refill its capacity. A non-nil name runs
+// as the commit hook, before the record is written, and makes the n blocks'
+// names durable — a TxAlloc's micro-log entry, a refill's manifest entries
+// — so by the time the carve's record is durable every block is named, and
+// recovery either finds the carve undone (its names free no-ops) or the
+// names and returns the blocks. A commit that fails before its record is
+// durable calls unname(n) before the lock is released: the blocks stay free
+// for anyone to carve, and a surviving name would let recovery free them
+// under their next owner.
+//
+// Under space pressure a partial batch (at least one block) commits; with
+// nothing carvable the pressure ladder runs (relievePressure). A batch too
+// large for one commit record, or for the hash table's probe windows after
+// the ladder ran, halves and retries.
+func (s *subheap) carve(op obs.Op, cls nvm.OpClass, class int, out []carved, name, unname func(n int) error) (n int, err error) {
+	if err := s.begin(op, cls); err != nil {
+		return 0, err
 	}
-	s.lockOp(obs.OpFree)
 	defer s.unlockOp()
-	if err := s.ensureReady(); err != nil {
-		return err
+	if op == obs.OpRefill {
+		defer s.timeOp(op, cls)()
 	}
-	s.setClass(nvm.ClassFree)
-	if tdone := s.traceBegin(obs.OpFree, 0); tdone != nil {
+	g := s.mgr.Geometry()
+	if tdone := s.traceBegin(op, uint64(len(out))*g.ClassSize(class)); tdone != nil {
 		defer func() { tdone(err) }()
 	}
-	return s.freeLocked(blockOff)
+	var hook func() error
+	if name != nil {
+		hook = func() error { return name(n) }
+	}
+	var p pressure
+	for want := len(out); ; {
+		for n = 0; n < want; n++ {
+			if out[n].off, out[n].found, err = s.carveOne(class); err != nil {
+				break
+			}
+		}
+		// A failed find stages nothing, so space pressure after the first
+		// carve leaves a batch that commits as it is.
+		if n == want || n > 0 && errors.Is(err, errNoFreeBlock) {
+			if err = s.commit(hook); err == nil {
+				break
+			}
+			if errors.Is(err, plog.ErrLogFull) && want > 1 {
+				want /= 2 // the record does not fit, and the hook did not run
+				continue
+			}
+			var uerr error
+			if unname != nil && !errors.Is(err, plog.ErrInDoubt) {
+				k := n
+				uerr = s.h.retry(func() error { return unname(k) })
+			}
+			switch {
+			case uerr != nil:
+				err = errors.Join(err, uerr)
+			case errors.Is(err, plog.ErrLogFull):
+				err = ErrTxTooLarge
+			}
+			return 0, err
+		}
+		s.batch.Abort()
+		var retry bool
+		if retry, err = s.relievePressure(&p, class, err); retry {
+			continue
+		}
+		if errors.Is(err, ErrOutOfMemory) && want > 1 {
+			want /= 2 // the probe windows cannot index the whole batch
+			continue
+		}
+		if errors.Is(err, errNoFreeBlock) {
+			err = fmt.Errorf("%w: no free block of class %d", ErrOutOfMemory, class)
+		}
+		return 0, err
+	}
+	s.noteMirrorMutation()
+	if s.gauge != nil {
+		size := int64(g.ClassSize(class))
+		for _, c := range out[:n] {
+			s.gauge.allocBlocks.Add(1)
+			s.gauge.allocBytes.Add(size)
+			s.gauge.freeByClass[c.found].Add(-1)
+			// Splitting left one free buddy at every class between the
+			// request and the block carved.
+			for cc := class; cc < c.found; cc++ {
+				s.gauge.freeByClass[cc].Add(1)
+			}
+		}
+	}
+	return n, nil
 }
 
 // stageFree validates and stages the free of the block at blockOff into
 // s.batch, reading metadata through the batch, so a block already staged
-// free in it is a double free. Validation rejects bump the counters and
-// leave the batch untouched; a staging error requires the caller to abort
-// it. The freeMask bit is set at stage time — an over-approximation until
-// the commit lands, which is always safe (and an aborted commit reseeds
-// the mask).
+// free in it is a double free. A record that fails checkRecord is
+// ErrCorruptHeap: filing it would hand out a block that overlaps others.
+// Validation rejects bump the counters and leave the batch untouched; a
+// staging error requires the caller to abort it. The freeMask bit is set
+// at stage time — an over-approximation until the commit lands, which is
+// always safe (and an aborted commit reseeds the mask).
 func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error) {
 	r := s.batch
 	slot, err := s.mgr.Lookup(r, blockOff)
@@ -731,15 +780,15 @@ func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error)
 	if err != nil {
 		return 0, 0, err
 	}
+	g := s.mgr.Geometry()
+	if err := checkRecord(g, rec); err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrCorruptHeap, err)
+	}
 	if rec.Status == memblock.StatusFree {
 		s.stats.doubleFrees.Add(1)
 		return 0, 0, ErrDoubleFree
 	}
-	g := s.mgr.Geometry()
-	class, err = g.ClassOf(rec.Size)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: record size %d", ErrCorruptHeap, rec.Size)
-	}
+	class, _ = g.ClassOf(rec.Size) // checkRecord accepted the size
 	// Tail insertion delays reuse of the just-freed block (§5.5).
 	if err := s.mgr.PushFreeTail(s.batch, class, slot); err != nil {
 		return 0, 0, err
@@ -748,239 +797,80 @@ func (s *subheap) stageFree(blockOff uint64) (class int, size uint64, err error)
 	return class, rec.Size, nil
 }
 
-// freeLocked is the body of free. A block cached in a magazine is a double
-// free; a popped one loses its mark, so it cannot also be pushed. Caller
-// holds mu with metadata rights on a ready sub-heap.
-func (s *subheap) freeLocked(blockOff uint64) error {
-	if marks := s.marks.Load(); marks != nil && marks.release(blockOff-s.h.lay.userBase(s.id)) {
-		s.stats.doubleFrees.Add(1)
-		return ErrDoubleFree
-	}
-	b := s.batch
-	class, size, err := s.stageFree(blockOff)
-	if err != nil {
-		b.Abort()
-		return err
-	}
-	if err := s.commit(nil); err != nil {
-		return err
-	}
-	s.stats.frees.Add(1)
-	s.noteMirrorMutation()
-	s.noteFree(freedBlock{class, size})
-	return nil
-}
-
-// freedBlock is a committed free's block: its size class and size.
+// freedBlock is a staged free's block: its size class and size.
 type freedBlock struct {
 	class int
 	size  uint64
 }
 
-// noteFree moves a freed block from the allocated gauges to its class's
-// free gauge (a no-op without telemetry).
-func (s *subheap) noteFree(f freedBlock) {
-	if s.gauge != nil {
-		s.gauge.allocBlocks.Add(-1)
-		s.gauge.allocBytes.Add(-int64(f.size))
-		s.gauge.freeByClass[f.class].Add(1)
-	}
-}
+// stageFreeSlack is the most words one staged free adds to a batch
+// (memblock.PushFreeTail stages five).
+const stageFreeSlack = 8
 
-// refillMagazine carves up to want blocks of class `class` for a thread
-// magazine: one lock acquisition, one commit for the whole batch, and —
-// inside the commit hook, before the record is written — one persistent
-// manifest entry per block with a single flush+fence for all of them.
-// That ordering is the crash-leak argument: by the time the carve's record
-// is durable, every carved block is durably named in the manifest, so
-// recovery either finds the carve undone (its entries free no-ops) or
-// finds the entries and returns the blocks to their free lists. A commit
-// that fails before its record is durable zeroes the entries again before
-// the lock is released, since the blocks stay free for anyone to carve.
-//
-// Entries land at manifest words man.WordOff(slot0)…; the caller owns
-// that window exclusively. Under space pressure a partial batch (fewer
-// than want, at least one) commits; with nothing carvable the underlying
-// ErrOutOfMemory surfaces so the caller can fall back to the full
-// pressure loop of alloc. A batch too large for one commit record, or for
-// the hash table's probe windows after the pressure ladder ran, halves
-// want and retries.
-func (s *subheap) refillMagazine(class, want int, man plog.Manifest, slot0 uint64) (_ []uint64, err error) {
-	if s.isQuarantined() {
-		return nil, fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
-	}
-	s.lockOp(obs.OpRefill)
-	defer s.unlockOp()
-	if err := s.ensureReady(); err != nil {
-		return nil, err
-	}
-	s.setClass(nvm.ClassAlloc)
-	done := s.timeRefill()
-	defer done()
-	g := s.mgr.Geometry()
-	if tdone := s.traceBegin(obs.OpRefill, uint64(want)*g.ClassSize(class)); tdone != nil {
-		defer func() { tdone(err) }()
-	}
-	// Same pressure-recovery ladder as the alloc slow path (shared via
-	// relievePressure): hash-table pressure defragments the probe window
-	// then extends the table; space pressure merges free lists.
-	// stageCarves aborts its batch before surfacing either, so the
-	// recovery ops run on a clean slate.
-	var p pressure
-	for {
-		blocks, founds, err := s.stageCarves(class, want)
-		if err != nil {
-			retry, err := s.relievePressure(&p, class, err)
-			if retry {
-				continue
-			}
-			if errors.Is(err, errNoFreeBlock) {
-				return nil, fmt.Errorf("%w: magazine refill of class %d", ErrOutOfMemory, class)
-			}
-			if errors.Is(err, ErrOutOfMemory) && want > 1 {
-				want /= 2 // the probe windows cannot index the whole batch
-				continue
-			}
-			return nil, err
-		}
-		entries := make([]byte, 8*len(blocks))
-		hook := func() error {
-			for i, off := range blocks {
-				binary.LittleEndian.PutUint64(entries[8*i:], plog.EncodeCacheEntry(off-g.UserBase, uint16(s.id)))
-			}
-			return s.win.Persist(man.WordOff(slot0), entries)
-		}
-		if cerr := s.commit(hook); cerr != nil {
-			if errors.Is(cerr, plog.ErrLogFull) && want > 1 {
-				want /= 2
-				continue
-			}
-			if !errors.Is(cerr, plog.ErrInDoubt) {
-				clear(entries)
-				if rerr := s.h.retry(func() error { return s.win.Persist(man.WordOff(slot0), entries) }); rerr != nil {
-					return nil, errors.Join(cerr, rerr)
-				}
-			}
-			return nil, cerr
-		}
-		s.stats.magazineRefills.Add(1)
-		s.noteMirrorMutation()
-		marks := s.marks.Load()
-		if marks == nil {
-			marks = newBlockMarks(g.UserSize)
-			s.marks.Store(marks)
-		}
-		for _, off := range blocks {
-			marks.set(off-g.UserBase, markCached)
-		}
-		if s.gauge != nil {
-			size := int64(g.ClassSize(class))
-			for i := range blocks {
-				s.gauge.allocBlocks.Add(1)
-				s.gauge.allocBytes.Add(size)
-				s.gauge.freeByClass[founds[i]].Add(-1)
-				for cc := class; cc < founds[i]; cc++ {
-					s.gauge.freeByClass[cc].Add(1)
-				}
-			}
-		}
-		return blocks, nil
-	}
-}
-
-// stageCarves stages up to want carves of class `class` into s.batch.
-// Space pressure after at least one successful carve truncates the batch
-// there (the find phase stages nothing, so the batch is commit-clean);
-// any other error — including hash-table pressure mid-split, which leaves
-// a half-staged carve — aborts the whole batch and surfaces.
-func (s *subheap) stageCarves(class, want int) (blocks []uint64, founds []int, err error) {
-	for i := 0; i < want; i++ {
-		off, found, cerr := s.carveOne(class)
-		if cerr != nil {
-			if errors.Is(cerr, errNoFreeBlock) && len(blocks) > 0 {
-				break
-			}
-			s.batch.Abort()
-			return nil, nil, cerr
-		}
-		blocks = append(blocks, off)
-		founds = append(founds, found)
-	}
-	return blocks, founds, nil
-}
-
-// flushCached returns magazine-cached blocks to their free lists under one
-// lock acquisition (overflow, thread close, an alloc out of space,
-// lane-manifest adoption), in as few commits as fit one record each.
-// words[i] is the manifest word naming devOffs[i]. Entries whose block is
-// unknown or already free are skipped as no-ops feeding the counters —
-// states a crashed predecessor leaves.
-//
-// Each commit's words and marks are cleared (the words flushed and
-// fenced) after it and under the lock: before the commit point a crash
-// leaves the blocks allocated, so their entries must survive or the
-// blocks would leak; after unlock the blocks can be re-carved, and a
-// surviving entry would let recovery free them under their new owner. A
-// crash in between leaves stale, no-op entries. A commit left in doubt
-// clears its words too, since its settling frees the blocks; a crash that
-// loses it leaks them. Returns how many blocks were freed, also on error.
-func (s *subheap) flushCached(devOffs []uint64, man plog.Manifest, words []uint64) (n int, err error) {
-	if s.isQuarantined() {
-		return 0, fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
-	}
-	s.lockOp(obs.OpFree)
-	defer s.unlockOp()
-	if err := s.ensureReady(); err != nil {
+// free frees the blocks at devs under one lock hold (paper §5.5),
+// committing whenever the next free might not fit one record; staging
+// through the batch frees a block named twice once. A Free passes one
+// block and a nil after and gets that block's rejection; a block a
+// magazine caches is a double free, and a popped one loses its mark.
+// Flush-backs and recovery pass an after: a block unknown or already free
+// is then a no-op, counted in the result, and after gets, after each
+// commit, how many blocks it freed and the index of the first dev it did
+// not cover — also after a commit left in doubt, with none counted:
+// settling it frees them. The no-op count is returned also on error.
+func (s *subheap) free(op obs.Op, cls nvm.OpClass, devs []uint64, after func(freed, upto int) error) (noops int, err error) {
+	if err := s.begin(op, cls); err != nil {
 		return 0, err
 	}
-	s.setClass(nvm.ClassFree)
-	done := 0 // devOffs whose words are cleared
-	err = s.freeChunked(devOffs, nil, func(freed, upto int) error {
-		if freed > 0 {
-			n += freed
-			s.stats.magazineFlushes.Add(1)
-		}
-		clr := words[done:upto]
-		if marks := s.marks.Load(); marks != nil {
-			for _, dev := range devOffs[done:upto] {
-				marks.set(dev-s.h.lay.userBase(s.id), markNone)
-			}
-		}
-		done = upto
-		if len(clr) == 0 {
-			return nil
-		}
-		for _, w := range clr {
-			if err := s.win.WriteU64(man.WordOff(w), 0); err != nil {
-				return err
-			}
-		}
-		// One flush over the covering range: every pop and push persisted
-		// the words between, so flushing them again changes nothing.
-		lo, hi := slices.Min(clr), slices.Max(clr)
-		if err := s.win.Flush(man.WordOff(lo), (hi-lo+1)*8); err != nil {
-			return err
-		}
-		s.win.Fence()
-		return nil
-	})
-	return n, err
-}
-
-// timeRefill retags device traffic as ClassAlloc (a refill is the
-// deferred half of magazine allocs) and returns a closure that restores
-// the previous class and records the batch in the refill latency
-// histogram. A no-op (returning a no-op) without telemetry.
-func (s *subheap) timeRefill() func() {
-	if s.h.tel == nil {
-		return func() {}
+	defer s.unlockOp()
+	if tdone := s.traceBegin(op, 0); tdone != nil {
+		defer func() { tdone(err) }()
 	}
-	start := time.Now()
-	prev := s.rec.Class()
-	s.rec.SetClass(nvm.ClassAlloc)
-	return func() {
-		s.rec.SetClass(prev)
-		s.h.tel.RecordOn(s.id, obs.OpRefill, time.Since(start))
+	var one [1]freedBlock // a Free stages its block without a heap allocation
+	staged := one[:0]
+	for i := 0; ; i++ {
+		if i == len(devs) || s.batch.Len() > s.log.MaxWords()-stageFreeSlack {
+			n := len(staged)
+			if n > 0 {
+				err := s.commit(nil)
+				if errors.Is(err, plog.ErrInDoubt) && after != nil {
+					return noops, errors.Join(err, after(0, i))
+				}
+				if err != nil {
+					return noops, err
+				}
+				if s.gauge != nil {
+					for _, f := range staged {
+						s.gauge.allocBlocks.Add(-1)
+						s.gauge.allocBytes.Add(-int64(f.size))
+						s.gauge.freeByClass[f.class].Add(1)
+					}
+				}
+				s.noteMirrorMutation()
+				staged = staged[:0]
+			}
+			if after != nil {
+				if err := after(n, i); err != nil {
+					return noops, err
+				}
+			}
+			if i == len(devs) {
+				return noops, nil
+			}
+		}
+		if marks := s.marks.Load(); after == nil && marks != nil && marks.release(devs[i]-s.h.lay.userBase(s.id)) {
+			s.stats.doubleFrees.Add(1)
+			return 0, ErrDoubleFree
+		}
+		class, size, err := s.stageFree(devs[i])
+		switch {
+		case after != nil && (errors.Is(err, ErrInvalidFree) || errors.Is(err, ErrDoubleFree)):
+			noops++
+		case err != nil:
+			s.batch.Abort()
+			return noops, err
+		default:
+			staged = append(staged, freedBlock{class, size})
+		}
 	}
 }
 
@@ -1061,7 +951,7 @@ func (s *subheap) mergeBuddy(slot uint64) (bool, error) {
 // defragFreeLists merges smaller free blocks upward until a block of at
 // least class target exists or no merge makes progress (§5.4 case 1).
 func (s *subheap) defragFreeLists(target int) (bool, error) {
-	defer s.timeDefrag()()
+	defer s.timeOp(obs.OpDefrag, nvm.ClassDefrag)()
 	g := s.mgr.Geometry()
 	satisfied := func() (bool, error) {
 		for c := target; c < g.NumClasses; c++ {
@@ -1101,26 +991,10 @@ func (s *subheap) defragFreeLists(target int) (bool, error) {
 	return ok && anyMerge || ok, nil
 }
 
-// timeDefrag retags device traffic as ClassDefrag and returns a closure
-// that restores the previous class and records the pass in the defrag
-// latency histogram. A no-op (returning a no-op) without telemetry.
-func (s *subheap) timeDefrag() func() {
-	if s.h.tel == nil {
-		return func() {}
-	}
-	start := time.Now()
-	prev := s.rec.Class()
-	s.rec.SetClass(nvm.ClassDefrag)
-	return func() {
-		s.rec.SetClass(prev)
-		s.h.tel.RecordOn(s.id, obs.OpDefrag, time.Since(start))
-	}
-}
-
 // defragProbeWindow merges free blocks recorded in the probe window of key
 // to open a hash slot there (§5.4 case 2).
 func (s *subheap) defragProbeWindow(key uint64) (bool, error) {
-	defer s.timeDefrag()()
+	defer s.timeOp(obs.OpDefrag, nvm.ClassDefrag)()
 	slots, err := s.mgr.ProbeWindowSlots(s.win, key)
 	if err != nil {
 		return false, err
@@ -1177,7 +1051,7 @@ func (s *subheap) extendLevel() error {
 // offset blockOff (used by the facade for bounds-checked access).
 func (s *subheap) blockSize(blockOff uint64) (uint64, error) {
 	if s.isQuarantined() {
-		return 0, fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
+		return 0, s.quarantinedErr()
 	}
 	s.mu.Lock()
 	s.h.grant(s.thread)

@@ -345,7 +345,11 @@ func (t *Thread) free(p NVMPtr) error {
 	if handled, err := t.magFree(p); handled {
 		return err
 	}
-	return s.free(dev)
+	if _, err := s.free(obs.OpFree, nvm.ClassFree, []uint64{dev}, nil); err != nil {
+		return err
+	}
+	s.stats.frees.Add(1)
+	return nil
 }
 
 // BlockSize returns the usable size of the allocated block p points at.

@@ -22,12 +22,14 @@ const (
 	// permits: caches evict lines whenever they please.
 	EvictRandom
 	// EvictTorn is the sub-cacheline adversary: each dirty line either
-	// persists fully (probability Prob) or tears — exactly one 32-byte half
-	// of it, chosen by Seed, reaches the media while the other half reverts
-	// to its last flushed contents. Real platforms only guarantee 8-byte
-	// store atomicity, so any crash-consistency argument that silently
-	// relies on whole-line survival breaks under this mode. Halves are
-	// 32 bytes, so the 8-byte atomic-store guarantee still holds.
+	// persists fully (probability Prob) or tears — a nonempty proper subset
+	// of its eight 8-byte words, chosen by Seed, reaches the media while
+	// the other words revert to their last flushed contents. Real platforms
+	// only guarantee 8-byte store atomicity, so any crash-consistency
+	// argument that silently relies on a wider store surviving whole —
+	// 16 bytes, a half line, a whole line — breaks under this mode. Every
+	// word is wholly old or wholly new, so the 8-byte atomic-store
+	// guarantee still holds.
 	EvictTorn
 )
 
@@ -66,7 +68,8 @@ type CrashReport struct {
 	DirtyLines uint64
 	// PersistedLines reached the media in full.
 	PersistedLines uint64
-	// TornLines had exactly one 32-byte half reach the media (EvictTorn).
+	// TornLines had some but not all of their 8-byte words reach the media
+	// (EvictTorn).
 	TornLines uint64
 	// DroppedLines reverted entirely to their last flushed contents.
 	DroppedLines uint64
@@ -113,8 +116,12 @@ func (d *Device) Crash(policy CrashPolicy) (CrashReport, error) {
 						copy(c.shadow[lo:lo+CachelineSize], c.data[lo:lo+CachelineSize])
 						report.PersistedLines++
 					} else {
-						half := lo + uint64(rng.Intn(2))*(CachelineSize/2)
-						copy(c.shadow[half:half+CachelineSize/2], c.data[half:half+CachelineSize/2])
+						words := 1 + rng.Intn(1<<(CachelineSize/8)-2) // bit i keeps word i
+						for w := lo; words != 0; w, words = w+8, words>>1 {
+							if words&1 != 0 {
+								copy(c.shadow[w:w+8], c.data[w:w+8])
+							}
+						}
 						report.TornLines++
 					}
 				default: // EvictNone

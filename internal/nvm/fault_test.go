@@ -136,10 +136,12 @@ func TestTransientFaultsProbDeterministic(t *testing.T) {
 	}
 }
 
-// TestEvictTornPersistsExactlyOneHalf verifies the torn-write adversary:
-// a dirty line either survives whole or exactly one 32-byte half of it
-// reaches the media, never a finer tear.
-func TestEvictTornPersistsExactlyOneHalf(t *testing.T) {
+// TestEvictTornPersistsWholeWords verifies the torn-write adversary: a
+// dirty line either survives whole or tears, and a torn line keeps some
+// but not all of its 8-byte words, each wholly old or wholly new — never a
+// torn word. Some tear must not be a 32-byte half, so a 16- or 24-byte
+// store can tear too.
+func TestEvictTornPersistsWholeWords(t *testing.T) {
 	const lines = 64
 	d := newTestDevice(t, ChunkSize, true)
 	old := bytes.Repeat([]byte{0xAA}, CachelineSize)
@@ -170,29 +172,39 @@ func TestEvictTornPersistsExactlyOneHalf(t *testing.T) {
 	if got := report.PersistedLines + report.TornLines; got != lines {
 		t.Fatalf("accounted %d lines, want %d", got, lines)
 	}
-	var torn, whole int
+	var torn, whole, unlikeHalves int
 	buf := make([]byte, CachelineSize)
 	for i := 0; i < lines; i++ {
 		if err := d.Read(uint64(i)*CachelineSize, buf); err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := buf[:CachelineSize/2], buf[CachelineSize/2:]
-		loNew := bytes.Equal(lo, fresh[:CachelineSize/2])
-		hiNew := bytes.Equal(hi, fresh[CachelineSize/2:])
-		loOld := bytes.Equal(lo, old[:CachelineSize/2])
-		hiOld := bytes.Equal(hi, old[CachelineSize/2:])
-		switch {
-		case loNew && hiNew:
+		var kept uint // bit w: word w is new
+		for w := 0; w < CachelineSize/8; w++ {
+			switch word := buf[8*w : 8*w+8]; {
+			case bytes.Equal(word, fresh[:8]):
+				kept |= 1 << w
+			case !bytes.Equal(word, old[:8]):
+				t.Fatalf("line %d: word %d torn: % x", i, w, word)
+			}
+		}
+		switch kept {
+		case 0xFF:
 			whole++
-		case loNew && hiOld, loOld && hiNew:
-			torn++
+		case 0:
+			t.Fatalf("line %d: torn line kept no word", i)
 		default:
-			t.Fatalf("line %d: tear finer than 32 bytes: % x", i, buf)
+			torn++
+			if kept != 0x0F && kept != 0xF0 {
+				unlikeHalves++
+			}
 		}
 	}
 	if uint64(torn) != report.TornLines || uint64(whole) != report.PersistedLines {
 		t.Fatalf("observed %d torn/%d whole, report says %d/%d",
 			torn, whole, report.TornLines, report.PersistedLines)
+	}
+	if unlikeHalves == 0 {
+		t.Fatalf("all %d tears kept a 32-byte half", torn)
 	}
 }
 
