@@ -115,7 +115,7 @@ func TestBlackboxRoundTrip(t *testing.T) {
 
 	// Span kinds are persisted obs.Op numbers: pin them, so a renumbering
 	// shows here and comes with a heap version bump.
-	for kind, want := range map[uint8]string{0: "alloc", 5: "refill", 9: "repair", 10: "lock_wait", 11: "lock_hold", 12: "invalid"} {
+	for kind, want := range map[uint8]string{0: "alloc", 5: "refill", 9: "repair", 10: "lock_wait", 11: "lock_hold", 12: "lookup", 13: "mirror", 14: "invalid"} {
 		buf := plog.EncodeBoxRecord(plog.BoxRecord{Type: plog.BoxSpan, Seq: 1, Kind: kind})
 		r, ok := plog.DecodeBoxRecord(buf[:])
 		if !ok {
@@ -394,13 +394,73 @@ func runBoxScript(t *testing.T, budget, seed int64) (survived bool) {
 	return survived
 }
 
+// TestWatchdogSeesEveryLockHold: every holder of a sub-heap lock publishes
+// its hold, so a stall injected before Check, ScrubPass, Defragment,
+// TrimMetadata or Repair yields one EventStall naming the sub-heap and the
+// operation, and a lock-hold sample.
+func TestWatchdogSeesEveryLockHold(t *testing.T) {
+	tel := obs.NewWithOptions(obs.Options{Shards: 1})
+	opts := boxTestOptions(tel)
+	opts.Watchdog = WatchdogOptions{StallThreshold: 15 * time.Millisecond}
+	h, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	th, err := h.Thread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := th.Alloc(64); err != nil { // formats sub-heap 0
+		t.Fatal(err)
+	}
+	th.Close()
+	stalls := func() []obs.Event {
+		var out []obs.Event
+		for _, e := range tel.Events() {
+			if e.Kind == obs.EventStall {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for _, step := range []struct {
+		name, op string
+		run      func() error
+	}{
+		{"Check", "scrub", func() error { _, err := h.Check(); return err }},
+		{"ScrubPass", "scrub", h.ScrubPass},
+		{"Defragment", "defrag", func() error { _, err := h.Defragment(); return err }},
+		{"TrimMetadata", "defrag", func() error { _, err := h.TrimMetadata(); return err }},
+		{"Repair", "repair", func() error {
+			h.subheaps[0].quarantine("test: stall probe")
+			return h.Repair(0)
+		}},
+	} {
+		before, holds := len(stalls()), tel.Hist(obs.OpLockHold).Count
+		if err := h.InjectStall(0, 60*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		got := stalls()[before:]
+		if len(got) != 1 || got[0].Subheap != 0 || !strings.Contains(got[0].Detail, "op "+step.op+" holding sub-heap 0") {
+			t.Fatalf("%s: stall events %+v, want one naming op %s on sub-heap 0", step.name, got, step.op)
+		}
+		if tel.Hist(obs.OpLockHold).Count <= holds {
+			t.Fatalf("%s: no lock-hold sample", step.name)
+		}
+	}
+}
+
 // TestWatchdogStallDetection: an injected stall must be journalled as
 // EventStall, counted into poseidon_stalls_total, and visible in the
 // post-crash black-box timeline.
 func TestWatchdogStallDetection(t *testing.T) {
 	tel := obs.NewWithOptions(obs.Options{Shards: 1})
 	opts := boxTestOptions(tel)
-	opts.Watchdog = WatchdogOptions{StallThreshold: 15 * time.Millisecond, Interval: 2 * time.Millisecond}
+	opts.Watchdog = WatchdogOptions{StallThreshold: 15 * time.Millisecond}
 	opts.Magazines = MagazineOptions{Classes: 1} // 128 B takes the locked path
 	h, err := Create(opts)
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"sort"
 
 	"poseidon/internal/memblock"
+	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
 )
 
 // SubheapReport is the audit result of one sub-heap, the classification
@@ -79,7 +81,7 @@ func (h *Heap) Check() (CheckReport, error) {
 			})
 			continue
 		}
-		sub, err := s.check(cached)
+		sub, err := s.check(cached, 0)
 		if err != nil {
 			return report, err
 		}
@@ -145,15 +147,13 @@ func (r *CheckReport) merge(sub SubheapReport) {
 
 // check audits one sub-heap and returns its classified report, leaving
 // the allocated blocks cached names (checkLanes' device offsets) out of
-// the census. Errors are I/O-level failures (the audit could not run), not
-// inconsistencies — those land in the report's Problems.
-func (s *subheap) check(cached map[uint64]string) (SubheapReport, error) {
-	s.mu.Lock()
-	s.h.grant(s.thread)
-	defer func() {
-		s.h.revoke(s.thread)
-		s.mu.Unlock()
-	}()
+// the census; take says what its envelope records (the online scrubber's
+// audits take their latency). Errors are I/O-level failures (the audit
+// could not run), not inconsistencies — those land in the report's
+// Problems.
+func (s *subheap) check(cached map[uint64]string, take samples) (SubheapReport, error) {
+	s.lock(obs.OpScrub, nvm.ClassScrub, take)
+	defer s.unlock(nil)
 	return s.checkLocked(true, cached)
 }
 

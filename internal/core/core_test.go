@@ -1089,7 +1089,6 @@ func TestLoadAndAttachValidateOptions(t *testing.T) {
 		"negative profile rate":      {Profile: ProfileOptions{Rate: -5}},
 		"profile without telemetry":  {Profile: ProfileOptions{Rate: 1}},
 		"trace without telemetry":    {Trace: TraceOptions{Rate: 3}},
-		"negative trace buffer":      {Trace: TraceOptions{Buffer: -1}},
 		"watchdog without telemetry": {Watchdog: WatchdogOptions{StallThreshold: time.Second}},
 		"negative scrub interval":    {OnlineScrub: OnlineScrubOptions{Interval: -time.Second}},
 	}

@@ -132,7 +132,6 @@ func TestMergeBuddySkipsNonCandidates(t *testing.T) {
 func TestMprotectModeCountsSwitches(t *testing.T) {
 	opts := testOptions()
 	opts.Protection = ProtectMprotect
-	opts.MprotectCost = 10 // keep the test fast
 	h, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -183,7 +183,7 @@ func Load(dev *nvm.Device, opts Options) (*Heap, error) {
 	}
 	// Recovery always records a span when tracing is on (no sampling roll):
 	// its timeline is exactly what the tracer exists to show.
-	tdone := h.traceForced(obs.OpRecovery, -1)
+	tdone := h.traceForced(obs.OpRecovery)
 	rerr := h.recover()
 	if tdone != nil {
 		tdone(rerr)
@@ -241,7 +241,7 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 	unit := mpk.NewUnit(dev.Capacity())
 	switch opts.Protection {
 	case ProtectMprotect:
-		unit.SetSwitchCost(opts.MprotectCost)
+		unit.SetSwitchCost(mprotectCost)
 	case ProtectMPK, ProtectNone:
 		// MPK switch cost is ~23 cycles — below the resolution the Go
 		// model can meaningfully spin, so it is charged as zero and
@@ -267,7 +267,7 @@ func assemble(dev *nvm.Device, lay layout, opts Options) (*Heap, error) {
 		h.prof = obs.NewProfiler(opts.Profile.Rate)
 		h.tel.SetProfiler(h.prof)
 		if opts.Trace.Rate > 0 {
-			h.tracer = obs.NewTracer(opts.Trace.Rate, opts.Trace.Buffer)
+			h.tracer = obs.NewTracer(opts.Trace.Rate, 0) // the default 4096-span ring
 			h.tel.SetTracer(h.tracer)
 		}
 		// Side-table snapshot writes go through their own window so their
@@ -588,7 +588,7 @@ func (h *Heap) scrub(par int) error {
 		if s.isQuarantined() {
 			return nil
 		}
-		if _, err := h.auditSubheap(s); err != nil {
+		if _, err := h.auditSubheap(s, 0); err != nil {
 			return fmt.Errorf("sub-heap %d scrub: %w", s.id, err)
 		}
 		return nil

@@ -6,6 +6,8 @@ import (
 	"io"
 
 	"poseidon/internal/memblock"
+	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
 )
 
 // SubheapInfo is an inspection snapshot of one sub-heap.
@@ -27,8 +29,8 @@ func (h *Heap) InspectSubheap(i int) (SubheapInfo, error) {
 		return SubheapInfo{}, fmt.Errorf("poseidon: sub-heap %d out of range", i)
 	}
 	s := h.subheaps[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock(obs.OpScrub, nvm.ClassScrub, 0)
+	defer s.unlock(nil)
 	info := SubheapInfo{ID: i, ClassHistogram: map[uint64]uint64{}}
 	init, err := s.initializedFlag()
 	if err != nil {
@@ -38,12 +40,8 @@ func (h *Heap) InspectSubheap(i int) (SubheapInfo, error) {
 	if !init {
 		return info, nil
 	}
-	h.grant(s.thread)
-	defer h.revoke(s.thread)
-	if !s.ready {
-		if err := s.ensureReady(); err != nil {
-			return info, err
-		}
+	if err := s.ensureReady(); err != nil {
+		return info, err
 	}
 	levels, err := s.mgr.ActiveLevels(s.win)
 	if err != nil {
@@ -76,12 +74,8 @@ func (h *Heap) RecordSlot(p NVMPtr) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	h.grant(s.thread)
-	defer func() {
-		h.revoke(s.thread)
-		s.mu.Unlock()
-	}()
+	s.lock(obs.OpLookup, nvm.ClassOther, 0)
+	defer s.unlock(nil)
 	if err := s.ensureReady(); err != nil {
 		return 0, err
 	}

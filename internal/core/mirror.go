@@ -6,6 +6,8 @@ import (
 	"slices"
 
 	"poseidon/internal/memblock"
+	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
 	"poseidon/internal/plog"
 )
 
@@ -169,15 +171,13 @@ func (h *Heap) syncMirrors() error {
 		if s.isQuarantined() {
 			continue
 		}
-		s.mu.Lock()
+		s.lock(obs.OpMirror, nvm.ClassOther, 0)
 		if s.ready {
-			h.grant(s.thread)
 			if err := s.updateMirrorLocked(); err != nil && first == nil {
 				first = err
 			}
-			h.revoke(s.thread)
 		}
-		s.mu.Unlock()
+		s.unlock(nil)
 	}
 	return first
 }

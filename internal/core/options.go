@@ -21,8 +21,9 @@ const (
 	// baseline quantifying MPK's cost (and demonstrating its value).
 	ProtectNone
 	// ProtectMprotect models page-table-based protection: the same
-	// grant/revoke discipline, but each switch costs a syscall-scale
-	// penalty instead of WRPKRU's ~23 cycles. Used by the ablation bench.
+	// grant/revoke discipline, but each switch spins mprotectCost
+	// iterations (~µs, syscall scale) instead of WRPKRU's ~23 cycles. Used
+	// by the ablation bench.
 	ProtectMprotect
 	// ProtectMPKHardened is MPK plus the §8 mitigation the paper points to
 	// (ERIM/Hodor binary inspection): the protection unit is sealed so
@@ -56,9 +57,6 @@ type Options struct {
 	HeapID uint64
 	// Protection selects the metadata guard. Default ProtectMPK.
 	Protection Protection
-	// MprotectCost is the modeled spin per permission switch when
-	// Protection is ProtectMprotect. Default 20000 iterations (~µs scale).
-	MprotectCost int
 	// CrashTracking enables the device's crash simulation (shadow
 	// persistent image). Required by SimulateCrash; costs memory and
 	// per-store bookkeeping. Default off.
@@ -92,17 +90,17 @@ type Options struct {
 	// Trace configures the sampled op-span tracer: 1-in-Rate operations
 	// (alloc/free/tx/refill, plus every repair and recovery)
 	// record a span carrying duration and the flush/fence/write/retry
-	// sub-events the operation issued, into a fixed ring exported as Chrome
-	// trace-event JSON. Requires Telemetry. Zero value: disabled.
+	// sub-events the operation issued, into a ring of the newest 4096
+	// spans exported as Chrome trace-event JSON. Requires Telemetry. Zero
+	// value: disabled.
 	Trace TraceOptions
 	// Watchdog configures the stall watchdog: a background goroutine that
-	// scans every sub-heap's in-flight locked operation and journals an
-	// EventStall (into both the DRAM journal and the black-box ring) for
-	// any that exceed StallThreshold, with sub-heap, op kind and held-lock
-	// attribution. Enabling it also instruments the sub-heap lock sites
-	// with lock-wait/lock-hold histograms and attaches the device
-	// fence/flush latency outlier tap. Requires Telemetry. Zero value:
-	// disabled (one nil check per lock site).
+	// scans every sub-heap's lock holder and journals an EventStall (into
+	// both the DRAM journal and the black-box ring) for any that exceed
+	// StallThreshold, with sub-heap, op kind and held-lock attribution.
+	// Enabling it also instruments every sub-heap lock hold with
+	// lock-wait/lock-hold histograms and attaches the device fence/flush
+	// latency outlier tap. Requires Telemetry. Zero value: disabled.
 	Watchdog WatchdogOptions
 	// DeviceStats enables flush/fence counters on the device.
 	DeviceStats bool
@@ -149,19 +147,15 @@ type TraceOptions struct {
 	// Rate samples 1-in-Rate operations (1 = every operation). 0 disables
 	// tracing; the off path costs one nil pointer check per hook site.
 	Rate int
-	// Buffer is the span ring capacity. Default 4096.
-	Buffer int
 }
 
-// WatchdogOptions paces the opt-in stall watchdog.
+// WatchdogOptions configures the opt-in stall watchdog.
 type WatchdogOptions struct {
-	// StallThreshold is the deadline after which an in-flight locked
-	// operation counts as stalled; 0 disables the watchdog entirely.
+	// StallThreshold is the deadline after which a sub-heap lock hold
+	// counts as stalled; 0 disables the watchdog entirely. The watchdog
+	// scans every StallThreshold/4 (at least every millisecond), so a
+	// stall is detected within ~1.25x its threshold.
 	StallThreshold time.Duration
-	// Interval is the pause between watchdog scans. Defaults to
-	// StallThreshold/4 (floored at 1ms), so a stall is detected within
-	// ~1.25x its threshold.
-	Interval time.Duration
 }
 
 // OnlineScrubOptions paces the opt-in background scrubber.
@@ -169,18 +163,17 @@ type OnlineScrubOptions struct {
 	// Interval is the pause between full scrub passes; 0 disables the
 	// scrubber entirely.
 	Interval time.Duration
-	// Throttle is an extra pause between per-sub-heap audit slices within a
-	// pass, bounding the scrubber's share of device bandwidth. 0 means no
-	// pause beyond the per-slice lock handoff.
-	Throttle time.Duration
 }
 
 const (
-	defaultUserSize     = 64 << 20
-	defaultUndoLogSize  = 256 << 10
-	defaultMaxThreads   = 256
-	defaultLaneSize     = 4 << 10
-	defaultMprotectCost = 20000
+	defaultUserSize    = 64 << 20
+	defaultUndoLogSize = 256 << 10
+	defaultMaxThreads  = 256
+	defaultLaneSize    = 4 << 10
+
+	// mprotectCost is the modeled spin per permission switch under
+	// ProtectMprotect (~µs scale).
+	mprotectCost = 20000
 
 	minMetaSize = 1 << 20
 
@@ -243,20 +236,11 @@ func (o Options) withDefaults() Options {
 	if o.Protection == 0 {
 		o.Protection = ProtectMPK
 	}
-	if o.MprotectCost == 0 {
-		o.MprotectCost = defaultMprotectCost
-	}
 	if o.Magazines.Capacity == 0 {
 		o.Magazines.Capacity = defaultMagCapacity
 	}
 	if o.Magazines.Classes == 0 {
 		o.Magazines.Classes = defaultMagClasses
-	}
-	if o.Watchdog.StallThreshold > 0 && o.Watchdog.Interval == 0 {
-		o.Watchdog.Interval = o.Watchdog.StallThreshold / 4
-		if o.Watchdog.Interval < time.Millisecond {
-			o.Watchdog.Interval = time.Millisecond
-		}
 	}
 	if o.Telemetry != nil {
 		// Per-class attribution without the flat device counters would be
@@ -308,20 +292,20 @@ func (o Options) validateGeometry() error {
 // rejects; the geometry comes from the image's superblock, which
 // readLayout checks with validateGeometry.
 func (o Options) validateRuntime() error {
-	if o.OnlineScrub.Interval < 0 || o.OnlineScrub.Throttle < 0 {
-		return fmt.Errorf("poseidon: online scrub interval/throttle must not be negative")
+	if o.OnlineScrub.Interval < 0 {
+		return fmt.Errorf("poseidon: online scrub interval must not be negative")
 	}
 	if o.Profile.Rate < 0 {
 		return fmt.Errorf("poseidon: profile sample rate %d must not be negative", o.Profile.Rate)
 	}
-	if o.Trace.Rate < 0 || o.Trace.Buffer < 0 {
-		return fmt.Errorf("poseidon: trace rate/buffer must not be negative")
+	if o.Trace.Rate < 0 {
+		return fmt.Errorf("poseidon: trace rate %d must not be negative", o.Trace.Rate)
 	}
 	if (o.Profile.Rate > 0 || o.Trace.Rate > 0) && o.Telemetry == nil {
 		return fmt.Errorf("poseidon: Profile/Trace require Options.Telemetry")
 	}
-	if o.Watchdog.StallThreshold < 0 || o.Watchdog.Interval < 0 {
-		return fmt.Errorf("poseidon: watchdog threshold/interval must not be negative")
+	if o.Watchdog.StallThreshold < 0 {
+		return fmt.Errorf("poseidon: watchdog threshold must not be negative")
 	}
 	if o.Watchdog.StallThreshold > 0 && o.Telemetry == nil {
 		return fmt.Errorf("poseidon: Watchdog requires Options.Telemetry")

@@ -189,13 +189,13 @@ func (h *Heap) ProfilePprof() ([]byte, error) {
 // bytes /debug/optrace serves. Empty trace on heaps without Options.Trace.
 func (h *Heap) TraceJSON() []byte { return h.tracer.WriteChromeTrace() }
 
-// traceForced opens a span that records unconditionally (no sampling
-// decision) — for rare, long operations like recovery and repair whose
-// timeline is the whole point of the tracer. Device-op counts are diffed
-// from the whole attribution table, which is exact while the operation has
-// the heap to itself (load-time recovery) and best-effort otherwise.
-// Returns nil when tracing is off.
-func (h *Heap) traceForced(op obs.Op, subheap int) func(error) {
+// traceForced opens a heap-wide span that records unconditionally (no
+// sampling decision): Load's recovery, whose timeline is the whole point of
+// the tracer. Device-op counts are diffed from the whole attribution table,
+// which is exact while recovery has the heap to itself. Sub-heap ops open
+// their spans in their lock envelope (subheap.lock). Returns nil when
+// tracing is off.
+func (h *Heap) traceForced(op obs.Op) func(error) {
 	if h.tracer == nil {
 		return nil
 	}
@@ -206,7 +206,7 @@ func (h *Heap) traceForced(op obs.Op, subheap int) func(error) {
 		w1, f1, fe1 := attrTotals(h.tel.Attribution().Snapshot())
 		sp := obs.Span{
 			Op:      op,
-			Subheap: subheap,
+			Subheap: -1,
 			Lane:    -1,
 			StartNS: start.UnixNano(),
 			DurNS:   time.Since(start).Nanoseconds(),

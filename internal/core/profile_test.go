@@ -21,7 +21,7 @@ func profOptions(profRate, traceRate int) Options {
 	o := testOptions()
 	o.Telemetry = obs.New()
 	o.Profile = ProfileOptions{Rate: profRate}
-	o.Trace = TraceOptions{Rate: traceRate, Buffer: 256}
+	o.Trace = TraceOptions{Rate: traceRate}
 	return o
 }
 

@@ -330,16 +330,29 @@ func twoBlocks(t *testing.T, h *Heap, alloc func(*Thread) (NVMPtr, error)) (th *
 // TestFreeRefusesCorruptRecord flips p's record size to 131,073, which no
 // class has. Free(p) must refuse the record and change nothing: filed on
 // the 256 KiB list, p would come back from the next Alloc(256 KiB)
-// overlapping q.
+// overlapping q. The refusal quarantines sub-heap 0, as a rollback of the
+// same record does, so allocations route around it until Repair returns
+// it with q intact.
 func TestFreeRefusesCorruptRecord(t *testing.T) {
 	h := newTestHeap(t)
 	defer h.Close()
-	th, p, q, _ := twoBlocks(t, h, func(th *Thread) (NVMPtr, error) { return th.Alloc(128 << 10) })
+	th, p, q, data := twoBlocks(t, h, func(th *Thread) (NVMPtr, error) { return th.Alloc(128 << 10) })
 	defer th.Close()
 	flipSizeBit(t, h, p)
 	if err := th.Free(p); !errors.Is(err, ErrCorruptHeap) {
 		t.Fatalf("Free of a record of size 131073: %v, want ErrCorruptHeap", err)
 	}
+	if !h.subheaps[0].isQuarantined() || h.Health() != StateDegraded {
+		t.Fatalf("after the refused Free: sub-heap 0 quarantined %v, Health %v; want quarantined, degraded",
+			h.subheaps[0].isQuarantined(), h.Health())
+	}
+	if r, err := th.Alloc(64 << 10); err != nil || r.Subheap() != 1 {
+		t.Fatalf("Alloc(64 KiB) = %v, %v; want a block of sub-heap 1", r, err)
+	}
+	if err := h.Repair(0); err != nil {
+		t.Fatalf("Repair: %v", err)
+	}
+	auditHeap(t, h)
 	for {
 		r, err := th.Alloc(256 << 10)
 		if errors.Is(err, ErrOutOfMemory) {
@@ -348,12 +361,16 @@ func TestFreeRefusesCorruptRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Offset() < q.Offset()+128<<10 && q.Offset() < r.Offset()+256<<10 {
+		if r.Subheap() == 0 && r.Offset() < q.Offset()+128<<10 && q.Offset() < r.Offset()+256<<10 {
 			t.Fatalf("Alloc(256 KiB) returned %#x, overlapping live q at %#x", r.Offset(), q.Offset())
 		}
 	}
 	if size, err := th.BlockSize(q); err != nil || size != 128<<10 {
 		t.Fatalf("q: BlockSize %d, %v; want 128 KiB", size, err)
+	}
+	got := make([]byte, len(data))
+	if err := th.Read(q, 0, got); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("q after Repair: %v, bytes intact %v", err, bytes.Equal(got, data))
 	}
 }
 

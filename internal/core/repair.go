@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"poseidon/internal/memblock"
 	"poseidon/internal/nvm"
@@ -46,25 +45,11 @@ func (h *Heap) Repair(subheap int) error {
 	if !s.isQuarantined() {
 		return fmt.Errorf("%w: sub-heap %d", ErrNotQuarantined, subheap)
 	}
-	var start time.Time
-	if h.tel != nil {
-		start = time.Now()
-	}
-	s.mu.Lock()
-	h.grant(s.thread)
-	s.setClass(nvm.ClassRecovery)
 	// Repairs always record a span when tracing is on — they are rare and
 	// their flush/fence cost is exactly what an operator wants to see.
-	tdone := h.traceForced(obs.OpRepair, subheap)
+	s.lock(obs.OpRepair, nvm.ClassRecovery, sampleLatency|sampleSpanAlways)
 	mirrored, err := s.repairLocked()
-	if tdone != nil {
-		tdone(err)
-	}
-	h.revoke(s.thread)
-	s.mu.Unlock()
-	if h.tel != nil {
-		h.tel.RecordOn(subheap, obs.OpRepair, time.Since(start))
-	}
+	s.unlock(err)
 	if err != nil {
 		h.tel.Emit(obs.EventRepair, subheap, fmt.Sprintf("repair failed: %v", err))
 		return fmt.Errorf("poseidon: repair sub-heap %d: %w", subheap, err)

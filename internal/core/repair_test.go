@@ -257,7 +257,9 @@ func TestRepairMirrorRestore(t *testing.T) {
 
 // TestReadOnlyHealthGating quarantines a majority of sub-heaps and checks
 // the read-only regime: mutations are rejected with ErrReadOnly, reads keep
-// working, and RepairAll lifts the heap back to healthy.
+// working, and RepairAll lifts the heap back to healthy. On the way, a
+// degraded heap's Defragment leaves the quarantined sub-heap alone, and a
+// read-only heap's Defragment and TrimMetadata issue no device write.
 func TestReadOnlyHealthGating(t *testing.T) {
 	opts := testOptions()
 	opts.Subheaps = 4
@@ -280,12 +282,55 @@ func TestReadOnlyHealthGating(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, i := range []int{1, 2, 3} {
+	// Sub-heap 1 holds free buddies a full pass would merge.
+	th1, err := h.ThreadOn(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var small []NVMPtr
+	for i := 0; i < 16; i++ {
+		b, err := th1.TxAlloc(64, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small = append(small, b)
+	}
+	for _, b := range small {
+		if err := th1.Free(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	th1.Close()
+	h.subheaps[1].quarantine("test: simulated media failure")
+	if got := h.Health(); got != StateDegraded {
+		t.Fatalf("Health = %v, want degraded with 1/4 quarantined", got)
+	}
+	merges := h.subheaps[1].stats.defragMerges.Load()
+	if _, err := h.Defragment(); err != nil {
+		t.Fatalf("Defragment on a degraded heap: %v", err)
+	}
+	if n := h.subheaps[1].stats.defragMerges.Load() - merges; n != 0 {
+		t.Fatalf("Defragment merged %d times inside quarantined sub-heap 1", n)
+	}
+
+	for _, i := range []int{2, 3} {
 		h.subheaps[i].quarantine("test: simulated media failure")
 	}
 	if got := h.Health(); got != StateReadOnly {
 		t.Fatalf("Health = %v, want read-only with 3/4 quarantined", got)
 	}
+	const budget = 1 << 40
+	h.Device().FailAfter(budget)
+	if _, err := h.Defragment(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Defragment = %v, want ErrReadOnly", err)
+	}
+	if _, err := h.TrimMetadata(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("TrimMetadata = %v, want ErrReadOnly", err)
+	}
+	if n := budget - h.Device().FailBudgetRemaining(); n != 0 {
+		t.Fatalf("Defragment and TrimMetadata on a read-only heap issued %d mutating device ops", n)
+	}
+	h.Device().DisarmFailpoint()
 
 	if _, err := th.Alloc(64); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Alloc = %v, want ErrReadOnly", err)
@@ -484,11 +529,5 @@ func BenchmarkAllocFreeScrubOff(b *testing.B) {
 func BenchmarkAllocFreeScrubTight(b *testing.B) {
 	opts := testOptions()
 	opts.OnlineScrub = OnlineScrubOptions{Interval: 100 * time.Microsecond}
-	benchAllocFree(b, opts)
-}
-
-func BenchmarkAllocFreeScrubThrottled(b *testing.B) {
-	opts := testOptions()
-	opts.OnlineScrub = OnlineScrubOptions{Interval: time.Millisecond, Throttle: 200 * time.Microsecond}
 	benchAllocFree(b, opts)
 }

@@ -55,13 +55,6 @@ func (h *Heap) scrubLoop(stop <-chan struct{}, done chan<- struct{}) {
 					fmt.Sprintf("online scrub aborted: %v", err))
 				return
 			}
-			if t := h.opts.OnlineScrub.Throttle; t > 0 {
-				select {
-				case <-stop:
-					return
-				case <-time.After(t):
-				}
-			}
 		}
 		timer.Reset(interval)
 	}
@@ -91,14 +84,7 @@ func (h *Heap) scrubSubheap(s *subheap) error {
 	if s.isQuarantined() {
 		return nil
 	}
-	var start time.Time
-	if h.tel != nil {
-		start = time.Now()
-	}
-	quarantined, err := h.auditSubheap(s)
-	if h.tel != nil {
-		h.tel.RecordOn(s.id, obs.OpScrub, time.Since(start))
-	}
+	quarantined, err := h.auditSubheap(s, sampleLatency)
 	if quarantined {
 		// Self-heal: the repair emits its own journal events and, on
 		// failure, leaves the sub-heap quarantined with the audit's reason
@@ -111,11 +97,12 @@ func (h *Heap) scrubSubheap(s *subheap) error {
 // auditSubheap audits one in-service sub-heap with the fsck engine and
 // quarantines it when the audit fails or cannot finish, reporting whether
 // it did: the one audit step of ScrubOnLoad, ScrubPass and the online
-// scrubber. Only device-level errors are returned.
-func (h *Heap) auditSubheap(s *subheap) (quarantined bool, err error) {
+// scrubber. take is what each audit's envelope records. Only device-level
+// errors are returned.
+func (h *Heap) auditSubheap(s *subheap, take samples) (quarantined bool, err error) {
 	var sub SubheapReport
 	err = h.retry(func() (e error) {
-		sub, e = s.check(nil)
+		sub, e = s.check(nil, take)
 		return e
 	})
 	switch {

@@ -94,55 +94,127 @@ type subheap struct {
 	rec   *nvm.AttrRecorder
 	gauge *subheapGauges
 
-	// Watchdog hold-state (watchdog.go), maintained by lockOp/unlockOp only
-	// when h.wd is set. Publication order matters: lockOp stores wdOp, bumps
-	// wdToken, and stores wdSince LAST, so a watchdog scan that sees a
-	// non-zero wdSince observes the op/token of that acquisition. wdHold is
-	// owner-only scratch (guarded by mu); stallInject is a one-shot test
-	// failpoint armed by Heap.InjectStall.
+	// Watchdog hold-state (watchdog.go), published by lock only when h.wd
+	// is set. Publication order matters: lock stores wdOp, bumps wdToken,
+	// and stores wdSince LAST, so a watchdog scan that sees a non-zero
+	// wdSince observes the op/token of that acquisition. stallInject is a
+	// one-shot test failpoint armed by Heap.InjectStall.
 	wdSince     atomic.Int64  // hold-start UnixNano; 0 = lock not held
 	wdOp        atomic.Uint32 // obs.Op in flight
 	wdToken     atomic.Uint64 // acquisition counter for stall de-dup
-	wdHold      time.Time
-	stallInject atomic.Int64 // ns to sleep inside the next lockOp
+	stallInject atomic.Int64  // ns to sleep inside the next lock
+
+	env envelope // the lock holder's envelope, guarded by mu
 }
 
-// lockOp acquires the sub-heap lock with metadata rights, timing the wait
-// and publishing hold-start state for the stall watchdog. A heap without a
-// watchdog pays exactly one nil check over the plain lock sequence.
-func (s *subheap) lockOp(op obs.Op) {
-	if s.h.wd == nil {
-		s.mu.Lock()
-		s.h.grant(s.thread)
-		return
+// samples says what an envelope records on exit besides the lock timings.
+type samples uint8
+
+const (
+	sampleLatency    samples = 1 << iota // the op's latency, on this sub-heap
+	sampleSpan                           // an op span, on the tracer's 1-in-N roll
+	sampleSpanAlways                     // an op span on every call
+)
+
+// envelope is the lock holder's telemetry state, from lock to unlock.
+type envelope struct {
+	op    obs.Op
+	prev  nvm.OpClass // the class lock replaced, restored by unlock
+	take  samples
+	span  bool       // this hold records a span
+	start time.Time  // when the lock was taken; zero when nothing is timed
+	mark  nvm.OpMark // the recorder's totals at start, for the span
+	r0    uint64     // transient retries at start, for the span
+	bytes uint64     // the span's payload (a carve's blocks)
+}
+
+// lock is the one envelope of every holder of a sub-heap lock. It takes mu
+// with metadata rights and tags the sub-heap's device traffic cls; unlock
+// restores the class it replaced. With a watchdog it times the lock wait
+// and publishes the hold (op) for stall detection; take asks for op's
+// latency sample and span, which unlock records. The recorder is nil
+// exactly when telemetry is off, and the watchdog and the tracer need
+// telemetry, so without it lock is the plain lock and grant behind two nil
+// checks, and unlock the plain release behind one.
+func (s *subheap) lock(op obs.Op, cls nvm.OpClass, take samples) {
+	wd := s.h.wd
+	var wait time.Time
+	if wd != nil {
+		wait = time.Now()
 	}
-	start := time.Now()
 	s.mu.Lock()
 	s.h.grant(s.thread)
-	now := time.Now()
-	s.h.tel.RecordOn(s.id, obs.OpLockWait, now.Sub(start))
-	s.wdHold = now
-	s.wdOp.Store(uint32(op))
-	s.wdToken.Add(1)
-	s.wdSince.Store(now.UnixNano())
-	if d := s.stallInject.Swap(0); d > 0 {
-		// Armed failpoint: hold the lock long enough for the watchdog.
-		time.Sleep(time.Duration(d))
+	if s.rec == nil {
+		return
+	}
+	e := &s.env
+	*e = envelope{op: op, prev: s.retag(cls), take: take}
+	tr := s.h.tracer
+	e.span = take&sampleSpanAlways != 0 && tr != nil || take&sampleSpan != 0 && tr.Sampled()
+	if wd != nil || e.span || take&sampleLatency != 0 {
+		e.start = time.Now()
+	}
+	if e.span {
+		e.mark, e.r0 = s.rec.Mark(), s.h.transientRetries.Load()
+	}
+	if wd != nil {
+		s.h.tel.RecordOn(s.id, obs.OpLockWait, e.start.Sub(wait))
+		s.wdOp.Store(uint32(op))
+		s.wdToken.Add(1)
+		s.wdSince.Store(e.start.UnixNano())
+		if d := s.stallInject.Swap(0); d > 0 {
+			// Armed failpoint: hold the lock long enough for the watchdog.
+			time.Sleep(time.Duration(d))
+		}
 	}
 }
 
-// unlockOp is lockOp's release half: clears the hold-start marker, records
-// the hold-time histogram, and releases rights and lock.
-func (s *subheap) unlockOp() {
-	if s.h.wd == nil {
-		s.h.revoke(s.thread)
-		s.mu.Unlock()
-		return
+// unlock closes lock's envelope and releases rights and lock. err is the
+// outcome a span records.
+func (s *subheap) unlock(err error) {
+	if s.rec != nil {
+		s.record(err)
 	}
-	s.wdSince.Store(0)
-	s.h.tel.RecordOn(s.id, obs.OpLockHold, time.Since(s.wdHold))
 	s.h.revoke(s.thread)
 	s.mu.Unlock()
+}
+
+// record is unlock with telemetry: it clears the watchdog's hold marker,
+// records the lock hold, the op's latency and its span, and restores the
+// class lock replaced.
+func (s *subheap) record(err error) {
+	e := &s.env
+	var d time.Duration
+	if !e.start.IsZero() {
+		d = time.Since(e.start)
+	}
+	if s.h.wd != nil {
+		s.wdSince.Store(0)
+		s.h.tel.RecordOn(s.id, obs.OpLockHold, d)
+	}
+	if e.take&sampleLatency != 0 {
+		s.h.tel.RecordOn(s.id, e.op, d)
+	}
+	if e.span {
+		m := s.rec.Since(e.mark)
+		sp := obs.Span{
+			Op:      e.op,
+			Subheap: s.id,
+			Lane:    -1,
+			StartNS: e.start.UnixNano(),
+			DurNS:   d.Nanoseconds(),
+			Writes:  m.Writes,
+			Flushes: m.Flushes,
+			Fences:  m.Fences,
+			Retries: s.h.transientRetries.Load() - e.r0,
+			Bytes:   e.bytes,
+		}
+		if err != nil {
+			sp.Err = err.Error()
+		}
+		s.h.tracer.Record(sp)
+	}
+	s.rec.SetClass(e.prev)
 }
 
 // subheapGauges are DRAM-only occupancy gauges, maintained on the alloc/
@@ -220,13 +292,16 @@ func newSubheap(h *Heap, id int) (*subheap, error) {
 	return s, nil
 }
 
-// setClass retags this sub-heap's device-traffic attribution. Callers hold
-// mu (or run single-threaded), which is the recorder's required
-// serialization.
-func (s *subheap) setClass(c nvm.OpClass) {
-	if s.rec != nil {
-		s.rec.SetClass(c)
+// retag tags this sub-heap's device traffic c and returns the class it
+// replaced. Callers hold mu, which is the recorder's required
+// serialization. Without telemetry it does nothing.
+func (s *subheap) retag(c nvm.OpClass) nvm.OpClass {
+	if s.rec == nil {
+		return c
 	}
+	prev := s.rec.Class()
+	s.rec.SetClass(c)
+	return prev
 }
 
 // initializedFlag reads the persistent formatted marker: 0 is never
@@ -248,8 +323,8 @@ func (s *subheap) initializedFlag() (bool, error) {
 // untouched — they format lazily on first use, like the paper's
 // first-malloc-on-CPU.
 func (s *subheap) recoverLogs() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock(obs.OpRecovery, nvm.ClassRecovery, 0)
+	defer s.unlock(nil)
 	init, err := s.initializedFlag()
 	if err != nil {
 		return err
@@ -267,9 +342,6 @@ func (s *subheap) recoverLogs() error {
 	if flag != 0 {
 		return fmt.Errorf("%w: interrupted repair", ErrCorruptHeap)
 	}
-	s.h.grant(s.thread)
-	defer s.h.revoke(s.thread)
-	s.setClass(nvm.ClassRecovery)
 	// No mirror refresh here: the header has not been audited yet, and
 	// copying a corrupt header over the last good mirror would defeat the
 	// restore path. recover() refreshes mirrors after the scrub passes.
@@ -384,7 +456,8 @@ func (s *subheap) seedGauges() {
 // sub-heap. The initialized flag is the commit point: a crash mid-format
 // reformats from scratch on the next use.
 func (s *subheap) format() error {
-	s.setClass(nvm.ClassFormat)
+	prev := s.retag(nvm.ClassFormat)
+	defer s.retag(prev)
 	g := s.mgr.Geometry()
 	// Zero everything format will touch: header page, commit log region, and
 	// the memblock header + free lists + level 0 (higher levels are only
@@ -427,76 +500,23 @@ func (s *subheap) format() error {
 	return nil
 }
 
-// traceBegin opens a sampled op span for this sub-heap: nil (free) unless
-// the tracer exists AND elected this operation. The returned closure diffs
-// the sub-heap recorder's write/flush/fence totals and must therefore run
-// while mu is still held — register its defer AFTER the unlock defer so
-// LIFO ordering fires it first.
-func (s *subheap) traceBegin(op obs.Op, bytes uint64) func(error) {
-	tr := s.h.tracer
-	if tr == nil || !tr.Sampled() {
-		return nil
-	}
-	start := time.Now()
-	m := s.rec.Mark()
-	r0 := s.h.transientRetries.Load()
-	return func(err error) {
-		d := s.rec.Since(m)
-		sp := obs.Span{
-			Op:      op,
-			Subheap: s.id,
-			Lane:    -1,
-			StartNS: start.UnixNano(),
-			DurNS:   time.Since(start).Nanoseconds(),
-			Writes:  d.Writes,
-			Flushes: d.Flushes,
-			Fences:  d.Fences,
-			Retries: s.h.transientRetries.Load() - r0,
-			Bytes:   bytes,
-		}
-		if err != nil {
-			sp.Err = err.Error()
-		}
-		tr.Record(sp)
-	}
-}
-
 // quarantinedErr is the error of an op on a quarantined sub-heap.
 func (s *subheap) quarantinedErr() error {
 	return fmt.Errorf("%w: sub-heap %d (%s)", ErrSubheapQuarantined, s.id, s.quarantineReason())
 }
 
-// begin is the prologue of every locked carve and free: it refuses a
-// quarantined sub-heap, takes the lock with metadata rights (lockOp),
-// readies the sub-heap and tags its device traffic cls. Once begin
-// succeeds the caller must unlockOp.
-func (s *subheap) begin(op obs.Op, cls nvm.OpClass) error {
-	if s.isQuarantined() {
-		return s.quarantinedErr()
-	}
-	s.lockOp(op)
-	if err := s.ensureReady(); err != nil {
-		s.unlockOp()
-		return err
-	}
-	// Tag after ensureReady so lazy formatting stays charged to ClassFormat.
-	s.setClass(cls)
-	return nil
-}
-
 // timeOp retags device traffic cls and returns a closure that restores the
-// previous class and records op's latency on this sub-heap: a magazine
-// refill's carve or a defragmentation pass. A no-op (returning a no-op)
-// without telemetry.
+// previous class and records op's latency on this sub-heap: the pressure
+// ladder's defragmentation rungs, which run inside a carve's envelope. A
+// no-op (returning a no-op) without telemetry.
 func (s *subheap) timeOp(op obs.Op, cls nvm.OpClass) func() {
 	if s.h.tel == nil {
 		return func() {}
 	}
 	start := time.Now()
-	prev := s.rec.Class()
-	s.rec.SetClass(cls)
+	prev := s.retag(cls)
 	return func() {
-		s.rec.SetClass(prev)
+		s.retag(prev)
 		s.h.tel.RecordOn(s.id, op, time.Since(start))
 	}
 }
@@ -574,7 +594,9 @@ func (s *subheap) relievePressure(p *pressure, class int, err error) (bool, erro
 	case errors.Is(err, errNoFreeBlock):
 		if !p.defraggedList {
 			p.defraggedList = true
+			done := s.timeOp(obs.OpDefrag, nvm.ClassDefrag)
 			progress, derr := s.defragFreeLists(class)
+			done()
 			if derr != nil {
 				return false, derr
 			}
@@ -682,16 +704,21 @@ type carved struct {
 // large for one commit record, or for the hash table's probe windows after
 // the ladder ran, halves and retries.
 func (s *subheap) carve(op obs.Op, cls nvm.OpClass, class int, out []carved, name, unname func(n int) error) (n int, err error) {
-	if err := s.begin(op, cls); err != nil {
-		return 0, err
+	if s.isQuarantined() {
+		return 0, s.quarantinedErr()
 	}
-	defer s.unlockOp()
+	take := sampleSpan
 	if op == obs.OpRefill {
-		defer s.timeOp(op, cls)()
+		take |= sampleLatency
 	}
 	g := s.mgr.Geometry()
-	if tdone := s.traceBegin(op, uint64(len(out))*g.ClassSize(class)); tdone != nil {
-		defer func() { tdone(err) }()
+	s.lock(op, cls, take)
+	defer func() { s.unlock(err) }()
+	if s.env.span {
+		s.env.bytes = uint64(len(out)) * g.ClassSize(class)
+	}
+	if err := s.ensureReady(); err != nil {
+		return 0, err
 	}
 	var hook func() error
 	if name != nil {
@@ -816,14 +843,17 @@ const stageFreeSlack = 8
 // is then a no-op, counted in the result, and after gets, after each
 // commit, how many blocks it freed and the index of the first dev it did
 // not cover — also after a commit left in doubt, with none counted:
-// settling it frees them. The no-op count is returned also on error.
+// settling it frees them. The no-op count is returned also on error. A
+// corrupt record (ErrCorruptHeap) quarantines the sub-heap, whoever met it;
+// the caller's misuse (ErrInvalidFree, ErrDoubleFree) changes nothing.
 func (s *subheap) free(op obs.Op, cls nvm.OpClass, devs []uint64, after func(freed, upto int) error) (noops int, err error) {
-	if err := s.begin(op, cls); err != nil {
-		return 0, err
+	if s.isQuarantined() {
+		return 0, s.quarantinedErr()
 	}
-	defer s.unlockOp()
-	if tdone := s.traceBegin(op, 0); tdone != nil {
-		defer func() { tdone(err) }()
+	s.lock(op, cls, sampleSpan)
+	defer func() { s.unlock(err) }()
+	if err := s.ensureReady(); err != nil {
+		return 0, err
 	}
 	var one [1]freedBlock // a Free stages its block without a heap allocation
 	staged := one[:0]
@@ -867,6 +897,9 @@ func (s *subheap) free(op obs.Op, cls nvm.OpClass, devs []uint64, after func(fre
 			noops++
 		case err != nil:
 			s.batch.Abort()
+			if errors.Is(err, ErrCorruptHeap) {
+				s.quarantine(fmt.Sprintf("free refused a corrupt record: %v", err))
+			}
 			return noops, err
 		default:
 			staged = append(staged, freedBlock{class, size})
@@ -948,10 +981,11 @@ func (s *subheap) mergeBuddy(slot uint64) (bool, error) {
 	return true, nil
 }
 
-// defragFreeLists merges smaller free blocks upward until a block of at
-// least class target exists or no merge makes progress (§5.4 case 1).
+// defragFreeLists merges free buddies upward, class by class below target,
+// until a block of class target or above exists, and reports whether one
+// does (§5.4 case 1). No block reaches class NumClasses, so that target
+// merges everything it can: the explicit Defragment.
 func (s *subheap) defragFreeLists(target int) (bool, error) {
-	defer s.timeOp(obs.OpDefrag, nvm.ClassDefrag)()
 	g := s.mgr.Geometry()
 	satisfied := func() (bool, error) {
 		for c := target; c < g.NumClasses; c++ {
@@ -965,7 +999,6 @@ func (s *subheap) defragFreeLists(target int) (bool, error) {
 		}
 		return false, nil
 	}
-	anyMerge := false
 	for c := 0; c < target; c++ {
 		slots, err := s.freeListSlots(c)
 		if err != nil {
@@ -977,18 +1010,13 @@ func (s *subheap) defragFreeLists(target int) (bool, error) {
 				return false, err
 			}
 			if merged {
-				anyMerge = true
 				if ok, err := satisfied(); err != nil || ok {
 					return ok, err
 				}
 			}
 		}
 	}
-	ok, err := satisfied()
-	if err != nil {
-		return false, err
-	}
-	return ok && anyMerge || ok, nil
+	return satisfied()
 }
 
 // defragProbeWindow merges free blocks recorded in the probe window of key
@@ -1053,12 +1081,8 @@ func (s *subheap) blockSize(blockOff uint64) (uint64, error) {
 	if s.isQuarantined() {
 		return 0, s.quarantinedErr()
 	}
-	s.mu.Lock()
-	s.h.grant(s.thread)
-	defer func() {
-		s.h.revoke(s.thread)
-		s.mu.Unlock()
-	}()
+	s.lock(obs.OpLookup, nvm.ClassOther, 0)
+	defer s.unlock(nil)
 	if err := s.ensureReady(); err != nil {
 		return 0, err
 	}

@@ -1,15 +1,26 @@
 package core
 
-import "poseidon/internal/memblock"
+import (
+	"poseidon/internal/memblock"
+	"poseidon/internal/nvm"
+	"poseidon/internal/obs"
+)
 
-// Defragment runs a full coalescing pass over every sub-heap: free buddy
-// pairs merge upward until no merge is possible. The allocator already
-// defragments on demand (§5.4); this explicit pass is for maintenance
-// windows — run it before TrimMetadata to maximise the punchable space.
-// Returns the number of merges performed.
+// Defragment runs a full coalescing pass over every in-service sub-heap:
+// free buddy pairs merge upward until no merge is possible. The allocator
+// already defragments on demand (§5.4); this explicit pass is for
+// maintenance windows — run it before TrimMetadata to maximise the
+// punchable space. A read-only heap refuses it with ErrReadOnly. Returns
+// the number of merges performed.
 func (h *Heap) Defragment() (uint64, error) {
+	if err := h.writable(); err != nil {
+		return 0, err
+	}
 	var merges uint64
 	for _, s := range h.subheaps {
+		if s.isQuarantined() {
+			continue
+		}
 		n, err := s.defragment()
 		if err != nil {
 			return merges, err
@@ -19,13 +30,11 @@ func (h *Heap) Defragment() (uint64, error) {
 	return merges, nil
 }
 
+// defragment is one sub-heap's full pass: defragFreeLists with a target no
+// block reaches.
 func (s *subheap) defragment() (uint64, error) {
-	s.mu.Lock()
-	s.h.grant(s.thread)
-	defer func() {
-		s.h.revoke(s.thread)
-		s.mu.Unlock()
-	}()
+	s.lock(obs.OpDefrag, nvm.ClassDefrag, 0)
+	defer s.unlock(nil)
 	init, err := s.initializedFlag()
 	if err != nil || !init {
 		return 0, err
@@ -34,27 +43,8 @@ func (s *subheap) defragment() (uint64, error) {
 		return 0, err
 	}
 	before := s.stats.defragMerges.Load()
-	g := s.mgr.Geometry()
-	// Passes from the smallest class upward until a pass makes no
-	// progress; each merge feeds the next class up.
-	for {
-		any := false
-		for c := 0; c < g.NumClasses-1; c++ {
-			slots, err := s.freeListSlots(c)
-			if err != nil {
-				return 0, err
-			}
-			for _, slot := range slots {
-				merged, err := s.mergeBuddy(slot)
-				if err != nil {
-					return 0, err
-				}
-				any = any || merged
-			}
-		}
-		if !any {
-			break
-		}
+	if _, err := s.defragFreeLists(s.mgr.Geometry().NumClasses); err != nil {
+		return 0, err
 	}
 	return s.stats.defragMerges.Load() - before, nil
 }
@@ -70,10 +60,18 @@ func (s *subheap) defragment() (uint64, error) {
 //     backing memory is released; they read as zero (= empty slots) and
 //     re-materialise transparently if the table grows again.
 //
-// Returns the number of bytes punched.
+// Quarantined sub-heaps are skipped: their level count is not to be
+// trusted, and Repair needs the levels it may restore. A read-only heap
+// refuses the trim with ErrReadOnly. Returns the number of bytes punched.
 func (h *Heap) TrimMetadata() (uint64, error) {
+	if err := h.writable(); err != nil {
+		return 0, err
+	}
 	var punched uint64
 	for _, s := range h.subheaps {
+		if s.isQuarantined() {
+			continue
+		}
 		n, err := s.trimMetadata()
 		if err != nil {
 			return punched, err
@@ -84,12 +82,8 @@ func (h *Heap) TrimMetadata() (uint64, error) {
 }
 
 func (s *subheap) trimMetadata() (uint64, error) {
-	s.mu.Lock()
-	s.h.grant(s.thread)
-	defer func() {
-		s.h.revoke(s.thread)
-		s.mu.Unlock()
-	}()
+	s.lock(obs.OpDefrag, nvm.ClassDefrag, 0)
+	defer s.unlock(nil)
 	init, err := s.initializedFlag()
 	if err != nil || !init {
 		return 0, err

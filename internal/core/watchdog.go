@@ -1,15 +1,15 @@
 package core
 
-// Stall watchdog: a background goroutine that detects in-flight sub-heap
-// operations holding their lock past Options.Watchdog.StallThreshold. The
-// instrumented lock sites (subheap.lockOp/unlockOp) publish hold-start
-// metadata in per-sub-heap atomics — op kind first, then a fresh token, then
-// the start timestamp LAST, so a scanner that observes a non-zero timestamp
-// sees a consistent op/token pair. Each detected stall is journalled once
-// (EventStall, de-duplicated per lock acquisition by token), mirrored into
-// the black box, and counted into poseidon_stalls_total. Every tick also
-// publishes staged black-box records, so the ring stays near-current even on
-// an idle heap.
+// Stall watchdog: a background goroutine that detects sub-heap operations
+// holding their lock past Options.Watchdog.StallThreshold. Every holder of
+// a sub-heap lock takes it through one envelope (subheap.lock/unlock),
+// which publishes hold-start metadata in per-sub-heap atomics — op kind
+// first, then a fresh token, then the start timestamp LAST, so a scanner
+// that observes a non-zero timestamp sees a consistent op/token pair.
+// Each detected stall is journalled once (EventStall, de-duplicated per
+// lock acquisition by token), mirrored into the black box, and counted
+// into poseidon_stalls_total. Every tick also publishes staged black-box
+// records, so the ring stays near-current even on an idle heap.
 
 import (
 	"fmt"
@@ -31,16 +31,17 @@ type watchdog struct {
 	lastToken []uint64
 }
 
-// startWatchdog launches the watchdog goroutine when configured. Called
-// single-threaded from Create/Load before the heap is shared, so the lock
-// sites' h.wd nil check never races a write.
+// startWatchdog launches the watchdog goroutine when configured, scanning
+// every StallThreshold/4 (at least every millisecond). Called
+// single-threaded from Create/Load before the heap is shared, so the
+// envelope's h.wd nil check never races a write.
 func (h *Heap) startWatchdog() {
 	if h.opts.Watchdog.StallThreshold <= 0 || h.tel == nil {
 		return
 	}
 	w := &watchdog{
 		threshold: h.opts.Watchdog.StallThreshold,
-		interval:  h.opts.Watchdog.Interval,
+		interval:  max(h.opts.Watchdog.StallThreshold/4, time.Millisecond),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		lastToken: make([]uint64, len(h.subheaps)),
@@ -50,7 +51,7 @@ func (h *Heap) startWatchdog() {
 }
 
 // stopWatchdog halts the goroutine (idempotent) and waits for it. h.wd
-// stays set so the lock sites keep their histograms without a racy nil-out.
+// stays set so the envelope keeps its histograms without a racy nil-out.
 func (h *Heap) stopWatchdog() {
 	w := h.wd
 	if w == nil {
@@ -109,10 +110,12 @@ func (h *Heap) watchdogScan(w *watchdog) {
 	}
 }
 
-// InjectStall arms a one-shot test failpoint: the next instrumented lock
-// acquisition on the given sub-heap sleeps for d while holding the lock,
-// long enough for the watchdog to observe a stall. Errors when the sub-heap
-// does not exist; a heap without a watchdog ignores the armed value.
+// InjectStall arms a one-shot test failpoint: the next operation to take
+// the given sub-heap's lock — any of them, since all take it through one
+// envelope: alloc, free, refill, audit, defragmentation, trim, repair,
+// recovery, lookup or mirror refresh — sleeps for d while holding it, long
+// enough for the watchdog to observe a stall. Errors when the sub-heap does
+// not exist; a heap without a watchdog ignores the armed value.
 func (h *Heap) InjectStall(shard int, d time.Duration) error {
 	if shard < 0 || shard >= len(h.subheaps) {
 		return fmt.Errorf("poseidon: no sub-heap %d", shard)

@@ -19,27 +19,30 @@ import (
 // Op is an instrumented operation class.
 type Op uint8
 
-// Operation classes with latency histograms. The first five are hot-path
-// allocator operations; the last three are load-time phases.
+// Operation classes with latency histograms. Each also names the operation
+// holding a sub-heap lock in a stall report. The numbers are persisted in
+// black-box span records: new kinds go last.
 const (
 	OpAlloc Op = iota
 	OpFree
 	OpTxAlloc
-	OpTxFree // recovery rollback free of an uncommitted tx allocation
-	OpDefrag
+	OpTxFree   // recovery rollback free of an uncommitted tx allocation
+	OpDefrag   // a defragmentation pass or a metadata trim
 	OpRefill   // batched magazine refill carve by the owning sub-heap
 	OpRecovery // log replay + lane rollback during Load
 	OpLoad     // whole Load call
-	OpScrub    // ScrubOnLoad audit / online scrubber slice
+	OpScrub    // an audit: ScrubOnLoad, the online scrubber, Check, InspectSubheap
 	OpRepair   // quarantine repair of one sub-heap
 	OpLockWait // time spent waiting for a sub-heap lock (watchdog contention layer)
 	OpLockHold // time a locked sub-heap operation held the lock
+	OpLookup   // a block lookup under a sub-heap lock (BlockSize, RecordSlot)
+	OpMirror   // a metadata mirror refresh (SyncMirrors)
 	NumOps
 )
 
 var opNames = [NumOps]string{
 	"alloc", "free", "txalloc", "txfree", "defrag", "refill", "recovery", "load", "scrub",
-	"repair", "lock_wait", "lock_hold",
+	"repair", "lock_wait", "lock_hold", "lookup", "mirror",
 }
 
 func (o Op) String() string {
@@ -57,11 +60,12 @@ func (o Op) String() string {
 // already explains. OpRepair charges
 // ClassRecovery, which OpRecovery already explains, so it maps to no class.
 // OpLockWait/OpLockHold are pure contention timings — they explain no device
-// traffic at all — so they map to no class.
+// traffic at all — so they map to no class. OpLookup and OpMirror are never
+// timed, so they map to no class either.
 var attrClassOf = [NumOps]nvm.OpClass{
 	nvm.ClassAlloc, nvm.ClassFree, nvm.ClassTxAlloc, nvm.ClassTxFree,
 	nvm.ClassDefrag, nvm.NumClasses, nvm.ClassRecovery, nvm.NumClasses, nvm.ClassScrub,
-	nvm.NumClasses, nvm.NumClasses, nvm.NumClasses,
+	nvm.NumClasses, nvm.NumClasses, nvm.NumClasses, nvm.NumClasses, nvm.NumClasses,
 }
 
 // Options configures a Telemetry instance.
